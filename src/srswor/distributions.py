@@ -2,11 +2,30 @@
 
 Everything here reduces to the two uniform primitives of the source, so a
 whole pipeline is reproducible from one seed.  No approximate method is
-used anywhere: binomial generation is exact inversion for small mean and an
-exact order-statistic (beta) bisection for large mean, beta generation is
-the closed-form quantile map for shape alpha = 1 and Marsaglia-Tsang gamma
-pairs otherwise, and the hypergeometric is generated by recursive bisection
-on the sorted-sample position law.
+used anywhere; every generator is exact up to float rounding:
+
+  binomial        CDF inversion for n*min(p, 1-p) <= 30 (one uniform);
+                  Hoermann's BTRD transformed rejection with decomposition
+                  above that (1.4-1.8 uniforms in expectation, O(1)).
+  hypergeometric  CDF inversion from 0 when min(k, n-k) or min(v, n-v) is
+                  below 10 (one uniform, at most 10 steps); Stadlober's HRUA
+                  ratio of uniforms otherwise (about 3 uniforms, O(1)).
+  beta            the closed-form quantile map for shape alpha = 1, a pair of
+                  Marsaglia-Tsang gammas otherwise.
+
+BTRD and HRUA do float arithmetic on n and on values near n, which is
+integer-exact only below 2^53.  From n = 2^53 up, both families keep the
+older generators unchanged, so their output there is bit-identical to
+earlier releases: an exact order-statistic (beta) bisection of the trial
+count for the binomial, O(log n) gamma pairs, and a bisection search on
+sorted-sample positions for the hypergeometric, O(log k) such binomials.
+
+BTRD and HRUA accept a proposal by comparing log pmf ratios.  Those are
+sums of log-factorial differences log(a!/b!), taken from Stirling's series
+with its correction fc (a table below 10, the series above) through log1p,
+or as an exact integer product when a and b are close.  Differences of
+lgamma values would not do: near n = 1e10, lgamma(n + 1) is about 2.2e11
+and its ulp is about 3e-5.
 """
 
 from __future__ import annotations
@@ -17,8 +36,31 @@ from dataclasses import dataclass
 from .rng import UniformSource
 
 # Below this product of trials and min(p, 1-p), plain CDF inversion is both
-# exact and fast; above it, split the trial count with a beta order statistic.
+# exact and fast; above it, BTRD (valid from n*p >= 10) takes over.
 _INVERSION_LIMIT = 30.0
+
+# Below this value of min(v, k) after the symmetries, the hypergeometric
+# support has at most ten points and is inverted directly.
+_HRUA_MIN = 10
+
+# BTRD and HRUA need n below this bound: every integer up to it is a float.
+_FLOAT_EXACT = 1 << 53
+
+# Stadlober's constants: 2 sqrt(2/e) and 3 - 2 sqrt(3/e).
+_HRUA_D1 = 2.0 * math.sqrt(2.0 / math.e)
+_HRUA_D2 = 3.0 - 2.0 * math.sqrt(3.0 / math.e)
+
+# fc(k) = log k! - (k + 1/2) log(k + 1) + (k + 1) - log sqrt(2 pi), the
+# remainder of Stirling's series.  Tabulated below 10; from 10 on, three
+# series terms leave an error below 1/(1680 (k + 1)^7) < 1e-10.
+_FC_TABLE = tuple(
+    math.lgamma(k + 1.0) - (k + 0.5) * math.log(k + 1.0) + (k + 1.0)
+    - 0.5 * math.log(2.0 * math.pi)
+    for k in range(10)
+)
+
+# log(a!/b!) is an exact integer product when |a - b| is at most this.
+_PRODUCT_SPAN = 4
 
 
 @dataclass(frozen=True)
@@ -67,9 +109,14 @@ def bernoulli(source: UniformSource, p: float) -> int:
 def binomial(source: UniformSource, n: int, p: float) -> int:
     """Exact Binomial(n, p) draw.
 
-    Counts as one logical binomial draw regardless of how many uniforms the
-    internal method consumes.  Degenerate parameters (n = 0, p in {0, 1})
-    return deterministically without touching the source.
+    p > 0.5 is drawn as n minus a Binomial(n, 1 - p).  With the smaller
+    probability p, n*p <= 30 uses CDF inversion, one uniform; above that,
+    BTRD (Hoermann 1993), O(1) expected time and 1.4-1.8 uniforms.  From
+    n = 2^53 up, where floats no longer hold every integer, the older beta
+    bisection runs instead: O(log n) gamma pairs, output unchanged from
+    earlier releases.  Counts as one logical binomial draw regardless of
+    how many uniforms the method consumes.  Degenerate parameters (n = 0,
+    p in {0, 1}) return deterministically without touching the source.
     """
     if n < 0:
         raise ValueError(f"binomial trial count must be >= 0, got {n}")
@@ -80,6 +127,8 @@ def binomial(source: UniformSource, n: int, p: float) -> int:
 
 
 def _binomial_raw(source: UniformSource, n: int, p: float) -> int:
+    if n >= _FLOAT_EXACT:
+        return _binomial_bisect(source, n, p)
     if n == 0 or p <= 0.0:
         return 0
     if p >= 1.0:
@@ -88,14 +137,29 @@ def _binomial_raw(source: UniformSource, n: int, p: float) -> int:
         return n - _binomial_raw(source, n, 1.0 - p)
     if n * p <= _INVERSION_LIMIT:
         return _binomial_inversion(source, n, p)
+    return _binomial_btrd(source, n, p)
+
+
+def _binomial_bisect(source: UniformSource, n: int, p: float) -> int:
+    # The generator for n >= 2^53, where BTRD's float arithmetic is no longer
+    # integer-exact.  It recurses into itself, never into BTRD, so its draws
+    # stay those of earlier releases.
+    if n == 0 or p <= 0.0:
+        return 0
+    if p >= 1.0:
+        return n
+    if p > 0.5:
+        return n - _binomial_bisect(source, n, 1.0 - p)
+    if n * p <= _INVERSION_LIMIT:
+        return _binomial_inversion(source, n, p)
     # Exact bisection: condition on the m-th smallest of n uniforms, which is
     # Beta(m, n-m+1).  Successes are uniforms below p, so one beta draw
     # decides m trials at once and the remainder is a smaller binomial.
     m = (n + 1) // 2
     x = _beta_raw(source, float(m), float(n - m + 1))
     if x <= p:
-        return m + _binomial_raw(source, n - m, (p - x) / (1.0 - x))
-    return _binomial_raw(source, m - 1, p / x)
+        return m + _binomial_bisect(source, n - m, (p - x) / (1.0 - x))
+    return _binomial_bisect(source, m - 1, p / x)
 
 
 def _binomial_inversion(source: UniformSource, n: int, p: float) -> int:
@@ -112,6 +176,96 @@ def _binomial_inversion(source: UniformSource, n: int, p: float) -> int:
         f *= ratio * (n - c + 1) / c
         cdf += f
     return c
+
+
+def _binomial_btrd(source: UniformSource, n: int, p: float) -> int:
+    # BTRD (Hoermann 1993, "The generation of binomial random variates"),
+    # steps 1-3.4, for p <= 0.5, n*p > 30 and n < 2^53.  A proposal is
+    # m + floor((2a/us + b) u + c - m): it is formed relative to the mode m,
+    # so floor() sees a small float whatever the size of n*p.
+    num, den = p.as_integer_ratio()
+    m = (n + 1) * num // den  # the mode floor((n + 1) p), exact
+    c = (n * num - m * den) / den + 0.5  # n*p + 0.5 - m
+    q = 1.0 - p
+    r = p / q
+    log_r = math.log(r)
+    nr = (n + 1) * r
+    npq = n * p * q
+    spq = math.sqrt(npq)
+    b = 1.15 + 2.53 * spq
+    a = -0.0873 + 0.0248 * b + 0.01 * p
+    alpha = (2.83 + 5.1 / b) * spq
+    v_r = 0.92 - 4.2 / b
+    u_rv_r = 0.86 * v_r
+    uniform = source.next_uniform_real
+    while True:
+        # step 1: the box under the hat, accepted outright with one uniform
+        v = uniform()
+        if v <= u_rv_r:
+            u = v / v_r - 0.43
+            return m + math.floor((2.0 * a / (0.5 - abs(u)) + b) * u + c)
+        # step 2: the rest of the (u, v) rectangle
+        if v >= v_r:
+            u = uniform() - 0.5
+        else:
+            u = v / v_r - 0.93
+            u = math.copysign(0.5, u) - u
+            v = uniform() * v_r
+        us = 0.5 - abs(u)
+        if us == 0.0:
+            continue  # the rectangle's edge maps to k = +-infinity
+        # step 3
+        k = m + math.floor((2.0 * a / us + b) * u + c)
+        if k < 0 or k > n:
+            continue
+        v *= alpha / (a / (us * us) + b)
+        km = abs(k - m)
+        if km <= 15:
+            # step 3.1: f(k)/f(m) as the product of successive pmf ratios
+            f = 1.0
+            if m < k:
+                for i in range(m + 1, k + 1):
+                    f *= nr / i - r
+            else:
+                for i in range(k + 1, m + 1):
+                    v *= nr / i - r
+            if v <= f:
+                return k
+            continue
+        # step 3.2: squeeze on log f(k)/f(m) around its normal approximation
+        v = math.log(v)
+        rho = (km / npq) * (((km / 3.0 + 0.625) * km + 1.0 / 6.0) / npq + 0.5)
+        t = -km * km / (2.0 * npq)
+        if v < t - rho:
+            return k
+        if v > t + rho:
+            continue
+        # steps 3.3-3.4: log f(k)/f(m) = log(m!/k!) + log((n-m)!/(n-k)!) + (k-m) log r
+        if v <= _log_fact_ratio(m, k) + _log_fact_ratio(n - m, n - k) + (k - m) * log_r:
+            return k
+
+
+def _fc(k: int) -> float:
+    if k < 10:
+        return _FC_TABLE[k]
+    r = 1.0 / (k + 1)
+    rr = r * r
+    return (1.0 / 12.0 - (1.0 / 360.0 - rr / 1260.0) * rr) * r
+
+
+def _log_fact_ratio(a: int, b: int) -> float:
+    """log(a!) - log(b!) for integers 0 <= a, b < 2^53.
+
+    With d = a - b, Stirling's formula gives
+    (a + 1/2) log1p(d / (b + 1)) + d (log(b + 1) - 1) + fc(a) - fc(b),
+    whose rounding error is a few ulps of |d| log(b + 1), not of log(a!).
+    """
+    d = a - b
+    if -_PRODUCT_SPAN <= d <= _PRODUCT_SPAN:
+        if d >= 0:
+            return math.log(math.prod(range(b + 1, a + 1)))
+        return -math.log(math.prod(range(a + 1, b + 1)))
+    return (a + 0.5) * math.log1p(d / (b + 1)) + d * (math.log(b + 1) - 1.0) + _fc(a) - _fc(b)
 
 
 def beta(source: UniformSource, params: BetaParams) -> float:
@@ -213,17 +367,103 @@ def _log_comb(n: int, k: int) -> float:
 
 
 def hypergeometric(source: UniformSource, params: HypergeomParams) -> int:
-    """Hypergeometric draw by bisection search on sorted-sample positions.
+    """Exact hypergeometric draw: how many of k sampled items fall in v of n.
 
-    The j-th smallest of k sampled positions in [1, n] is distributed as
-    j + BetaBinomial(j, k-j+1, n-k).  Drawing that position for j = ceil(k/2)
-    splits the problem: either the prefix keeps the first j items and the
-    question recurses on the suffix, or it recurses strictly below the drawn
-    position.  O(log k) beta-binomial draws per call; counts as one logical
-    hypergeometric draw.
+    The law is unchanged by v -> n - v (the count becomes k - c) and by
+    k -> n - k (it becomes v - c), so both are reduced to at most n/2 and
+    the support becomes [0, min(v, k)].  When min(v, k) < 10, CDF inversion
+    from 0 takes one uniform and at most ten steps; otherwise HRUA
+    (Stadlober 1989) takes about three uniforms in O(1) expected time, its
+    proposals bounded only by the true support.  From n = 2^53 up, where
+    floats no longer hold every integer, the older bisection search on
+    sorted-sample positions runs instead, O(log k) beta-binomial draws with
+    output unchanged from earlier releases.  Counts as one logical
+    hypergeometric draw; below 2^53 it draws no other family.
     """
     source.stats.hypergeometric += 1
     v, n, k = params.v, params.n, params.k
+    if n >= _FLOAT_EXACT:
+        return _hypergeometric_bisect(source, v, n, k)
+    flip_v = 2 * v > n
+    if flip_v:
+        v = n - v
+    flip_k = 2 * k > n
+    if flip_k:
+        k = n - k
+    if min(v, k) < _HRUA_MIN:
+        c = _hypergeometric_inversion(source, v, n, k)
+    else:
+        c = _hypergeometric_hrua(source, v, n, k)
+    if flip_k:
+        c = v - c
+    if flip_v:
+        c = params.k - c
+    return c
+
+
+def _hypergeometric_inversion(source: UniformSource, v: int, n: int, k: int) -> int:
+    # v, k <= n/2 and s = min(v, k) < 10: the support is [0, s].  The law is
+    # symmetric in v and k, so P(0) is a product of s factors.
+    s, t = min(v, k), max(v, k)
+    if s == 0:
+        return 0
+    rest = n - s - t
+    f = 1.0
+    for i in range(s):
+        f *= (n - t - i) / (n - i)
+    u = source.next_uniform_real()
+    c = 0
+    cdf = f
+    while u > cdf:
+        if c == s:
+            return s  # guards float shortfall of the accumulated CDF
+        f *= (s - c) * (t - c) / ((c + 1) * (rest + c + 1))
+        c += 1
+        cdf += f
+    return c
+
+
+def _hypergeometric_hrua(source: UniformSource, v: int, n: int, k: int) -> int:
+    # HRUA (Stadlober 1989), for 10 <= v, k <= n/2 and n < 2^53.  A proposal
+    # is m + floor(a + h (w - 1/2) / u) with a = mean + 1/2 - m, so floor()
+    # sees a small float whatever the size of the mean.  Unlike numpy there
+    # is no cut at mean + 16 sd: only the support bounds proposals.
+    p = v / n
+    var = (n - k) * k * p * (1.0 - p) / (n - 1)
+    h = _HRUA_D1 * math.sqrt(var + 0.5) + _HRUA_D2
+    m = (k + 1) * (v + 1) // (n + 2)  # the mode, exact
+    a = (k * v - m * n) / n + 0.5
+    top = min(v, k)
+    rest = n - v - k
+    uniform = source.next_uniform_real
+    while True:
+        u = 1.0 - uniform()  # in (0, 1]
+        c = m + math.floor(a + h * (uniform() - 0.5) / u)
+        if c < 0 or c > top:
+            continue
+        # log f(c)/f(m), f(c) = 1 / (c! (v-c)! (k-c)! (rest+c)!)
+        t = (_log_fact_ratio(m, c) + _log_fact_ratio(v - m, v - c)
+             + _log_fact_ratio(k - m, k - c) + _log_fact_ratio(rest + m, rest + c))
+        # accept when u^2 <= f(c)/f(m); 2 log u lies in [u - 1/u, u(4 - u) - 3]
+        if u * (4.0 - u) - 3.0 <= t:
+            return c
+        if u * (u - t) >= 1.0:
+            continue
+        if 2.0 * math.log(u) <= t:
+            return c
+
+
+def _hypergeometric_bisect(source: UniformSource, v: int, n: int, k: int) -> int:
+    # The generator for n >= 2^53, where HRUA's float arithmetic is no longer
+    # integer-exact: bisection search on sorted-sample positions, as in
+    # earlier releases.  The j-th smallest of k sampled positions in
+    # [1, n] is j + BetaBinomial(j, k-j+1, n-k).  Drawing that position for
+    # j = ceil(k/2) splits the problem: either the prefix keeps the first j
+    # items and the question recurses on the suffix, or it recurses strictly
+    # below the drawn position.  The beta-binomial is spelled out so that
+    # its binomial stays on the bisection path whatever the size of n - k:
+    # draws and nested family counters stay those of earlier releases.
+    stats = source.stats
     acc = 0
     while True:
         if k == 0 or v == 0:
@@ -231,7 +471,14 @@ def hypergeometric(source: UniformSource, params: HypergeomParams) -> int:
         if v == n:
             return acc + k
         j = (k + 1) // 2
-        pos = j + beta_binomial(source, j, k - j + 1, n - k)
+        stats.beta_binomial += 1
+        if j == 1:
+            p = 1.0 - source.next_uniform_real() ** (1.0 / k)
+        else:
+            stats.beta += 1
+            p = _beta_raw(source, float(j), float(k - j + 1))
+        stats.binomial += 1
+        pos = j + _binomial_bisect(source, n - k, p)
         if pos <= v:
             acc += j
             v -= pos

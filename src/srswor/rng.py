@@ -12,7 +12,7 @@ test suite pins down, so any refactor that changes the stream is caught.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -41,28 +41,40 @@ class DrawStats:
     hypergeometric: int = 0
 
     def copy(self) -> "DrawStats":
-        return DrawStats(**{f.name: getattr(self, f.name) for f in fields(self)})
+        return DrawStats(self.uniform_int, self.uniform_real, self.bernoulli,
+                         self.binomial, self.beta, self.beta_binomial,
+                         self.hypergeometric)
 
     def __sub__(self, other: "DrawStats") -> "DrawStats":
         return DrawStats(
-            **{f.name: getattr(self, f.name) - getattr(other, f.name) for f in fields(self)}
+            self.uniform_int - other.uniform_int,
+            self.uniform_real - other.uniform_real,
+            self.bernoulli - other.bernoulli,
+            self.binomial - other.binomial,
+            self.beta - other.beta,
+            self.beta_binomial - other.beta_binomial,
+            self.hypergeometric - other.hypergeometric,
         )
 
     def total(self) -> int:
-        return sum(getattr(self, f.name) for f in fields(self))
+        return (self.uniform_int + self.uniform_real + self.bernoulli + self.binomial
+                + self.beta + self.beta_binomial + self.hypergeometric)
 
 
 class UniformSource:
     """Common interface: two uniform primitives plus draw accounting.
 
-    draw_count counts logical uniform draws (one per next_uniform_* call).
     stats holds per-family counters; the distribution layer increments the
     non-uniform families on top of the uniform ones counted here.
     """
 
     def __init__(self) -> None:
-        self.draw_count = 0
         self.stats = DrawStats()
+
+    @property
+    def draw_count(self) -> int:
+        """Logical uniform draws so far, one per next_uniform_* call."""
+        return self.stats.uniform_int + self.stats.uniform_real
 
     def next_uniform_real(self) -> float:
         raise NotImplementedError
@@ -96,7 +108,6 @@ class RandomSource(UniformSource):
 
     def next_uniform_real(self) -> float:
         """Uniform float in [0, 1), 53-bit resolution."""
-        self.draw_count += 1
         self.stats.uniform_real += 1
         return (self._next_word() >> 11) * (2.0 ** -53)
 
@@ -109,7 +120,6 @@ class RandomSource(UniformSource):
         """
         if m < 1:
             raise ValueError(f"uniform int bound must be >= 1, got {m}")
-        self.draw_count += 1
         self.stats.uniform_int += 1
         shift = 64 - (m - 1).bit_length()
         state = self._state
@@ -160,7 +170,6 @@ class ScriptedSource(UniformSource):
         value = float(value)
         if not 0.0 <= value < 1.0:
             raise ValueError(f"scripted real draw {value} outside [0, 1)")
-        self.draw_count += 1
         self.stats.uniform_real += 1
         return value
 
@@ -172,6 +181,5 @@ class ScriptedSource(UniformSource):
             raise ValueError(f"scripted int draw got non-integer {value!r}")
         if not 1 <= value <= m:
             raise ValueError(f"scripted int draw {value} outside [1, {m}]")
-        self.draw_count += 1
         self.stats.uniform_int += 1
         return value

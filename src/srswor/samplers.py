@@ -158,11 +158,24 @@ def sparse_fy_iterator(n: int, source: UniformSource,
 
 def sparse_fisher_yates(source: UniformSource, n: int, k: int,
                         delete_entries: bool = True) -> SampleResult:
-    """Hash-map Fisher-Yates: k draws, O(k) time and space, any n."""
+    """Hash-map Fisher-Yates: k draws, O(k) time and space, any n.
+
+    The loop of SparseFisherYatesIterator.__next__, inlined: same draws,
+    same map, bit-identical output.
+    """
     _check_nk(n, k)
     before = source.stats.copy()
-    it = SparseFisherYatesIterator(n, source, delete_entries)
-    out = [next(it) for _ in range(k)]
+    draw = source.next_uniform_int
+    entries: dict = {}
+    get, pop = entries.get, entries.pop
+    out = []
+    append = out.append
+    for top in range(n, n - k, -1):
+        r = draw(top)
+        append(get(r, r))
+        entries[r] = get(top, top)
+        if delete_entries:
+            pop(top, None)
     return SampleResult(out, SampleOrder.SELECTION, n, source.stats - before)
 
 

@@ -156,7 +156,7 @@ def run_suite(suite: str = "quick", seed: int = 0, alpha: float = 0.001,
         lambda c: statcheck.binomial_pmf(10, 0.5, c),
         range(0, 11),
     )
-    # np = 40 exercises the order-statistic bisection path
+    # np = 40 exercises the BTRD path
     pmf_check(
         "binomial-pmf-n100-p0.4",
         lambda s: binomial(s, 100, 0.4),

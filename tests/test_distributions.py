@@ -15,8 +15,10 @@ from srswor.distributions import (
     binomial,
     hypergeom_pmf,
     hypergeometric,
+    _log_fact_ratio,
 )
 from srswor.rng import RandomSource, ScriptedSource
+from srswor.statcheck import chi_square_gof
 
 # pmf reference values computed once with scipy and frozen. Parameter
 # order for the hypergeometric is (successes, population, draws).
@@ -186,7 +188,7 @@ def test_binomial_inversion_route_pmf():
 
 
 def test_binomial_split_route_mean_var():
-    # n*p large enough to force the recursive beta-split path.
+    # n*p large enough to force the BTRD path.
     src = RandomSource(37)
     n, p, reps = 400, 0.4, 30000
     xs = [binomial(src, n, p) for _ in range(reps)]
@@ -197,7 +199,7 @@ def test_binomial_split_route_mean_var():
 
 
 @given(
-    st.integers(min_value=0, max_value=3000),
+    st.integers(min_value=0, max_value=10**12),
     st.floats(min_value=0.0, max_value=1.0),
     st.integers(min_value=0, max_value=2**32),
 )
@@ -205,6 +207,167 @@ def test_binomial_split_route_mean_var():
 def test_binomial_support_property(n, p, seed):
     c = binomial(RandomSource(seed), n, p)
     assert 0 <= c <= n
+
+
+def _law_report(draws, mode, ratio, lo, hi, mean, sd):
+    """Chi-square of draws against the pmf with f(c+1)/f(c) = ratio(c) on [lo, hi].
+
+    The pmf is built by walking out from the mode until the mass is below
+    1e-20 of the mode's, independently of the generators' log-factorial
+    arithmetic.  Cells of equal width cover mean +- 4 sd; the two tails
+    beyond are pooled into one cell each.
+    """
+    left, right = math.floor(mean - 4 * sd), math.ceil(mean + 4 * sd)
+    width = max(1, math.ceil((right - left + 1) / 60))
+    cells = (right - left) // width + 3
+
+    def cell(c):
+        if c < left:
+            return 0
+        if c > right:
+            return cells - 1
+        return 1 + (c - left) // width
+
+    mass = [0.0] * cells
+    mass[cell(mode)] += 1.0
+    for step in (1, -1):
+        f, c = 1.0, mode
+        while f > 1e-20 and lo <= c + step <= hi:
+            f = f * ratio(c) if step == 1 else f / ratio(c - 1)
+            c += step
+            mass[cell(c)] += f
+    assert lo <= min(draws) and max(draws) <= hi
+    observed = [0] * cells
+    for c in draws:
+        observed[cell(c)] += 1
+    keep = [i for i, m in enumerate(mass) if m > 0.0]
+    total = math.fsum(mass)
+    return chi_square_gof([observed[i] for i in keep], [mass[i] / total for i in keep],
+                          alpha=0.001)
+
+
+@pytest.mark.parametrize("n, p, seed", [
+    (1000, 0.3, 61),
+    (5000, 0.9, 67),
+    (10**9, 0.4, 71),
+])
+def test_binomial_btrd_law(n, p, seed):
+    # n*min(p, 1-p) > 30: the BTRD route, including the p > 0.5 reflection
+    src = RandomSource(seed)
+    reps = 40000
+    draws = [binomial(src, n, p) for _ in range(reps)]
+    report = _law_report(draws, math.floor((n + 1) * p),
+                         lambda c: (n - c) / (c + 1) * p / (1 - p),
+                         0, n, n * p, math.sqrt(n * p * (1 - p)))
+    assert report.passed, report
+    # one binomial is 1.4-1.8 uniforms on this route, not O(log n) gamma pairs
+    assert src.stats.uniform_real < 2 * reps
+
+
+@pytest.mark.parametrize("v, n, k, seed", [
+    (500, 2000, 300, 73),
+    (10**9, 3 * 10**9, 1500, 79),
+])
+def test_hypergeometric_hrua_law(v, n, k, seed):
+    params = HypergeomParams(v, n, k)
+    src = RandomSource(seed)
+    reps = 40000
+    draws = [hypergeometric(src, params) for _ in range(reps)]
+    p = v / n
+    report = _law_report(draws, (k + 1) * (v + 1) // (n + 2),
+                         lambda c: (v - c) * (k - c) / ((c + 1) * (n - v - k + c + 1)),
+                         max(0, k - (n - v)), min(v, k),
+                         k * p, math.sqrt(k * p * (1 - p) * (n - k) / (n - 1)))
+    assert report.passed, report
+    assert src.stats.uniform_real < 4 * reps
+
+
+def test_log_fact_ratio_accuracy():
+    # against sums of logs, both for the exact-product and the Stirling route
+    for a, b in [(0, 7), (9, 10), (12, 3), (700, 400), (10**6, 10**6 + 13),
+                 (10**9, 10**9 - 123), (3 * 10**9, 3 * 10**9 - 5000),
+                 (2**53 - 1, 2**53 - 200)]:
+        lo, hi = min(a, b), max(a, b)
+        reference = math.fsum(math.log(i) for i in range(lo + 1, hi + 1))
+        if a < b:
+            reference = -reference
+        assert _log_fact_ratio(a, b) == pytest.approx(reference, rel=1e-13, abs=1e-10)
+
+
+# n*min(p, 1-p) at 29, 30 and 31 around the inversion/BTRD switch; n at
+# 2^53 - 1 (BTRD) and 2^53 (beta bisection).
+BINOMIAL_BOUNDARY_CASES = [
+    (116, 0.25), (120, 0.25), (124, 0.25),
+    (116, 0.75), (120, 0.75), (124, 0.75),
+    (2**53 - 1, 0.3), (2**53 - 1, 0.7), (2**53 - 1, 2.0**-48),
+    (2**53, 0.3), (2**53, 0.7), (2**53, 2.0**-48),
+]
+
+
+@pytest.mark.parametrize("n, p", BINOMIAL_BOUNDARY_CASES)
+def test_binomial_branch_boundaries(n, p):
+    sd = math.sqrt(n * p * (1 - p))
+    for seed in range(20):
+        c = binomial(RandomSource(seed), n, p)
+        assert 0 <= c <= n
+        assert abs(c - n * p) <= 10 * sd + 1
+        assert binomial(RandomSource(seed), n, p) == c
+
+
+# min(v, k) at 9 and 10 around the inversion/HRUA switch, directly and
+# through both symmetries; n at 2^53 - 1 (HRUA) and 2^53 (bisection).
+HYPERGEOMETRIC_BOUNDARY_CASES = [
+    (9, 1000, 500), (10, 1000, 500), (500, 1000, 9), (500, 1000, 10),
+    (991, 1000, 500), (990, 1000, 500), (500, 1000, 991), (500, 1000, 990),
+    (9, 20, 10), (10, 20, 10),
+    (2**52, 2**53 - 1, 3000), (9, 2**53 - 1, 2**52), (2**53 - 11, 2**53 - 1, 2**52),
+    (2**52, 2**53, 3000), (9, 2**53, 2**52), (2**53 - 10, 2**53, 2**52),
+]
+
+
+@pytest.mark.parametrize("v, n, k", HYPERGEOMETRIC_BOUNDARY_CASES)
+def test_hypergeometric_branch_boundaries(v, n, k):
+    params = HypergeomParams(v, n, k)
+    lo, hi = max(0, k - (n - v)), min(v, k)
+    for seed in range(20):
+        c = hypergeometric(RandomSource(seed), params)
+        assert lo <= c <= hi
+        assert hypergeometric(RandomSource(seed), params) == c
+
+
+# From n = 2^53 up, binomial and hypergeometric keep their bisection
+# generators; these draws were recorded from them before BTRD and HRUA.
+BISECTION_PINS = [
+    ("binomial", (2**53, 0.3), [2702159785949214, 2702159727493792, 2702159770553011]),
+    ("binomial", (2**53, 0.75), [6755399418346397, 6755399461927009, 6755399454384070]),
+    ("binomial", (2**60 + 7, 0.5), [576460752547770431, 576460751859968603, 576460752200741867]),
+    ("binomial", (10**30, 0.4), [400000000000000180843808683174, 399999999999999455864232599730,
+                                 399999999999999851685715051853]),
+    ("hypergeometric", (2**52, 2**53, 200), [101, 94, 99]),
+    ("hypergeometric", (3 * 2**51, 2**53 + 1, 2**52 + 5),
+     [3377699725646847, 3377699704048385, 3377699724626815]),
+    ("hypergeometric", (10**17, 10**18, 37), [1, 3, 3]),
+]
+
+
+@pytest.mark.parametrize("family, args, expected", BISECTION_PINS)
+def test_bisection_path_bit_identical(family, args, expected):
+    got = []
+    for seed in range(3):
+        src = RandomSource(seed)
+        if family == "binomial":
+            got.append(binomial(src, *args))
+        else:
+            got.append(hypergeometric(src, HypergeomParams(*args)))
+    assert got == expected
+
+
+def test_bisection_path_keeps_nested_counters():
+    # (2^52, 2^53, 200), seed 2: as recorded before HRUA
+    src = RandomSource(2)
+    hypergeometric(src, HypergeomParams(2**52, 2**53, 200))
+    assert (src.stats.hypergeometric, src.stats.beta_binomial, src.stats.beta,
+            src.stats.binomial, src.stats.uniform_real) == (1, 8, 7, 8, 2079)
 
 
 # --- beta-binomial ---
@@ -363,3 +526,12 @@ def test_hypergeometric_counts_stats_once():
     src = RandomSource(15)
     hypergeometric(src, HypergeomParams(5, 12, 7))
     assert src.stats.hypergeometric == 1
+
+
+def test_hypergeometric_draws_no_nested_family():
+    # inversion and HRUA draw uniforms only
+    src = RandomSource(16)
+    for params in (HypergeomParams(5, 12, 7), HypergeomParams(500, 2000, 300)):
+        hypergeometric(src, params)
+    assert src.stats.hypergeometric == 2
+    assert src.stats.beta_binomial == src.stats.beta == src.stats.binomial == 0

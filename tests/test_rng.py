@@ -1,6 +1,7 @@
 """Generator-level tests: raw word stream, bounded draws, scripted sources."""
 
 import math
+from dataclasses import fields
 
 import pytest
 from hypothesis import given, settings
@@ -190,6 +191,16 @@ def test_stats_copy_and_diff():
     assert delta.uniform_int == 1
     assert delta.uniform_real == 1
     assert delta.total() == 2
+
+
+def test_stats_copy_diff_total_cover_every_field():
+    names = [f.name for f in fields(DrawStats)]
+    s = DrawStats(**{name: 2 ** j for j, name in enumerate(names)})
+    c = s.copy()
+    assert c == s and c is not s
+    assert s - DrawStats() == s
+    assert all(getattr(s - c, name) == 0 for name in names)
+    assert s.total() == 2 ** len(names) - 1
 
 
 def test_stats_total_sums_all_families():

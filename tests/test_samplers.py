@@ -174,6 +174,17 @@ def test_sparse_equals_classical(n, seed):
     assert a.indices == b.indices
 
 
+@given(st.integers(min_value=1, max_value=2**64), st.integers(min_value=0, max_value=2**48),
+       st.booleans())
+@settings(max_examples=100, deadline=None)
+def test_sparse_equals_iterator(n, seed, delete_entries):
+    # the inlined loop of sparse_fisher_yates replays the iterator draw for draw
+    k = min(n, 40)
+    it = sparse_fy_iterator(n, RandomSource(seed), delete_entries)
+    res = sparse_fisher_yates(RandomSource(seed), n, k, delete_entries)
+    assert res.indices == [next(it) for _ in range(k)]
+
+
 @given(st.integers(min_value=0, max_value=2**48))
 @settings(max_examples=100, deadline=None)
 def test_sparse_no_delete_same_output(seed):
