@@ -9,7 +9,7 @@ closed-form expectation, which peaks at n/4 when half the items are drawn.
 import argparse
 
 from srswor.rng import RandomSource
-from srswor.samplers import sparse_fy_iterator
+from srswor.samplers import SparseFisherYatesIterator
 from srswor.statcheck import expected_hash_occupancy
 
 
@@ -26,7 +26,7 @@ def main():
                          | {args.n // 2})
     sums = dict.fromkeys(checkpoints, 0)
     for run in range(args.runs):
-        it = sparse_fy_iterator(args.n, RandomSource(args.seed + run))
+        it = SparseFisherYatesIterator(args.n, RandomSource(args.seed + run))
         step = 0
         for cp in checkpoints:
             while step < cp:

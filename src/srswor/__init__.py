@@ -1,17 +1,16 @@
 """srswor: simple random sampling without replacement.
 
 Samplers with optimal draw and memory cost, exact discrete distributions
-driven by a seeded uniform source, distributed split/merge of samples, and
-a chi-square verification harness.
+driven by a seeded uniform source, and distributed split/merge of samples.
+The chi-square verification harness lives in srswor.statcheck and
+srswor.suite; it is not imported here, so sampling code does not load it.
 """
 
 from .distributed import (
     MergeInput,
     MergeState,
     downsample,
-    merge_all,
     merge_all_with_state,
-    merge_samples,
     split_sample_counts,
 )
 from .distributions import (
@@ -21,7 +20,6 @@ from .distributions import (
     beta,
     beta_binomial,
     binomial,
-    hypergeom_pmf,
     hypergeometric,
 )
 from .rng import DrawStats, RandomSource, ScriptedSource, ScriptExhaustedError
@@ -31,6 +29,7 @@ from .samplers import (
     SparseFisherYatesIterator,
     SparseSwapState,
     UndoLog,
+    default_samplers,
     fisher_yates_sample,
     inorder_sample,
     membership_checking_sample,
@@ -39,31 +38,14 @@ from .samplers import (
     reservoir_sample,
     selection_sample,
     sparse_fisher_yates,
-    sparse_fy_iterator,
 )
-from .statcheck import (
-    GofReport,
-    KsReport,
-    chi2_sf,
-    chi_square_gof,
-    chi_square_two_sample,
-    enumerate_subset_distribution,
-    expected_hash_occupancy,
-    expected_membership_draws,
-    first_position_pmf,
-    ks_gof,
-)
-from .suite import CheckRecord, default_samplers, run_suite
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BetaParams",
-    "CheckRecord",
     "DrawStats",
-    "GofReport",
     "HypergeomParams",
-    "KsReport",
     "MergeInput",
     "MergeState",
     "RandomSource",
@@ -78,30 +60,17 @@ __all__ = [
     "beta",
     "beta_binomial",
     "binomial",
-    "chi2_sf",
-    "chi_square_gof",
-    "chi_square_two_sample",
     "default_samplers",
     "downsample",
-    "enumerate_subset_distribution",
-    "expected_hash_occupancy",
-    "expected_membership_draws",
-    "first_position_pmf",
     "fisher_yates_sample",
-    "hypergeom_pmf",
     "hypergeometric",
     "inorder_sample",
-    "ks_gof",
     "membership_checking_sample",
-    "merge_all",
     "merge_all_with_state",
-    "merge_samples",
     "permutation_from_transpositions",
     "preinit_fy_sample_with_undo",
     "reservoir_sample",
-    "run_suite",
     "selection_sample",
     "sparse_fisher_yates",
-    "sparse_fy_iterator",
     "split_sample_counts",
 ]

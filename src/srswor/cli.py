@@ -14,20 +14,15 @@ import sys
 import time
 from dataclasses import dataclass, fields
 
-from .distributed import MergeInput, downsample, merge_all
+from .distributed import MergeInput, downsample, merge_all_with_state
 from .rng import RandomSource
 from .samplers import (
     SparseFisherYatesIterator,
-    fisher_yates_sample,
+    default_samplers,
     inorder_sample,
-    membership_checking_sample,
     preinit_fy_sample_with_undo,
     reservoir_sample,
-    selection_sample,
 )
-from .suite import default_samplers, format_report, run_suite
-
-ALGO_NAMES = ("fy", "sparse", "member", "preinit", "select", "inorder", "reservoir")
 
 BENCH_HEADER = (
     "algorithm", "n", "k", "rep", "wall_time_ns",
@@ -48,7 +43,11 @@ class BenchRecord:
 
 
 def _bench_once(algo: str, n: int, k: int, source: RandomSource) -> tuple[int, int]:
-    """Run one timed rep; returns (wall_time_ns, peak_aux_entries)."""
+    """Run one timed rep; returns (wall_time_ns, peak_aux_entries).
+
+    Peak entries are measured for sparse's hash map and known to be k for
+    member's set; the other algorithms report 0.
+    """
     if algo == "sparse":
         t0 = time.perf_counter_ns()
         it = SparseFisherYatesIterator(n, source)
@@ -59,28 +58,15 @@ def _bench_once(algo: str, n: int, k: int, source: RandomSource) -> tuple[int, i
             if size > peak:
                 peak = size
         return time.perf_counter_ns() - t0, peak
-    if algo == "member":
-        t0 = time.perf_counter_ns()
-        membership_checking_sample(source, n, k)
-        return time.perf_counter_ns() - t0, k
     if algo == "preinit":
         arr = list(range(1, n + 1))  # the pre-initialized array is not timed
         t0 = time.perf_counter_ns()
         preinit_fy_sample_with_undo(source, arr, k)
         return time.perf_counter_ns() - t0, 0
-    if algo == "fy":
-        runner = lambda: fisher_yates_sample(source, n, k)  # noqa: E731
-    elif algo == "select":
-        runner = lambda: selection_sample(source, n, k)  # noqa: E731
-    elif algo == "inorder":
-        runner = lambda: inorder_sample(source, n, k)  # noqa: E731
-    elif algo == "reservoir":
-        runner = lambda: reservoir_sample(source, range(1, n + 1), k)  # noqa: E731
-    else:
-        raise ValueError(f"unknown algorithm {algo!r}")
+    sampler = default_samplers()[algo]
     t0 = time.perf_counter_ns()
-    runner()
-    return time.perf_counter_ns() - t0, 0
+    sampler(source, n, k)
+    return time.perf_counter_ns() - t0, k if algo == "member" else 0
 
 
 def run_bench(grid, algos, reps: int, seed: int) -> list[BenchRecord]:
@@ -194,8 +180,9 @@ def _cmd_bench(args) -> int:
         print(f"bench: cannot parse --grid {args.grid!r}", file=sys.stderr)
         return 2
     algos = args.algos.split(",")
+    known = default_samplers()
     for algo in algos:
-        if algo not in ALGO_NAMES:
+        if algo not in known:
             print(f"bench: unknown algorithm {algo!r}", file=sys.stderr)
             return 2
     for n, k in grid:
@@ -213,6 +200,9 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    # the harness is imported only here, so sample and merge do not load it
+    from .suite import format_report, run_suite
+
     records = run_suite(args.suite, args.seed, args.alpha)
     for line in format_report(records):
         print(line)
@@ -295,7 +285,7 @@ def _cmd_merge(args) -> int:
         return 1
 
     source = RandomSource(args.seed)
-    merged, _ = merge_all(source, inputs)
+    merged, _ = merge_all_with_state(source, inputs)
     if args.target is not None:
         if not 0 <= args.target <= len(merged):
             print(
@@ -311,6 +301,7 @@ def _cmd_merge(args) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    algo_names = tuple(default_samplers())
     parser = argparse.ArgumentParser(
         prog="srswor",
         description="Simple random sampling without replacement toolkit",
@@ -322,7 +313,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="population size (inferred from a file when omitted)")
     p.add_argument("--k", type=int, required=True, help="sample size")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--algo", choices=ALGO_NAMES, default="sparse",
+    p.add_argument("--algo", choices=algo_names, default="sparse",
                    help="algorithm for --indices-only mode")
     p.add_argument("--indices-only", action="store_true",
                    help="print indices instead of sampling input lines")
@@ -332,7 +323,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="time algorithms over an n:k grid")
     p.add_argument("--grid", required=True, help="comma list of n:k cells")
-    p.add_argument("--algos", default=",".join(ALGO_NAMES),
+    p.add_argument("--algos", default=",".join(algo_names),
                    help="comma list of algorithms")
     p.add_argument("--reps", type=int, default=5)
     p.add_argument("--seed", type=int, default=0)

@@ -2,8 +2,8 @@
 
 A k-sample of a partitioned population induces a multivariate
 hypergeometric split of k over the blocks; split_sample_counts draws that
-split so each block can be sampled independently.  merge_samples goes the
-other way: given independent samples of two disjoint populations it
+split so each block can be sampled independently.  merge_all_with_state
+goes the other way: given independent samples of disjoint populations it
 produces a valid sample of the union without touching the unsampled items.
 
 The merge works in the implicit-uniforms picture: a k-sample of n items can
@@ -113,18 +113,6 @@ def merge_all_with_state(source: UniformSource,
         positions = sparse_fisher_yates(source, k_c, kappa).indices
         merged.extend(inp.sample[p - 1] for p in positions)
     return merged, MergeState(tuple(thresholds), tuple(kappas))
-
-
-def merge_samples(source: UniformSource, a: MergeInput,
-                  b: MergeInput) -> tuple[list, int]:
-    """Two-shard merge; returns the merged sample and its (random) size."""
-    merged, state = merge_all_with_state(source, (a, b))
-    return merged, sum(state.kappas)
-
-
-def merge_all(source: UniformSource, inputs: Sequence[MergeInput]) -> tuple[list, int]:
-    merged, state = merge_all_with_state(source, inputs)
-    return merged, sum(state.kappas)
 
 
 def downsample(source: UniformSource, sample: Sequence, target: int) -> list:

@@ -343,29 +343,6 @@ def beta_binomial(source: UniformSource, alpha: int, beta_shape: int, n: int) ->
     return binomial(source, n, p)
 
 
-def hypergeom_pmf(params: HypergeomParams, c: int) -> float:
-    """P(c of the k sampled items fall in the first v of n positions).
-
-    Evaluated in log space with lgamma so large parameters do not overflow.
-    Returns 0.0 outside the support [max(0, k-(n-v)), min(k, v)].
-    """
-    v, n, k = params.v, params.n, params.k
-    if c < max(0, k - (n - v)) or c > min(k, v):
-        return 0.0
-    if n == 0:
-        return 1.0
-    log_p = (
-        _log_comb(v, c)
-        + _log_comb(n - v, k - c)
-        - _log_comb(n, k)
-    )
-    return math.exp(log_p)
-
-
-def _log_comb(n: int, k: int) -> float:
-    return math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
-
-
 def hypergeometric(source: UniformSource, params: HypergeomParams) -> int:
     """Exact hypergeometric draw: how many of k sampled items fall in v of n.
 

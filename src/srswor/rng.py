@@ -116,12 +116,15 @@ class RandomSource(UniformSource):
 
         Unbiased: takes the top bit_length(m-1) bits of a word and rejects
         values >= m, never reduces modulo m.  Counts as one logical draw no
-        matter how many words the rejection loop consumes.
+        matter how many words the rejection loop consumes.  Bounds above
+        2^64 join several words per candidate.
         """
         if m < 1:
             raise ValueError(f"uniform int bound must be >= 1, got {m}")
         self.stats.uniform_int += 1
         shift = 64 - (m - 1).bit_length()
+        if shift < 0:
+            return self._next_wide_int(m)
         state = self._state
         words = self.words_generated
         while True:
@@ -133,6 +136,20 @@ class RandomSource(UniformSource):
             if r < m:
                 self._state = state
                 self.words_generated = words
+                return r + 1
+
+    def _next_wide_int(self, m: int) -> int:
+        """Uniform integer in [1, m] for m > 2^64, by rejection on candidates
+        of bit_length(m-1) bits cut from ceil(bits/64) joined words."""
+        bits = (m - 1).bit_length()
+        n_words = -(-bits // 64)
+        excess = 64 * n_words - bits
+        while True:
+            r = 0
+            for _ in range(n_words):
+                r = (r << 64) | self._next_word()
+            r >>= excess
+            if r < m:
                 return r + 1
 
 

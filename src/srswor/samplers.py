@@ -5,7 +5,7 @@ items).  They differ in output order, work, and memory:
 
   fisher_yates_sample          selection order, k draws, O(n) array
   sparse_fisher_yates          selection order, k draws, O(k) hash map
-  sparse_fy_iterator           selection order, one draw per step, O(k) map
+  SparseFisherYatesIterator    selection order, one draw per step, O(k) map
   membership_checking_sample   selection order, ~n(H_n - H_{n-k}) draws, O(k) set
   preinit_fy_sample_with_undo  selection order, k draws, caller array + undo log
   selection_sample             sorted order, <= n Bernoulli draws, O(1) extra
@@ -14,7 +14,8 @@ items).  They differ in output order, work, and memory:
 
 The two Fisher-Yates variants are exchangeable: given the same source they
 produce bit-identical output, the sparse one just stores only the array
-slots that differ from their initial value.
+slots that differ from their initial value.  default_samplers() is the one
+registry of the seven algorithms by name.
 """
 
 from __future__ import annotations
@@ -111,21 +112,17 @@ class SparseFisherYatesIterator:
     A hash map holds only the slots displaced by past swaps, so after i
     selections it stores at most i entries (in expectation i*(n-i)/n).  Each
     next() costs one uniform-int draw and O(1) map operations and yields the
-    same index the classical sampler would, draw for draw.
-
-    Entries at slots that can never be drawn again are discarded as soon as
-    they die unless delete_entries=False, which keeps the map append-only
-    for cost comparisons.
+    same index the classical sampler would, draw for draw.  Entries at slots
+    that can never be drawn again are discarded as soon as they die.
     """
 
-    def __init__(self, n: int, source: UniformSource, delete_entries: bool = True):
+    def __init__(self, n: int, source: UniformSource):
         if n < 1:
             raise ValueError(f"population size must be >= 1, got {n}")
         self.n = n
         self.i = 0
         self._source = source
         self._entries: dict = {}
-        self._delete = delete_entries
 
     def __iter__(self) -> "SparseFisherYatesIterator":
         return self
@@ -138,9 +135,8 @@ class SparseFisherYatesIterator:
         r = self._source.next_uniform_int(top)
         picked = entries.get(r, r)
         entries[r] = entries.get(top, top)
-        if self._delete:
-            # slot `top` leaves the drawable range now, so its entry is dead
-            entries.pop(top, None)
+        # slot `top` leaves the drawable range now, so its entry is dead
+        entries.pop(top, None)
         self.i += 1
         return picked
 
@@ -151,13 +147,7 @@ class SparseFisherYatesIterator:
         return len(self._entries)
 
 
-def sparse_fy_iterator(n: int, source: UniformSource,
-                       delete_entries: bool = True) -> SparseFisherYatesIterator:
-    return SparseFisherYatesIterator(n, source, delete_entries)
-
-
-def sparse_fisher_yates(source: UniformSource, n: int, k: int,
-                        delete_entries: bool = True) -> SampleResult:
+def sparse_fisher_yates(source: UniformSource, n: int, k: int) -> SampleResult:
     """Hash-map Fisher-Yates: k draws, O(k) time and space, any n.
 
     The loop of SparseFisherYatesIterator.__next__, inlined: same draws,
@@ -174,8 +164,7 @@ def sparse_fisher_yates(source: UniformSource, n: int, k: int,
         r = draw(top)
         append(get(r, r))
         entries[r] = get(top, top)
-        if delete_entries:
-            pop(top, None)
+        pop(top, None)
     return SampleResult(out, SampleOrder.SELECTION, n, source.stats - before)
 
 
@@ -274,10 +263,12 @@ def reservoir_sample(source: UniformSource, stream: Iterable[Any], k: int) -> Sa
     per item after the first k.  The result's indices hold item values in
     reservoir (array) order, which carries no selection-order meaning; n
     reports the number of items consumed.  A stream shorter than k yields
-    all of its items.
+    all of its items; k = 0 reads nothing and draws nothing.
     """
-    if k < 1:
-        raise ValueError(f"reservoir capacity must be >= 1, got {k}")
+    if k < 0:
+        raise ValueError(f"reservoir capacity must be >= 0, got {k}")
+    if k == 0:
+        return SampleResult([], SampleOrder.SELECTION, 0, DrawStats())
     before = source.stats.copy()
     res = []
     count = 0
@@ -306,3 +297,22 @@ def permutation_from_transpositions(source: UniformSource, n: int) -> list[int]:
         r = source.next_uniform_int(i)
         x[i - 1], x[r - 1] = x[r - 1], x[i - 1]
     return x
+
+
+def default_samplers() -> dict:
+    """Name -> sampler(source, n, k) for every algorithm, in report order.
+
+    Built on each call from this module's globals, so a wrapper installed
+    over one of the samplers after import is the one returned.
+    """
+    return {
+        "fy": fisher_yates_sample,
+        "sparse": sparse_fisher_yates,
+        "member": membership_checking_sample,
+        "preinit": lambda src, n, k: preinit_fy_sample_with_undo(
+            src, list(range(1, n + 1)), k
+        )[0],
+        "select": selection_sample,
+        "inorder": inorder_sample,
+        "reservoir": lambda src, n, k: reservoir_sample(src, range(1, n + 1), k),
+    }

@@ -13,6 +13,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
+from .distributions import HypergeomParams
 from .rng import UniformSource
 
 # Minimum expected count per cell after pooling, the usual chi-square rule.
@@ -171,35 +172,20 @@ def chi_square_two_sample(counts_a, counts_b, alpha: float = 0.001) -> GofReport
     if total_a <= 0 or total_b <= 0:
         raise ValueError("both samples need positive totals")
     grand = total_a + total_b
-    # pool on the smaller margin's expected counts
+    # pool a and b alike, on the smaller margin's expected counts
     frac = min(total_a, total_b) / grand
     expected_small = [c * frac for c in combined]
-    pooled_idx: list[list[int]] = []
-    acc: list[int] = []
-    acc_e = 0.0
-    for i, e in enumerate(expected_small):
-        acc.append(i)
-        acc_e += e
-        if acc_e >= POOL_THRESHOLD:
-            pooled_idx.append(acc)
-            acc = []
-            acc_e = 0.0
-    if acc:
-        if pooled_idx:
-            pooled_idx[-1].extend(acc)
-        else:
-            pooled_idx.append(acc)
-    if len(pooled_idx) < 2:
+    pooled_a, _ = _pool_cells(a, expected_small, POOL_THRESHOLD)
+    pooled_b, _ = _pool_cells(b, expected_small, POOL_THRESHOLD)
+    if len(pooled_a) < 2:
         raise ValueError("fewer than two cells remain after pooling")
     statistic = 0.0
-    for group in pooled_idx:
-        ca = sum(a[i] for i in group)
-        cb = sum(b[i] for i in group)
+    for ca, cb in zip(pooled_a, pooled_b):
         cc = ca + cb
         ea = cc * total_a / grand
         eb = cc * total_b / grand
         statistic += (ca - ea) ** 2 / ea + (cb - eb) ** 2 / eb
-    dof = len(pooled_idx) - 1
+    dof = len(pooled_a) - 1
     p_value = chi2_sf(statistic, dof)
     return GofReport(statistic, dof, p_value, p_value >= alpha, alpha)
 
@@ -265,6 +251,20 @@ def binomial_pmf(n: int, p: float, c: int) -> float:
     if p == 1.0:
         return 1.0 if c == n else 0.0
     return math.exp(_log_comb(n, c) + c * math.log(p) + (n - c) * math.log1p(-p))
+
+
+def hypergeom_pmf(params: HypergeomParams, c: int) -> float:
+    """P(c of the k sampled items fall in the first v of n positions).
+
+    Evaluated in log space with lgamma so large parameters do not overflow.
+    Returns 0.0 outside the support [max(0, k-(n-v)), min(k, v)].
+    """
+    v, n, k = params.v, params.n, params.k
+    if c < max(0, k - (n - v)) or c > min(k, v):
+        return 0.0
+    if n == 0:
+        return 1.0
+    return math.exp(_log_comb(v, c) + _log_comb(n - v, k - c) - _log_comb(n, k))
 
 
 def beta_binomial_pmf(alpha: float, beta: float, n: int, c: int) -> float:

@@ -21,18 +21,17 @@ from .distributions import (
     beta,
     beta_binomial,
     binomial,
-    hypergeom_pmf,
     hypergeometric,
 )
 from .rng import RandomSource
 from .samplers import (
     SparseFisherYatesIterator,
+    default_samplers,
     fisher_yates_sample,
     inorder_sample,
     membership_checking_sample,
     permutation_from_transpositions,
     preinit_fy_sample_with_undo,
-    reservoir_sample,
     selection_sample,
     sparse_fisher_yates,
 )
@@ -44,21 +43,6 @@ class CheckRecord:
     statistic: float
     p_value: float
     passed: bool
-
-
-def default_samplers() -> dict:
-    """Name -> sampler(source, n, k) for every index-sampling algorithm."""
-    return {
-        "fy": fisher_yates_sample,
-        "sparse": sparse_fisher_yates,
-        "member": membership_checking_sample,
-        "preinit": lambda src, n, k: preinit_fy_sample_with_undo(
-            src, list(range(1, n + 1)), k
-        )[0],
-        "select": selection_sample,
-        "inorder": inorder_sample,
-        "reservoir": lambda src, n, k: reservoir_sample(src, range(1, n + 1), k),
-    }
 
 
 _SCALES = {
@@ -110,12 +94,11 @@ def _structural(name: str, violations: int) -> CheckRecord:
     return CheckRecord(name, float(violations), 1.0 if ok else 0.0, ok)
 
 
-def run_suite(suite: str = "quick", seed: int = 0, alpha: float = 0.001,
-              samplers: dict | None = None) -> list[CheckRecord]:
+def run_suite(suite: str = "quick", seed: int = 0,
+              alpha: float = 0.001) -> list[CheckRecord]:
     if suite not in _SCALES:
         raise ValueError(f"unknown suite {suite!r}, expected 'quick' or 'full'")
     scale = _SCALES[suite]
-    algos = default_samplers() if samplers is None else dict(samplers)
     records: list[CheckRecord] = []
 
     def src(name: str) -> RandomSource:
@@ -184,13 +167,13 @@ def run_suite(suite: str = "quick", seed: int = 0, alpha: float = 0.001,
     pmf_check(
         "hypergeometric-pmf-2-4-2",
         lambda s: hypergeometric(s, HypergeomParams(2, 4, 2)),
-        lambda c: hypergeom_pmf(HypergeomParams(2, 4, 2), c),
+        lambda c: statcheck.hypergeom_pmf(HypergeomParams(2, 4, 2), c),
         range(0, 3),
     )
     pmf_check(
         "hypergeometric-pmf-5-12-7",
         lambda s: hypergeometric(s, HypergeomParams(5, 12, 7)),
-        lambda c: hypergeom_pmf(HypergeomParams(5, 12, 7), c),
+        lambda c: statcheck.hypergeom_pmf(HypergeomParams(5, 12, 7), c),
         range(0, 6),
     )
 
@@ -213,7 +196,7 @@ def run_suite(suite: str = "quick", seed: int = 0, alpha: float = 0.001,
 
     # -- sampler laws ----------------------------------------------------------
 
-    for algo_name, sampler in algos.items():
+    for algo_name, sampler in default_samplers().items():
         name = f"subset-uniformity-{algo_name}"
         report = statcheck.enumerate_subset_distribution(
             sampler, 6, 3, scale["subset_reps"], src(name), alpha
@@ -355,7 +338,7 @@ def run_suite(suite: str = "quick", seed: int = 0, alpha: float = 0.001,
     counts = [0] * 3
     for _ in range(scale["split_reps"]):
         counts[distributed.split_sample_counts(s, (2, 2), 2)[0]] += 1
-    probs = [hypergeom_pmf(HypergeomParams(2, 4, 2), c) for c in range(3)]
+    probs = [statcheck.hypergeom_pmf(HypergeomParams(2, 4, 2), c) for c in range(3)]
     records.append(_gof_record(name, statcheck.chi_square_gof(counts, probs, alpha)))
 
     name = "merge-item-inclusion-4-4"

@@ -12,17 +12,16 @@ from collections import Counter
 
 from srswor.cli import run_bench
 from srswor.distributed import MergeInput, merge_all_with_state, split_sample_counts
-from srswor.distributions import HypergeomParams, hypergeom_pmf, hypergeometric
+from srswor.distributions import HypergeomParams, hypergeometric
 from srswor.rng import RandomSource
 from srswor.samplers import (
+    SparseFisherYatesIterator,
+    default_samplers,
     fisher_yates_sample,
     inorder_sample,
     membership_checking_sample,
     preinit_fy_sample_with_undo,
-    reservoir_sample,
-    selection_sample,
     sparse_fisher_yates,
-    sparse_fy_iterator,
 )
 from srswor.statcheck import (
     chi_square_gof,
@@ -30,6 +29,7 @@ from srswor.statcheck import (
     enumerate_subset_distribution,
     expected_membership_draws,
     first_position_pmf,
+    hypergeom_pmf,
 )
 
 ALPHA = 0.001
@@ -61,18 +61,8 @@ def test_criterion_02_uniform_subsets_all_algorithms():
     # every sampler draws each of the C(6,3)=20 subsets equally often;
     # 2e5 reps per algorithm, chi-square at alpha=0.001; budget 60 s total
     t0 = time.perf_counter()
-    samplers = {
-        "fy": fisher_yates_sample,
-        "sparse": sparse_fisher_yates,
-        "member": membership_checking_sample,
-        "preinit": lambda s, n, k: preinit_fy_sample_with_undo(
-            s, list(range(1, n + 1)), k)[0],
-        "select": selection_sample,
-        "inorder": inorder_sample,
-        "reservoir": lambda s, n, k: reservoir_sample(s, range(1, n + 1), k),
-    }
     failures = []
-    for i, (name, sampler) in enumerate(samplers.items()):
+    for i, (name, sampler) in enumerate(default_samplers().items()):
         src = RandomSource(90210 + i)
         rep = enumerate_subset_distribution(sampler, 6, 3, 200000, src, ALPHA)
         if not rep.passed:
@@ -129,7 +119,7 @@ def test_criterion_05_hash_occupancy():
     sums = dict.fromkeys(checkpoints, 0)
     sq_at_500 = 0
     for run in range(runs):
-        it = sparse_fy_iterator(n, RandomSource(5000 + run))
+        it = SparseFisherYatesIterator(n, RandomSource(5000 + run))
         step = 0
         for cp in checkpoints:
             while step < cp:

@@ -3,10 +3,12 @@
 import csv
 import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
 from srswor.cli import BENCH_HEADER, main
+from srswor.samplers import default_samplers
 
 
 def run_cli(capsys, *argv):
@@ -42,8 +44,7 @@ def test_sample_deterministic_per_seed(capsys):
     assert other != out1
 
 
-@pytest.mark.parametrize("algo", ["fy", "sparse", "member", "preinit",
-                                  "select", "inorder", "reservoir"])
+@pytest.mark.parametrize("algo", list(default_samplers()))
 def test_sample_every_algorithm_yields_valid_subset(capsys, algo):
     code, out, _ = run_cli(capsys, "sample", "--n", "30", "--k", "12",
                            "--seed", "3", "--algo", algo, "--indices-only")
@@ -52,6 +53,15 @@ def test_sample_every_algorithm_yields_valid_subset(capsys, algo):
     assert len(values) == 12
     assert len(set(values)) == 12
     assert all(1 <= v <= 30 for v in values)
+
+
+def test_sample_n_beyond_64_bits(capsys):
+    n = 2**64 + 1
+    code, out, _ = run_cli(capsys, "sample", "--n", str(n), "--k", "2", "--indices-only")
+    assert code == 0
+    values = [int(line) for line in out.splitlines()]
+    assert len(set(values)) == 2
+    assert all(1 <= v <= n for v in values)
 
 
 def test_sample_sorted_algorithms_print_ascending(capsys):
@@ -196,6 +206,14 @@ def test_bench_peak_entries_by_algorithm(capsys):
     assert peaks["member"] == 100
 
 
+def test_bench_k_zero_every_algorithm(capsys):
+    code, out, _ = run_cli(capsys, "bench", "--grid", "10:0", "--reps", "1")
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out)))[1:]
+    assert [row[0] for row in rows] == list(default_samplers())
+    assert all(row[5] == row[6] == "0" for row in rows)  # no draws, no entries
+
+
 def test_bench_unknown_algorithm(capsys):
     code, _, err = run_cli(capsys, "bench", "--grid", "10:2", "--algos", "quantum")
     assert code == 2
@@ -223,8 +241,18 @@ def test_bench_bad_reps(capsys):
 
 # --- verify ---
 
-def test_verify_quick_seed1_passes(capsys):
-    code, out, err = run_cli(capsys, "verify", "--suite", "quick", "--seed", "1")
+@pytest.fixture(scope="module")
+def quick_verify_seed1(tmp_path_factory):
+    # one quick-suite run, shared by the tests of its text and its JSON report
+    path = tmp_path_factory.mktemp("verify") / "report.json"
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(["verify", "--suite", "quick", "--seed", "1", "--json", str(path)])
+    return code, out.getvalue(), err.getvalue(), path
+
+
+def test_verify_quick_seed1_passes(quick_verify_seed1):
+    code, out, err, _ = quick_verify_seed1
     assert code == 0
     assert err == ""
     lines = out.splitlines()
@@ -232,10 +260,8 @@ def test_verify_quick_seed1_passes(capsys):
     assert all(line.endswith("PASS") for line in lines)
 
 
-def test_verify_json_report(capsys, tmp_path):
-    path = tmp_path / "report.json"
-    code, out, _ = run_cli(capsys, "verify", "--suite", "quick", "--seed", "1",
-                           "--json", str(path))
+def test_verify_json_report(quick_verify_seed1):
+    code, out, _, path = quick_verify_seed1
     assert code == 0
     payload = json.loads(path.read_text())
     assert len(payload) == len(out.splitlines())

@@ -11,14 +11,13 @@ import hypothesis.strategies as st
 from srswor.distributed import (
     MergeInput,
     downsample,
-    merge_all,
     merge_all_with_state,
-    merge_samples,
     split_sample_counts,
 )
-from srswor.distributions import HypergeomParams, hypergeom_pmf
+from srswor.distributions import HypergeomParams
 from srswor.rng import RandomSource
 from srswor.samplers import fisher_yates_sample
+from srswor.statcheck import chi_square_two_sample, hypergeom_pmf
 
 
 def test_merge_input_validation():
@@ -104,9 +103,9 @@ def test_merge_full_shards_returns_union():
     src = RandomSource(15)
     a = MergeInput([1, 2, 3], 3)
     b = MergeInput([4, 5], 2)
-    merged, size = merge_samples(src, a, b)
+    merged, state = merge_all_with_state(src, (a, b))
     assert sorted(merged) == [1, 2, 3, 4, 5]
-    assert size == 5
+    assert state.kappas == (3, 2)
     assert src.draw_count == 0  # fully deterministic merge
 
 
@@ -127,27 +126,27 @@ def test_merge_preserves_identity_sets():
     for _ in range(500):
         a = MergeInput(["a1", "a2"], 6)
         b = MergeInput(["b1", "b2", "b3"], 8)
-        merged, _ = merge_samples(src, a, b)
+        merged, _ = merge_all_with_state(src, (a, b))
         assert len(set(merged)) == len(merged)
         assert set(merged) <= {"a1", "a2", "b1", "b2", "b3"}
 
 
 def test_merge_empty_samples_allowed():
     src = RandomSource(18)
-    merged, size = merge_samples(src, MergeInput([], 4), MergeInput([], 6))
-    assert merged == [] and size == 0
+    merged, state = merge_all_with_state(src, (MergeInput([], 4), MergeInput([], 6)))
+    assert merged == [] and state.kappas == (0, 0)
 
 
 def test_merge_requires_inputs():
     with pytest.raises(ValueError):
-        merge_all(RandomSource(0), [])
+        merge_all_with_state(RandomSource(0), [])
 
 
 def test_merge_single_input_is_identity_set():
     src = RandomSource(19)
-    merged, size = merge_all(src, [MergeInput([2, 4, 6], 10)])
+    merged, state = merge_all_with_state(src, [MergeInput([2, 4, 6], 10)])
     assert sorted(merged) == [2, 4, 6]
-    assert size == 3
+    assert state.kappas == (3,)
 
 
 def test_merge_inclusion_probabilities_equalize():
@@ -159,7 +158,7 @@ def test_merge_inclusion_probabilities_equalize():
     for _ in range(reps):
         sa = fisher_yates_sample(src, 4, 2).indices
         sb = [x + 4 for x in fisher_yates_sample(src, 4, 2).indices]
-        merged, _ = merge_samples(src, MergeInput(sa, 4), MergeInput(sb, 4))
+        merged, _ = merge_all_with_state(src, (MergeInput(sa, 4), MergeInput(sb, 4)))
         for item in merged:
             inc[item] += 1
     counts = [inc[i] for i in range(1, 9)]
@@ -195,7 +194,7 @@ def test_merge_conditional_inclusion_is_size_over_union():
     for _ in range(reps):
         sa = fisher_yates_sample(src, 4, 2).indices
         sb = [x + 4 for x in fisher_yates_sample(src, 4, 2).indices]
-        merged, _ = merge_samples(src, MergeInput(sa, 4), MergeInput(sb, 4))
+        merged, _ = merge_all_with_state(src, (MergeInput(sa, 4), MergeInput(sb, 4)))
         s = len(merged)
         runs_by_size[s] += 1
         tally = inc_by_size.setdefault(s, Counter())
@@ -212,8 +211,6 @@ def test_merge_conditional_inclusion_is_size_over_union():
 def test_merge_symmetric_in_inputs():
     # swapping the argument order must not change the distribution of the
     # merged set; compare subset frequencies with a two-sample chi-square
-    from srswor.statcheck import chi_square_two_sample
-
     reps = 30000
     tallies = []
     for swap in (False, True):
@@ -223,7 +220,7 @@ def test_merge_symmetric_in_inputs():
             sa = fisher_yates_sample(src, 3, 1).indices
             sb = [x + 3 for x in fisher_yates_sample(src, 3, 1).indices]
             a, b = MergeInput(sa, 3), MergeInput(sb, 3)
-            merged, _ = merge_samples(src, *((b, a) if swap else (a, b)))
+            merged, _ = merge_all_with_state(src, (b, a) if swap else (a, b))
             tally[frozenset(merged)] += 1
         tallies.append(tally)
     keys = sorted(set(tallies[0]) | set(tallies[1]), key=sorted)
@@ -285,8 +282,8 @@ def test_merge_output_always_valid(na, nb, seed):
     kb = src.next_uniform_int(nb)
     sa = fisher_yates_sample(src, na, ka).indices
     sb = [x + na for x in fisher_yates_sample(src, nb, kb).indices]
-    merged, size = merge_samples(src, MergeInput(sa, na), MergeInput(sb, nb))
-    assert size == len(merged)
+    merged, state = merge_all_with_state(src, (MergeInput(sa, na), MergeInput(sb, nb)))
+    assert sum(state.kappas) == len(merged)
     assert len(set(merged)) == len(merged)
     assert set(merged) <= set(range(1, na + nb + 1))
-    assert size <= ka + kb
+    assert len(merged) <= ka + kb

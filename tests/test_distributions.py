@@ -13,12 +13,11 @@ from srswor.distributions import (
     beta,
     beta_binomial,
     binomial,
-    hypergeom_pmf,
     hypergeometric,
     _log_fact_ratio,
 )
 from srswor.rng import RandomSource, ScriptedSource
-from srswor.statcheck import chi_square_gof
+from srswor.statcheck import chi_square_gof, hypergeom_pmf
 
 # pmf reference values computed once with scipy and frozen. Parameter
 # order for the hypergeometric is (successes, population, draws).

@@ -130,6 +130,35 @@ def test_uniform_int_equidistribution_m6():
     assert stat < 20.515
 
 
+@pytest.mark.parametrize("m", [2**64, 2**64 + 1, 2**80])
+def test_uniform_int_beyond_one_word(m):
+    # past 2^64 a candidate joins several words; it is still one logical
+    # draw, and every word it used is counted (the state advanced by as many)
+    a, b = RandomSource(8), RandomSource(8)
+    draws = [a.next_uniform_int(m) for _ in range(200)]
+    assert draws == [b.next_uniform_int(m) for _ in range(200)]
+    assert all(1 <= r <= m for r in draws)
+    assert len(set(draws)) == 200
+    assert a.draw_count == 200
+    per_candidate = -(-(m - 1).bit_length() // 64)
+    assert a.words_generated % per_candidate == 0
+    assert a.words_generated >= 200 * per_candidate
+    assert a._state == (8 + a.words_generated * 0x9E3779B97F4A7C15) % 2**64
+
+
+def test_uniform_int_beyond_one_word_equidistribution():
+    # thirds of [1, 3 * 2^64]; bound frozen at the 0.999 quantile of chi2(2)
+    m = 3 * 2**64
+    src = RandomSource(2025)
+    counts = [0] * 3
+    reps = 30000
+    for _ in range(reps):
+        counts[(src.next_uniform_int(m) - 1) * 3 // m] += 1
+    expected = reps / 3
+    stat = sum((c - expected) ** 2 / expected for c in counts)
+    assert stat < 13.816
+
+
 def test_draw_count_counts_logical_draws_not_words():
     # top-bits rejection may burn several words per accepted draw; the
     # logical count must tick exactly once per call.

@@ -7,6 +7,7 @@ import hypothesis.strategies as st
 from srswor.rng import RandomSource, ScriptedSource
 from srswor.samplers import (
     SampleOrder,
+    SparseFisherYatesIterator,
     fisher_yates_sample,
     inorder_sample,
     membership_checking_sample,
@@ -15,7 +16,6 @@ from srswor.samplers import (
     reservoir_sample,
     selection_sample,
     sparse_fisher_yates,
-    sparse_fy_iterator,
 )
 
 ALL_INDEX_SAMPLERS = [
@@ -52,7 +52,7 @@ def test_sparse_trace_matches_classical():
 
 
 def test_sparse_iterator_prefix():
-    it = sparse_fy_iterator(5, ScriptedSource([2, 1, 3]))
+    it = SparseFisherYatesIterator(5, ScriptedSource([2, 1, 3]))
     assert [next(it) for _ in range(3)] == [2, 1, 3]
 
 
@@ -174,24 +174,14 @@ def test_sparse_equals_classical(n, seed):
     assert a.indices == b.indices
 
 
-@given(st.integers(min_value=1, max_value=2**64), st.integers(min_value=0, max_value=2**48),
-       st.booleans())
+@given(st.integers(min_value=1, max_value=2**64), st.integers(min_value=0, max_value=2**48))
 @settings(max_examples=100, deadline=None)
-def test_sparse_equals_iterator(n, seed, delete_entries):
+def test_sparse_equals_iterator(n, seed):
     # the inlined loop of sparse_fisher_yates replays the iterator draw for draw
     k = min(n, 40)
-    it = sparse_fy_iterator(n, RandomSource(seed), delete_entries)
-    res = sparse_fisher_yates(RandomSource(seed), n, k, delete_entries)
+    it = SparseFisherYatesIterator(n, RandomSource(seed))
+    res = sparse_fisher_yates(RandomSource(seed), n, k)
     assert res.indices == [next(it) for _ in range(k)]
-
-
-@given(st.integers(min_value=0, max_value=2**48))
-@settings(max_examples=100, deadline=None)
-def test_sparse_no_delete_same_output(seed):
-    # keeping dead entries changes memory, never the emitted sequence
-    a = sparse_fisher_yates(RandomSource(seed), 60, 25, delete_entries=True)
-    b = sparse_fisher_yates(RandomSource(seed), 60, 25, delete_entries=False)
-    assert a.indices == b.indices
 
 
 def test_sparse_state_overlay_reconstructs_classical_array():
@@ -200,7 +190,7 @@ def test_sparse_state_overlay_reconstructs_classical_array():
     n, k, seed = 40, 40, 314
     x = list(range(1, n + 1))
     classical = RandomSource(seed)
-    it = sparse_fy_iterator(n, RandomSource(seed))
+    it = SparseFisherYatesIterator(n, RandomSource(seed))
     for i in range(k):
         top = n - i
         r = classical.next_uniform_int(top)
@@ -214,14 +204,14 @@ def test_sparse_state_overlay_reconstructs_classical_array():
 
 def test_sparse_state_size_bound():
     src = RandomSource(271)
-    it = sparse_fy_iterator(1000, src)
+    it = SparseFisherYatesIterator(1000, src)
     for i in range(1, 501):
         next(it)
         assert it.state_size() <= i
 
 
 def test_sparse_iterator_exhausts_at_n():
-    it = sparse_fy_iterator(4, RandomSource(0))
+    it = SparseFisherYatesIterator(4, RandomSource(0))
     out = list(it)
     assert sorted(out) == [1, 2, 3, 4]
     with pytest.raises(StopIteration):
@@ -310,8 +300,14 @@ def test_reservoir_draw_count_one_per_overflow_item():
 
 
 def test_reservoir_requires_positive_capacity():
+    # k = 0 is an empty sample that reads and draws nothing, as for the
+    # index samplers; only a negative capacity is refused
+    src = RandomSource(0)
+    res = reservoir_sample(src, [1, 2], 0)
+    assert res.indices == [] and res.n == 0
+    assert src.draw_count == 0
     with pytest.raises(ValueError):
-        reservoir_sample(RandomSource(0), [1, 2], 0)
+        reservoir_sample(src, [1, 2], -1)
 
 
 @given(
