@@ -10,18 +10,18 @@ flat for the former, linear growth for the latter.
 import argparse
 
 from srswor.cli import run_bench
+from srswor.suite import median_wall_ns_by_n
 
 
-def median(values):
-    ordered = sorted(values)
-    return ordered[len(ordered) // 2]
-
-
-def collect(grid, algo, reps, seed):
-    by_n = {}
-    for rec in run_bench(grid, [algo], reps, seed):
-        by_n.setdefault(rec.n, []).append(rec.wall_time_ns)
-    return {n: median(v) for n, v in by_n.items()}
+def timing_table(title, algo, k, reps, seed):
+    """Print median wall time per n over three decades; return the medians."""
+    grid = [(10_000, k), (100_000, k), (1_000_000, k)]
+    medians = median_wall_ns_by_n(run_bench(grid, [algo], reps, seed))
+    print(title)
+    print(f"  {'n':>10} {'median ns':>12} {'vs n=1e4':>9}")
+    for n in sorted(medians):
+        print(f"  {n:>10} {medians[n]:>12} {medians[n] / medians[10_000]:>8.2f}x")
+    return medians
 
 
 def main():
@@ -34,25 +34,15 @@ def main():
 
     run_bench([(10000, args.sparse_k)], ["sparse"], 2, args.seed)  # warm up
 
-    sparse_grid = [(10_000, args.sparse_k), (100_000, args.sparse_k),
-                   (1_000_000, args.sparse_k)]
-    sparse = collect(sparse_grid, "sparse", args.reps, args.seed)
-    base = sparse[10_000]
-    print(f"sparse hash-map sampler, k={args.sparse_k} (expected: flat in n)")
-    print(f"  {'n':>10} {'median ns':>12} {'vs n=1e4':>9}")
-    for n in sorted(sparse):
-        print(f"  {n:>10} {sparse[n]:>12} {sparse[n] / base:>8.2f}x")
+    sparse = timing_table(
+        f"sparse hash-map sampler, k={args.sparse_k} (expected: flat in n)",
+        "sparse", args.sparse_k, args.reps, args.seed)
     spread = max(sparse.values()) / min(sparse.values())
     print(f"  max/min spread: {spread:.2f}x\n")
 
-    classical_grid = [(10_000, args.classical_k), (100_000, args.classical_k),
-                      (1_000_000, args.classical_k)]
-    classical = collect(classical_grid, "fy", args.reps, args.seed + 1)
-    base = classical[10_000]
-    print(f"classical array sampler, k={args.classical_k} (expected: linear in n)")
-    print(f"  {'n':>10} {'median ns':>12} {'vs n=1e4':>9}")
-    for n in sorted(classical):
-        print(f"  {n:>10} {classical[n]:>12} {classical[n] / base:>8.2f}x")
+    timing_table(
+        f"classical array sampler, k={args.classical_k} (expected: linear in n)",
+        "fy", args.classical_k, args.reps, args.seed + 1)
 
 
 if __name__ == "__main__":

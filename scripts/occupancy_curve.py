@@ -9,8 +9,8 @@ closed-form expectation, which peaks at n/4 when half the items are drawn.
 import argparse
 
 from srswor.rng import RandomSource
-from srswor.samplers import SparseFisherYatesIterator
 from srswor.statcheck import expected_hash_occupancy
+from srswor.suite import occupancy_sums
 
 
 def main():
@@ -24,15 +24,8 @@ def main():
 
     checkpoints = sorted({args.n * j // args.points for j in range(1, args.points)}
                          | {args.n // 2})
-    sums = dict.fromkeys(checkpoints, 0)
-    for run in range(args.runs):
-        it = SparseFisherYatesIterator(args.n, RandomSource(args.seed + run))
-        step = 0
-        for cp in checkpoints:
-            while step < cp:
-                next(it)
-                step += 1
-            sums[cp] += it.state_size()
+    sources = (RandomSource(args.seed + run) for run in range(args.runs))
+    sums, _ = occupancy_sums(args.n, checkpoints, sources)
 
     print(f"n={args.n}, runs={args.runs}")
     print(f"  {'i':>8} {'mean |H|':>10} {'i(n-i)/n':>10} {'diff':>8}")

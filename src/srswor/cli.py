@@ -1,6 +1,7 @@
 """Command line front end: sample, bench, verify, merge.
 
-Exit codes: 0 success, 1 input/format failure, 2 argument failure,
+Exit codes: 0 success, 1 input/format failure, 2 argument failure
+(including inputs too large for the memory this process may use),
 3 verification failure.  All randomness flows from --seed, so identical
 invocations reproduce identical output (bench wall times excepted).
 """
@@ -350,7 +351,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except MemoryError:
+        # e.g. fy or preinit, which build an n-element array, at huge --n
+        print(f"{args.command}: out of memory; the input is too large for the "
+              "memory this process may use", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

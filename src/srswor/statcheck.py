@@ -1,10 +1,11 @@
 """Statistical oracles: exact pmfs, goodness-of-fit machinery, cost formulas.
 
 This layer is what the test suite and the `verify` command trust, so it is
-kept independent of the sampling code paths: pmfs come from log-factorial
-identities, p-values from a locally implemented regularized incomplete
-gamma function, and expectations from closed-form sums.  No third-party
-statistics dependency.
+kept independent of the sampling code paths: the hypergeometric and
+first-position pmfs are exact binomial-coefficient ratios, the binomial and
+beta-binomial pmfs come from log-gamma identities, p-values from a locally
+implemented regularized incomplete gamma function, and expectations from
+closed-form sums.  No third-party statistics dependency.
 """
 
 from __future__ import annotations
@@ -232,16 +233,19 @@ def first_position_pmf(n: int, k: int, x: int) -> float:
     """P(smallest sampled index = x) = C(n-x, k-1) / C(n, k).
 
     The smallest of a uniform k-subset of [1, n]; zero outside
-    1 <= x <= n-k+1.
+    1 <= x <= n-k+1.  The ratio of exact integers is correctly rounded for
+    any n.
     """
     if n < 1 or not 1 <= k <= n:
         raise ValueError(f"invalid parameters n={n}, k={k}")
     if x < 1 or x > n - k + 1:
         return 0.0
-    return math.exp(_log_comb(n - x, k - 1) - _log_comb(n, k))
+    return math.comb(n - x, k - 1) / math.comb(n, k)
 
 
 def binomial_pmf(n: int, p: float, c: int) -> float:
+    """Binomial(n, p) pmf from log-gamma values; accurate for moderate n
+    only, as the rounding error of lgamma(n) grows with n."""
     if n < 0 or not 0.0 <= p <= 1.0:
         raise ValueError(f"invalid parameters n={n}, p={p}")
     if c < 0 or c > n:
@@ -256,19 +260,19 @@ def binomial_pmf(n: int, p: float, c: int) -> float:
 def hypergeom_pmf(params: HypergeomParams, c: int) -> float:
     """P(c of the k sampled items fall in the first v of n positions).
 
-    Evaluated in log space with lgamma so large parameters do not overflow.
-    Returns 0.0 outside the support [max(0, k-(n-v)), min(k, v)].
+    C(v, c) C(n-v, k-c) / C(n, k) as a ratio of exact integers, correctly
+    rounded for any n.  Returns 0.0 outside the support
+    [max(0, k-(n-v)), min(k, v)].
     """
     v, n, k = params.v, params.n, params.k
     if c < max(0, k - (n - v)) or c > min(k, v):
         return 0.0
-    if n == 0:
-        return 1.0
-    return math.exp(_log_comb(v, c) + _log_comb(n - v, k - c) - _log_comb(n, k))
+    return math.comb(v, c) * math.comb(n - v, k - c) / math.comb(n, k)
 
 
 def beta_binomial_pmf(alpha: float, beta: float, n: int, c: int) -> float:
-    """Beta-Binomial pmf via log Beta-function ratios."""
+    """Beta-Binomial pmf via log Beta-function ratios; accurate for moderate
+    n only, as the rounding error of lgamma(n) grows with n."""
     if alpha <= 0 or beta <= 0 or n < 0:
         raise ValueError(f"invalid parameters alpha={alpha}, beta={beta}, n={n}")
     if c < 0 or c > n:

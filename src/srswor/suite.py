@@ -1,6 +1,9 @@
-"""Runnable verification suite: every named check returns a record.
+"""The one catalogue of law checks, and the runnable verification suite.
 
-Checks are deterministic given (suite, seed): each one derives its own
+Each law that `srswor verify` and the acceptance criteria both measure has
+one function here: it takes its sources, scale and alpha, returns the raw
+measurement or a chi-square report, and leaves the verdict to its caller.
+run_suite is deterministic given (suite, seed): each check derives its own
 source seed from the run seed and its name, so adding or reordering checks
 does not disturb the others.  A check passes when its p-value (or exactness
 flag, for structural checks) clears the configured alpha; structural checks
@@ -12,6 +15,7 @@ from __future__ import annotations
 import itertools
 import math
 import zlib
+from collections import Counter
 from dataclasses import dataclass
 
 from . import distributed, statcheck
@@ -45,36 +49,182 @@ class CheckRecord:
     passed: bool
 
 
-_SCALES = {
-    "quick": dict(
-        uniform_draws=60_000,
-        ks_n=20_000,
-        dist_reps=30_000,
-        subset_reps=4_000,
-        fp_reps=30_000,
-        member_reps=20_000,
-        occupancy_runs=1_500,
-        merge_reps=20_000,
-        split_reps=30_000,
-        perm_reps=24_000,
-        structural_cases=60,
-        full_extras=False,
-    ),
-    "full": dict(
-        uniform_draws=600_000,
-        ks_n=100_000,
-        dist_reps=200_000,
-        subset_reps=100_000,
-        fp_reps=100_000,
-        member_reps=100_000,
-        occupancy_runs=10_000,
-        merge_reps=200_000,
-        split_reps=100_000,
-        perm_reps=120_000,
-        structural_cases=200,
-        full_extras=True,
-    ),
-}
+# --- the shared checks -------------------------------------------------------
+
+
+def random_cells(source, count: int, n_lo: int, n_hi: int):
+    """Yield count cells (n, k), n uniform on [n_lo, n_hi], k uniform on [1, n].
+
+    Cells are drawn lazily, so a check that draws from the same source
+    between cells interleaves with them cell by cell.
+    """
+    for _ in range(count):
+        n = n_lo - 1 + source.next_uniform_int(n_hi - n_lo + 1)
+        yield n, source.next_uniform_int(n)
+
+
+def pmf_law(draw, pmf, support: range, source, reps: int,
+            alpha: float) -> statcheck.GofReport:
+    """Chi-square of reps values draw(source) against pmf over support.
+
+    support must hold every value draw can return, and its pmf values must
+    sum to 1 within 1e-12.
+    """
+    probs = [pmf(c) for c in support]
+    if abs(1.0 - math.fsum(probs)) > 1e-12:
+        raise ValueError(f"support {support} does not cover the law")
+    lo = support[0]
+    counts = [0] * len(support)
+    for _ in range(reps):
+        counts[draw(source) - lo] += 1
+    return statcheck.chi_square_gof(counts, probs, alpha)
+
+
+def first_position_law(sampler, source, n: int, k: int, reps: int,
+                       alpha: float) -> statcheck.GofReport:
+    """The smallest index of reps samples sampler(source, n, k), against
+    first_position_pmf(n, k, .)."""
+    return pmf_law(
+        lambda s: min(sampler(s, n, k).indices),
+        lambda x: statcheck.first_position_pmf(n, k, x),
+        range(1, n - k + 2), source, reps, alpha,
+    )
+
+
+def bitexact_mismatches(cells) -> int:
+    """Cells (seed, n, k) where fisher_yates_sample and sparse_fisher_yates,
+    each on a fresh RandomSource(seed), select different sequences."""
+    return sum(
+        fisher_yates_sample(RandomSource(seed), n, k).indices
+        != sparse_fisher_yates(RandomSource(seed), n, k).indices
+        for seed, n, k in cells
+    )
+
+
+def draw_budget_violations(cells) -> int:
+    """Broken draw budgets over cells (source, n, k).
+
+    fy, sparse and preinit run in turn on the cell's source and must make
+    exactly k uniform-int draws, inorder exactly k beta-binomial draws, and
+    select at most n Bernoulli draws.
+    """
+    violations = 0
+    for source, n, k in cells:
+        violations += fisher_yates_sample(source, n, k).draw_stats.uniform_int != k
+        violations += sparse_fisher_yates(source, n, k).draw_stats.uniform_int != k
+        arr = list(range(1, n + 1))
+        res, _ = preinit_fy_sample_with_undo(source, arr, k)
+        violations += res.draw_stats.uniform_int != k
+        violations += inorder_sample(source, n, k).draw_stats.beta_binomial != k
+        violations += selection_sample(source, n, k).draw_stats.bernoulli > n
+    return violations
+
+
+def membership_draws(source, n: int, k: int, reps: int) -> list[int]:
+    """Uniform-int draws made by each of reps membership_checking_sample runs."""
+    return [
+        membership_checking_sample(source, n, k).draw_stats.uniform_int
+        for _ in range(reps)
+    ]
+
+
+def occupancy_sums(n: int, checkpoints, sources) -> tuple[dict, dict]:
+    """Live hash entries of SparseFisherYatesIterator(n, source), one pass
+    per source, read at each of the increasing checkpoints.
+
+    Returns (sums, sums of squares) keyed by checkpoint.
+    """
+    sums = dict.fromkeys(checkpoints, 0)
+    sumsq = dict.fromkeys(checkpoints, 0)
+    for source in sources:
+        it = SparseFisherYatesIterator(n, source)
+        for c in checkpoints:
+            while it.i < c:
+                next(it)
+            size = it.state_size()
+            sums[c] += size
+            sumsq[c] += size * size
+    return sums, sumsq
+
+
+def restoration_violations(source, cells, value_bound: int) -> int:
+    """Cells (n, k) whose array of n values drawn on [1, value_bound] is not
+    bitwise restored by preinit_fy_sample_with_undo; all draws use source."""
+    violations = 0
+    for n, k in cells:
+        arr = [source.next_uniform_int(value_bound) for _ in range(n)]
+        snapshot = list(arr)
+        preinit_fy_sample_with_undo(source, arr, k)
+        violations += arr != snapshot
+    return violations
+
+
+def split_merge_law(source, k: int, reps: int, alpha: float) -> statcheck.GofReport:
+    """Split k over blocks (4, 4), sample each block's share with
+    sparse_fisher_yates, and chi-square the union against the uniform law
+    on all C(8, k) subsets."""
+    subsets = {
+        frozenset(c): i for i, c in enumerate(itertools.combinations(range(1, 9), k))
+    }
+    counts = [0] * len(subsets)
+    for _ in range(reps):
+        c0, c1 = distributed.split_sample_counts(source, (4, 4), k)
+        picked = sparse_fisher_yates(source, 4, c0).indices
+        picked += [i + 4 for i in sparse_fisher_yates(source, 4, c1).indices]
+        counts[subsets[frozenset(picked)]] += 1
+    return statcheck.chi_square_gof(counts, [1 / len(subsets)] * len(subsets), alpha)
+
+
+def merge_two_shards(source, reps: int) -> tuple[list[int], Counter, int]:
+    """Merge sparse samples of 2 from shards [1, 4] and [5, 8], reps times.
+
+    Returns the inclusion count of each item 1..8, the count of each merged
+    set, and the number of runs in which the shard with the smaller
+    threshold did not keep both of its items.
+    """
+    inclusion = [0] * 8
+    merged_sets: Counter = Counter()
+    winner_violations = 0
+    for _ in range(reps):
+        sample_a = sparse_fisher_yates(source, 4, 2).indices
+        sample_b = [i + 4 for i in sparse_fisher_yates(source, 4, 2).indices]
+        merged, state = distributed.merge_all_with_state(
+            source,
+            (distributed.MergeInput(sample_a, 4), distributed.MergeInput(sample_b, 4)),
+        )
+        merged_sets[frozenset(merged)] += 1
+        for item in merged:
+            inclusion[item - 1] += 1
+        widx = state.thresholds.index(min(state.thresholds))
+        winner_violations += state.kappas[widx] != 2
+    return inclusion, merged_sets, winner_violations
+
+
+def median_wall_ns_by_n(records) -> dict[int, int]:
+    """Median wall_time_ns of run_bench records per n (the upper median)."""
+    by_n: dict[int, list[int]] = {}
+    for rec in records:
+        by_n.setdefault(rec.n, []).append(rec.wall_time_ns)
+    return {n: sorted(v)[len(v) // 2] for n, v in by_n.items()}
+
+
+# --- the verify suite ---------------------------------------------------------
+
+# per-check scale as (quick, full); full also runs the last three checks
+_SCALES = dict(
+    uniform_draws=(60_000, 600_000),
+    ks_n=(20_000, 100_000),
+    dist_reps=(30_000, 200_000),
+    subset_reps=(4_000, 100_000),
+    fp_reps=(30_000, 100_000),
+    member_reps=(20_000, 100_000),
+    occupancy_runs=(1_500, 10_000),
+    merge_reps=(20_000, 200_000),
+    split_reps=(30_000, 100_000),
+    perm_reps=(24_000, 120_000),
+    structural_cases=(60, 200),
+)
+_SUITES = ("quick", "full")
 
 _MASK64 = (1 << 64) - 1
 
@@ -85,7 +235,15 @@ def _derive(seed: int, name: str) -> int:
     return mixed ^ (mixed >> 29)
 
 
-def _gof_record(name: str, report: statcheck.GofReport) -> CheckRecord:
+def _seeded_cells(seed: int, name: str, count: int, n_hi: int):
+    # one derived seed per case, which both picks the cell and drives the run
+    for case in range(count):
+        run_seed = _derive(seed, f"{name}-{case}")
+        n, k = next(random_cells(RandomSource(run_seed), 1, 2, n_hi))
+        yield run_seed, n, k
+
+
+def _gof_record(name: str, report) -> CheckRecord:
     return CheckRecord(name, report.statistic, report.p_value, report.passed)
 
 
@@ -96,103 +254,56 @@ def _structural(name: str, violations: int) -> CheckRecord:
 
 def run_suite(suite: str = "quick", seed: int = 0,
               alpha: float = 0.001) -> list[CheckRecord]:
-    if suite not in _SCALES:
+    if suite not in _SUITES:
         raise ValueError(f"unknown suite {suite!r}, expected 'quick' or 'full'")
-    scale = _SCALES[suite]
+    column = _SUITES.index(suite)
+    scale = {key: sizes[column] for key, sizes in _SCALES.items()}
+    cases = scale["structural_cases"]
     records: list[CheckRecord] = []
 
     def src(name: str) -> RandomSource:
         return RandomSource(_derive(seed, name))
 
+    def law(name, draw, pmf, support, reps):
+        records.append(
+            _gof_record(name, pmf_law(draw, pmf, support, src(name), reps, alpha))
+        )
+
+    def ks(name, draw, cdf):
+        s = src(name)
+        values = [draw(s) for _ in range(scale["ks_n"])]
+        records.append(_gof_record(name, statcheck.ks_gof(values, cdf, alpha)))
+
     # -- uniform primitives ---------------------------------------------------
 
-    name = "uniform-int-equidist-m6"
-    s = src(name)
-    counts = [0] * 6
-    for _ in range(scale["uniform_draws"]):
-        counts[s.next_uniform_int(6) - 1] += 1
-    records.append(_gof_record(name, statcheck.chi_square_gof(counts, [1 / 6] * 6, alpha)))
-
-    name = "uniform-real-ks"
-    s = src(name)
-    values = [s.next_uniform_real() for _ in range(scale["ks_n"])]
-    ks = statcheck.ks_gof(values, lambda z: z, alpha)
-    records.append(CheckRecord(name, ks.statistic, ks.p_value, ks.passed))
+    law("uniform-int-equidist-m6", lambda s: s.next_uniform_int(6),
+        lambda c: 1 / 6, range(1, 7), scale["uniform_draws"])
+    ks("uniform-real-ks", lambda s: s.next_uniform_real(), lambda z: z)
 
     # -- distribution laws ----------------------------------------------------
 
-    def pmf_check(name, draw, pmf, support):
-        s = src(name)
-        counts = [0] * len(support)
-        offset = support[0]
-        for _ in range(scale["dist_reps"]):
-            counts[draw(s) - offset] += 1
-        probs = [pmf(c) for c in support]
-        spill = 1.0 - math.fsum(probs)
-        if abs(spill) > 1e-12:
-            raise ValueError(f"{name}: support does not cover the law")
-        records.append(_gof_record(name, statcheck.chi_square_gof(counts, probs, alpha)))
-
-    pmf_check(
-        "binomial-pmf-n10-p0.5",
-        lambda s: binomial(s, 10, 0.5),
-        lambda c: statcheck.binomial_pmf(10, 0.5, c),
-        range(0, 11),
-    )
+    reps = scale["dist_reps"]
+    law("binomial-pmf-n10-p0.5", lambda s: binomial(s, 10, 0.5),
+        lambda c: statcheck.binomial_pmf(10, 0.5, c), range(0, 11), reps)
     # np = 40 exercises the BTRD path
-    pmf_check(
-        "binomial-pmf-n100-p0.4",
-        lambda s: binomial(s, 100, 0.4),
-        lambda c: statcheck.binomial_pmf(100, 0.4, c),
-        range(0, 101),
-    )
-    pmf_check(
-        "beta-binomial-uniform-1-1-5",
-        lambda s: beta_binomial(s, 1, 1, 5),
-        lambda c: statcheck.beta_binomial_pmf(1, 1, 5, c),
-        range(0, 6),
-    )
-    pmf_check(
-        "beta-binomial-pmf-1-2-3",
-        lambda s: beta_binomial(s, 1, 2, 3),
-        lambda c: statcheck.beta_binomial_pmf(1, 2, 3, c),
-        range(0, 4),
-    )
-    pmf_check(
-        "beta-binomial-pmf-2-2-6",
-        lambda s: beta_binomial(s, 2, 2, 6),
-        lambda c: statcheck.beta_binomial_pmf(2, 2, 6, c),
-        range(0, 7),
-    )
-    pmf_check(
-        "hypergeometric-pmf-2-4-2",
-        lambda s: hypergeometric(s, HypergeomParams(2, 4, 2)),
-        lambda c: statcheck.hypergeom_pmf(HypergeomParams(2, 4, 2), c),
-        range(0, 3),
-    )
-    pmf_check(
-        "hypergeometric-pmf-5-12-7",
-        lambda s: hypergeometric(s, HypergeomParams(5, 12, 7)),
-        lambda c: statcheck.hypergeom_pmf(HypergeomParams(5, 12, 7), c),
-        range(0, 6),
-    )
+    law("binomial-pmf-n100-p0.4", lambda s: binomial(s, 100, 0.4),
+        lambda c: statcheck.binomial_pmf(100, 0.4, c), range(0, 101), reps)
+    for name, a, b, m in (("beta-binomial-uniform-1-1-5", 1, 1, 5),
+                          ("beta-binomial-pmf-1-2-3", 1, 2, 3),
+                          ("beta-binomial-pmf-2-2-6", 2, 2, 6)):
+        law(name, lambda s: beta_binomial(s, a, b, m),
+            lambda c: statcheck.beta_binomial_pmf(a, b, m, c), range(0, m + 1), reps)
+    for params in (HypergeomParams(2, 4, 2), HypergeomParams(5, 12, 7)):
+        law(f"hypergeometric-pmf-{params.v}-{params.n}-{params.k}",
+            lambda s: hypergeometric(s, params),
+            lambda c: statcheck.hypergeom_pmf(params, c),
+            range(0, min(params.v, params.k) + 1), reps)
 
-    name = "beta-quantile-ks-a1-b4"
-    s = src(name)
-    values = [beta(s, BetaParams(1.0, 4.0)) for _ in range(scale["ks_n"])]
-    ks = statcheck.ks_gof(values, lambda z: 1.0 - (1.0 - z) ** 4, alpha)
-    records.append(CheckRecord(name, ks.statistic, ks.p_value, ks.passed))
-
-    name = "beta-gamma-ks-a3-b2"
-    s = src(name)
-    values = [beta(s, BetaParams(3.0, 2.0)) for _ in range(scale["ks_n"])]
-
-    def beta32_cdf(z):
-        # chance that at least 3 of 4 uniforms fall below z
-        return 4.0 * z ** 3 * (1.0 - z) + z ** 4
-
-    ks = statcheck.ks_gof(values, beta32_cdf, alpha)
-    records.append(CheckRecord(name, ks.statistic, ks.p_value, ks.passed))
+    ks("beta-quantile-ks-a1-b4", lambda s: beta(s, BetaParams(1.0, 4.0)),
+       lambda z: 1.0 - (1.0 - z) ** 4)
+    # chance that at least 3 of 4 uniforms fall below z
+    ks("beta-gamma-ks-a3-b2", lambda s: beta(s, BetaParams(3.0, 2.0)),
+       lambda z: 4.0 * z ** 3 * (1.0 - z) + z ** 4)
 
     # -- sampler laws ----------------------------------------------------------
 
@@ -203,31 +314,16 @@ def run_suite(suite: str = "quick", seed: int = 0,
         )
         records.append(_gof_record(name, report))
 
-    fp_probs = [statcheck.first_position_pmf(5, 2, x) for x in range(1, 5)]
-
-    name = "first-position-inorder-5-2"
-    s = src(name)
-    counts = [0] * 4
-    for _ in range(scale["fp_reps"]):
-        counts[inorder_sample(s, 5, 2).indices[0] - 1] += 1
-    records.append(_gof_record(name, statcheck.chi_square_gof(counts, fp_probs, alpha)))
-
-    name = "first-position-sparse-min-5-2"
-    s = src(name)
-    counts = [0] * 4
-    for _ in range(scale["fp_reps"]):
-        counts[min(sparse_fisher_yates(s, 5, 2).indices) - 1] += 1
-    records.append(_gof_record(name, statcheck.chi_square_gof(counts, fp_probs, alpha)))
+    for name, sampler in (("first-position-inorder-5-2", inorder_sample),
+                          ("first-position-sparse-min-5-2", sparse_fisher_yates)):
+        report = first_position_law(sampler, src(name), 5, 2, scale["fp_reps"], alpha)
+        records.append(_gof_record(name, report))
 
     # -- cost laws -------------------------------------------------------------
 
     name = "membership-mean-draws-100-50"
-    s = src(name)
     reps = scale["member_reps"]
-    draws = [
-        membership_checking_sample(s, 100, 50).draw_stats.uniform_int
-        for _ in range(reps)
-    ]
+    draws = membership_draws(src(name), 100, 50, reps)
     mean = math.fsum(draws) / reps
     expect = statcheck.expected_membership_draws(100, 50)
     var = math.fsum((d - mean) ** 2 for d in draws) / (reps - 1)
@@ -236,55 +332,28 @@ def run_suite(suite: str = "quick", seed: int = 0,
     records.append(CheckRecord(name, z, p, p >= alpha))
 
     name = "hash-occupancy-n1000"
-    s = src(name)
-    n = 1000
     checkpoints = (100, 250, 500, 750, 900)
     runs = scale["occupancy_runs"]
-    sums = {c: 0 for c in checkpoints}
-    sumsq_mid = 0.0
-    for _ in range(runs):
-        it = SparseFisherYatesIterator(n, s)
-        for c in checkpoints:
-            while it.i < c:
-                next(it)
-            size = it.state_size()
-            sums[c] += size
-            if c == 500:
-                sumsq_mid += size * size
+    sums, sumsq = occupancy_sums(1000, checkpoints, itertools.repeat(src(name), runs))
     means = {c: sums[c] / runs for c in checkpoints}
-    expect_mid = statcheck.expected_hash_occupancy(n, 500)
-    var_mid = (sumsq_mid - runs * means[500] ** 2) / (runs - 1)
+    expect_mid = statcheck.expected_hash_occupancy(1000, 500)
+    var_mid = (sumsq[500] - runs * means[500] ** 2) / (runs - 1)
     z = (means[500] - expect_mid) / math.sqrt(var_mid / runs)
     dominated = all(means[c] <= means[500] for c in checkpoints)
     p = statcheck.normal_sf_two_sided(z) if dominated else 0.0
     records.append(CheckRecord(name, z, p, p >= alpha and dominated))
 
     name = "draw-budget-exact"
-    violations = 0
-    s = src(name)
-    for case in range(scale["structural_cases"]):
-        n = 1 + s.next_uniform_int(60)
-        k = s.next_uniform_int(n)
-        run = RandomSource(_derive(seed, f"{name}-{case}"))
-        if fisher_yates_sample(run, n, k).draw_stats.uniform_int != k:
-            violations += 1
-        if sparse_fisher_yates(run, n, k).draw_stats.uniform_int != k:
-            violations += 1
-        arr = list(range(1, n + 1))
-        if preinit_fy_sample_with_undo(run, arr, k)[0].draw_stats.uniform_int != k:
-            violations += 1
-        if inorder_sample(run, n, k).draw_stats.beta_binomial != k:
-            violations += 1
-        if selection_sample(run, n, k).draw_stats.bernoulli > n:
-            violations += 1
-    records.append(_structural(name, violations))
+    cells = (
+        (RandomSource(_derive(seed, f"{name}-{case}")), n, k)
+        for case, (n, k) in enumerate(random_cells(src(name), cases, 2, 61))
+    )
+    records.append(_structural(name, draw_budget_violations(cells)))
 
     name = "sorted-order-outputs"
     violations = 0
     s = src(name)
-    for _ in range(scale["structural_cases"]):
-        n = 1 + s.next_uniform_int(40)
-        k = s.next_uniform_int(n)
+    for n, k in random_cells(s, cases, 2, 41):
         for res in (selection_sample(s, n, k), inorder_sample(s, n, k)):
             if any(a >= b for a, b in zip(res.indices, res.indices[1:])):
                 violations += 1
@@ -293,140 +362,70 @@ def run_suite(suite: str = "quick", seed: int = 0,
     records.append(_structural(name, violations))
 
     name = "sparse-classical-bitexact"
-    violations = 0
-    for case in range(scale["structural_cases"]):
-        run_seed = _derive(seed, f"{name}-{case}")
-        picker = RandomSource(run_seed)
-        n = 1 + picker.next_uniform_int(80)
-        k = picker.next_uniform_int(n)
-        a = fisher_yates_sample(RandomSource(run_seed), n, k)
-        b = sparse_fisher_yates(RandomSource(run_seed), n, k)
-        if a.indices != b.indices:
-            violations += 1
-    records.append(_structural(name, violations))
+    records.append(
+        _structural(name, bitexact_mismatches(_seeded_cells(seed, name, cases, 81)))
+    )
 
     name = "iterator-prefix-consistency"
-    violations = 0
-    for case in range(scale["structural_cases"]):
-        run_seed = _derive(seed, f"{name}-{case}")
-        picker = RandomSource(run_seed)
-        n = 1 + picker.next_uniform_int(80)
-        k = picker.next_uniform_int(n)
-        it = SparseFisherYatesIterator(n, RandomSource(run_seed))
-        prefix = [next(it) for _ in range(k)]
-        if prefix != sparse_fisher_yates(RandomSource(run_seed), n, k).indices:
-            violations += 1
+    violations = sum(
+        list(itertools.islice(SparseFisherYatesIterator(n, RandomSource(run_seed)), k))
+        != sparse_fisher_yates(RandomSource(run_seed), n, k).indices
+        for run_seed, n, k in _seeded_cells(seed, name, cases, 81)
+    )
     records.append(_structural(name, violations))
 
     name = "preinit-restoration"
-    violations = 0
     s = src(name)
-    for _ in range(scale["structural_cases"]):
-        n = 1 + s.next_uniform_int(100)
-        k = s.next_uniform_int(n)
-        arr = [s.next_uniform_int(10 ** 6) for _ in range(n)]
-        snapshot = list(arr)
-        preinit_fy_sample_with_undo(s, arr, k)
-        if arr != snapshot:
-            violations += 1
+    violations = restoration_violations(s, random_cells(s, cases, 2, 101), 10 ** 6)
     records.append(_structural(name, violations))
 
     # -- distributed -----------------------------------------------------------
 
-    name = "split-counts-2-2-k2"
-    s = src(name)
-    counts = [0] * 3
-    for _ in range(scale["split_reps"]):
-        counts[distributed.split_sample_counts(s, (2, 2), 2)[0]] += 1
-    probs = [statcheck.hypergeom_pmf(HypergeomParams(2, 4, 2), c) for c in range(3)]
-    records.append(_gof_record(name, statcheck.chi_square_gof(counts, probs, alpha)))
+    law("split-counts-2-2-k2",
+        lambda s: distributed.split_sample_counts(s, (2, 2), 2)[0],
+        lambda c: statcheck.hypergeom_pmf(HypergeomParams(2, 4, 2), c),
+        range(0, 3), scale["split_reps"])
 
-    name = "merge-item-inclusion-4-4"
-    s = src(name)
-    inclusion = [0] * 8
-    winner_violations = 0
-    for _ in range(scale["merge_reps"]):
-        sample_a = sparse_fisher_yates(s, 4, 2).indices
-        sample_b = [i + 4 for i in sparse_fisher_yates(s, 4, 2).indices]
-        merged, state = distributed.merge_all_with_state(
-            s,
-            (distributed.MergeInput(sample_a, 4), distributed.MergeInput(sample_b, 4)),
-        )
-        for item in merged:
-            inclusion[item - 1] += 1
-        widx = state.thresholds.index(min(state.thresholds))
-        if state.kappas[widx] != 2:
-            winner_violations += 1
-    records.append(
-        _gof_record(name, statcheck.chi_square_gof(inclusion, [1 / 8] * 8, alpha))
+    inclusion, _, winner_violations = merge_two_shards(
+        src("merge-item-inclusion-4-4"), scale["merge_reps"]
     )
+    report = statcheck.chi_square_gof(inclusion, [1 / 8] * 8, alpha)
+    records.append(_gof_record("merge-item-inclusion-4-4", report))
     records.append(_structural("merge-winner-keeps-all", winner_violations))
 
     # -- permutations ----------------------------------------------------------
 
-    name = "permutation-uniformity-n4"
-    s = src(name)
     perm_index = {p: i for i, p in enumerate(itertools.permutations(range(1, 5)))}
-    observed = [0] * 24
-    for _ in range(scale["perm_reps"]):
-        observed[perm_index[tuple(permutation_from_transpositions(s, 4))]] += 1
-    records.append(
-        _gof_record(name, statcheck.chi_square_gof(observed, [1 / 24] * 24, alpha))
-    )
+    law("permutation-uniformity-n4",
+        lambda s: perm_index[tuple(permutation_from_transpositions(s, 4))],
+        lambda c: 1 / 24, range(24), scale["perm_reps"])
 
-    if scale["full_extras"]:
-        records.extend(_full_extras(seed, alpha))
-
-    return records
-
-
-def _full_extras(seed: int, alpha: float) -> list[CheckRecord]:
-    records: list[CheckRecord] = []
+    if suite != "full":
+        return records
 
     name = "uniform-int-sweep-m1-64"
-    worst = 1.0
-    ok = True
-    for m in range(2, 65):
-        s = RandomSource(_derive(seed, f"{name}-{m}"))
-        counts = [0] * m
-        for _ in range(10_000 * m):
-            counts[s.next_uniform_int(m) - 1] += 1
-        report = statcheck.chi_square_gof(counts, [1.0 / m] * m, alpha)
-        worst = min(worst, report.p_value)
-        ok = ok and report.passed
-    records.append(CheckRecord(name, worst, worst, ok))
+    reports = [
+        pmf_law(lambda s: s.next_uniform_int(m), lambda c: 1.0 / m, range(1, m + 1),
+                src(f"{name}-{m}"), 10_000 * m, alpha)
+        for m in range(2, 65)
+    ]
+    worst = min(r.p_value for r in reports)
+    records.append(CheckRecord(name, worst, worst, all(r.passed for r in reports)))
 
     name = "split-merge-duality-4-4-k3"
-    s = RandomSource(_derive(seed, name))
-    subsets = {fs: i for i, fs in enumerate(
-        frozenset(c) for c in itertools.combinations(range(1, 9), 3)
-    )}
-    counts = [0] * len(subsets)
-    for _ in range(20_000):
-        c0, c1 = distributed.split_sample_counts(s, (4, 4), 3)
-        picked = []
-        if c0:
-            picked.extend(sparse_fisher_yates(s, 4, c0).indices)
-        if c1:
-            picked.extend(i + 4 for i in sparse_fisher_yates(s, 4, c1).indices)
-        counts[subsets[frozenset(picked)]] += 1
-    probs = [1.0 / len(subsets)] * len(subsets)
-    records.append(_gof_record(name, statcheck.chi_square_gof(counts, probs, alpha)))
+    records.append(_gof_record(name, split_merge_law(src(name), 3, 20_000, alpha)))
 
+    # 100 uniform draws over 20 cells per rep: the share of reps that a fixed
+    # internal level of 0.01 rejects measures the p-value machinery
     name = "chi-square-calibration-ncat20"
-    s = RandomSource(_derive(seed, name))
+    s = src(name)
     reps = 100_000
-    cal_alpha = 0.01  # fixed internal level; measures the p-value machinery
-    n_cat = 20
-    per_rep = 100
-    probs = [1.0 / n_cat] * n_cat
-    rejected = 0
-    for _ in range(reps):
-        counts = [0] * n_cat
-        for _ in range(per_rep):
-            counts[s.next_uniform_int(n_cat) - 1] += 1
-        if statcheck.chi_square_gof(counts, probs, cal_alpha).p_value < cal_alpha:
-            rejected += 1
+    cal_alpha = 0.01
+    rejected = sum(
+        not pmf_law(lambda s: s.next_uniform_int(20), lambda c: 1.0 / 20,
+                    range(1, 21), s, 100, cal_alpha).passed
+        for _ in range(reps)
+    )
     expect = reps * cal_alpha
     z = (rejected - expect) / math.sqrt(reps * cal_alpha * (1.0 - cal_alpha))
     p = statcheck.normal_sf_two_sided(z)

@@ -3,10 +3,16 @@
 import csv
 import io
 import json
+import os
+import pathlib
+import resource
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
+import srswor
 from srswor.cli import BENCH_HEADER, main
 from srswor.samplers import default_samplers
 
@@ -62,6 +68,28 @@ def test_sample_n_beyond_64_bits(capsys):
     values = [int(line) for line in out.splitlines()]
     assert len(set(values)) == 2
     assert all(1 <= v <= n for v in values)
+
+
+def _limit_address_space():
+    # only the child: about 600 MB, far below the 80 GB an n = 1e10 array needs
+    resource.setrlimit(resource.RLIMIT_AS, (600 * 2**20, 600 * 2**20))
+
+
+@pytest.mark.parametrize("argv", [
+    ["sample", "--indices-only", "--algo", "fy", "--n", "10000000000", "--k", "2"],
+    ["sample", "--indices-only", "--algo", "preinit", "--n", "10000000000", "--k", "2"],
+    ["bench", "--grid", "10000000000:2", "--algos", "fy", "--reps", "1"],
+])
+def test_out_of_memory_exits_2_without_traceback(argv):
+    env = dict(os.environ)
+    src = str(pathlib.Path(srswor.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "srswor", *argv], env=env,
+                          capture_output=True, text=True, timeout=60,
+                          preexec_fn=_limit_address_space)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith(f"{argv[0]}: out of memory")
 
 
 def test_sample_sorted_algorithms_print_ascending(capsys):

@@ -122,6 +122,20 @@ def test_bad_nk_rejected(sampler):
         sampler(src, 5, -1)
 
 
+@pytest.mark.parametrize("n", [2**53 - 1, 2**53, 2**53 + 1,
+                               2**64 - 1, 2**64, 2**64 + 1])
+@pytest.mark.parametrize("sampler", [sparse_fisher_yates, membership_checking_sample,
+                                     inorder_sample])
+def test_o_k_samplers_at_word_boundaries(sampler, n):
+    # the float-mantissa and machine-word edges of the bounded-int draws
+    res = sampler(RandomSource(21), n, 5)
+    assert len(set(res.indices)) == 5
+    assert all(1 <= i <= n for i in res.indices)
+    assert sampler(RandomSource(21), n, 5).indices == res.indices
+    if sampler is inorder_sample:
+        assert res.indices == sorted(res.indices)
+
+
 def test_sorted_order_samplers():
     src = RandomSource(33)
     for _ in range(200):

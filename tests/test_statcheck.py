@@ -1,11 +1,13 @@
 """Statistical machinery tests: tail probabilities, pooling, pmfs, calibration."""
 
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from srswor.distributions import HypergeomParams
 from srswor.rng import RandomSource
 from srswor.samplers import fisher_yates_sample
 from srswor.statcheck import (
@@ -19,6 +21,7 @@ from srswor.statcheck import (
     expected_hash_occupancy,
     expected_membership_draws,
     first_position_pmf,
+    hypergeom_pmf,
     kolmogorov_sf,
     ks_gof,
     normal_sf_two_sided,
@@ -202,6 +205,20 @@ def test_first_position_pmf_errors():
         first_position_pmf(5, 0, 1)
     with pytest.raises(ValueError):
         first_position_pmf(0, 1, 1)
+
+
+def test_exact_pmfs_at_large_n():
+    # each pmf must be its exact rational value, correctly rounded, even
+    # where the arguments pass 2^53 or lgamma loses digits
+    half = hypergeom_pmf(HypergeomParams(2**52, 2**53, 2), 1)
+    assert half == float(Fraction(2**52 * 2**52, math.comb(2**53, 2)))
+    assert half == pytest.approx(0.5, rel=1e-15)
+    tiny = first_position_pmf(2**53, 3, 2**52)
+    assert tiny == float(Fraction(math.comb(2**52, 2), math.comb(2**53, 3)))
+    assert tiny == pytest.approx(8.326672684688675e-17, rel=1e-15)
+    v, n, k = 10**9, 3 * 10**9, 5
+    exact = Fraction(math.comb(v, 2) * math.comb(n - v, 3), math.comb(n, k))
+    assert hypergeom_pmf(HypergeomParams(v, n, k), 2) == float(exact)
 
 
 def test_binomial_pmf_matches_reference():
