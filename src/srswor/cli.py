@@ -1,9 +1,10 @@
 """Command line front end: sample, bench, verify, merge.
 
 Exit codes: 0 success, 1 input/format failure, 2 argument failure
-(including inputs too large for the memory this process may use),
-3 verification failure.  All randomness flows from --seed, so identical
-invocations reproduce identical output (bench wall times excepted).
+(including inputs too large for the memory this process may use, or for
+float arithmetic), 3 verification failure.  All randomness flows from
+--seed, so identical invocations reproduce identical output (bench wall
+times excepted).
 """
 
 from __future__ import annotations
@@ -357,6 +358,10 @@ def main(argv=None) -> int:
         # e.g. fy or preinit, which build an n-element array, at huge --n
         print(f"{args.command}: out of memory; the input is too large for the "
               "memory this process may use", file=sys.stderr)
+        return 2
+    except OverflowError as exc:
+        # e.g. inorder or merge thinning, whose draws take n as a float, at n >= 2^1024
+        print(f"{args.command}: input too large for float arithmetic ({exc})", file=sys.stderr)
         return 2
 
 

@@ -13,19 +13,15 @@ used anywhere; every generator is exact up to float rounding:
   beta            the closed-form quantile map for shape alpha = 1, a pair of
                   Marsaglia-Tsang gammas otherwise.
 
-BTRD and HRUA do float arithmetic on n and on values near n, which is
-integer-exact only below 2^53.  From n = 2^53 up, both families keep the
-older generators unchanged, so their output there is bit-identical to
-earlier releases: an exact order-statistic (beta) bisection of the trial
-count for the binomial, O(log n) gamma pairs, and a bisection search on
-sorted-sample positions for the hypergeometric, O(log k) such binomials.
-
-BTRD and HRUA accept a proposal by comparing log pmf ratios.  Those are
-sums of log-factorial differences log(a!/b!), taken from Stirling's series
-with its correction fc (a table below 10, the series above) through log1p,
-or as an exact integer product when a and b are close.  Differences of
-lgamma values would not do: near n = 1e10, lgamma(n + 1) is about 2.2e11
-and its ulp is about 3e-5.
+These hold at every n below 2^1024 (above it, OverflowError).  BTRD and
+HRUA form each proposal as an exact integer mode plus a small float offset
+and accept it on a log pmf ratio: a sum of log(a!/b!) terms, a - b = +-d,
+each about d log(b + 1), far larger than the sum once the sd is large.
+Those d log(b + 1) parts are joined into d times the log of one exact
+integer quotient; the rests come from Stirling's series with its
+correction fc (a table below 10, the series above), summed to keep
+relative accuracy.  Differences of lgamma values would not do: near
+n = 1e10, lgamma(n + 1) is about 2.2e11 and its ulp is about 3e-5.
 """
 
 from __future__ import annotations
@@ -43,9 +39,6 @@ _INVERSION_LIMIT = 30.0
 # support has at most ten points and is inverted directly.
 _HRUA_MIN = 10
 
-# BTRD and HRUA need n below this bound: every integer up to it is a float.
-_FLOAT_EXACT = 1 << 53
-
 # Stadlober's constants: 2 sqrt(2/e) and 3 - 2 sqrt(3/e).
 _HRUA_D1 = 2.0 * math.sqrt(2.0 / math.e)
 _HRUA_D2 = 3.0 - 2.0 * math.sqrt(3.0 / math.e)
@@ -58,9 +51,6 @@ _FC_TABLE = tuple(
     - 0.5 * math.log(2.0 * math.pi)
     for k in range(10)
 )
-
-# log(a!/b!) is an exact integer product when |a - b| is at most this.
-_PRODUCT_SPAN = 4
 
 
 @dataclass(frozen=True)
@@ -111,11 +101,9 @@ def binomial(source: UniformSource, n: int, p: float) -> int:
 
     p > 0.5 is drawn as n minus a Binomial(n, 1 - p).  With the smaller
     probability p, n*p <= 30 uses CDF inversion, one uniform; above that,
-    BTRD (Hoermann 1993), O(1) expected time and 1.4-1.8 uniforms.  From
-    n = 2^53 up, where floats no longer hold every integer, the older beta
-    bisection runs instead: O(log n) gamma pairs, output unchanged from
-    earlier releases.  Counts as one logical binomial draw regardless of
-    how many uniforms the method consumes.  Degenerate parameters (n = 0,
+    BTRD (Hoermann 1993), O(1) expected time and 1.4-1.8 uniforms, at every
+    n whose float is finite.  Counts as one logical binomial draw regardless
+    of how many uniforms the method consumes.  Degenerate parameters (n = 0,
     p in {0, 1}) return deterministically without touching the source.
     """
     if n < 0:
@@ -123,43 +111,18 @@ def binomial(source: UniformSource, n: int, p: float) -> int:
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"binomial p={p} outside [0, 1]")
     source.stats.binomial += 1
-    return _binomial_raw(source, n, p)
-
-
-def _binomial_raw(source: UniformSource, n: int, p: float) -> int:
-    if n >= _FLOAT_EXACT:
-        return _binomial_bisect(source, n, p)
     if n == 0 or p <= 0.0:
         return 0
     if p >= 1.0:
         return n
-    if p > 0.5:
-        return n - _binomial_raw(source, n, 1.0 - p)
+    flip = p > 0.5
+    if flip:
+        p = 1.0 - p
     if n * p <= _INVERSION_LIMIT:
-        return _binomial_inversion(source, n, p)
-    return _binomial_btrd(source, n, p)
-
-
-def _binomial_bisect(source: UniformSource, n: int, p: float) -> int:
-    # The generator for n >= 2^53, where BTRD's float arithmetic is no longer
-    # integer-exact.  It recurses into itself, never into BTRD, so its draws
-    # stay those of earlier releases.
-    if n == 0 or p <= 0.0:
-        return 0
-    if p >= 1.0:
-        return n
-    if p > 0.5:
-        return n - _binomial_bisect(source, n, 1.0 - p)
-    if n * p <= _INVERSION_LIMIT:
-        return _binomial_inversion(source, n, p)
-    # Exact bisection: condition on the m-th smallest of n uniforms, which is
-    # Beta(m, n-m+1).  Successes are uniforms below p, so one beta draw
-    # decides m trials at once and the remainder is a smaller binomial.
-    m = (n + 1) // 2
-    x = _beta_raw(source, float(m), float(n - m + 1))
-    if x <= p:
-        return m + _binomial_bisect(source, n - m, (p - x) / (1.0 - x))
-    return _binomial_bisect(source, m - 1, p / x)
+        c = _binomial_inversion(source, n, p)
+    else:
+        c = _binomial_btrd(source, n, p)
+    return n - c if flip else c
 
 
 def _binomial_inversion(source: UniformSource, n: int, p: float) -> int:
@@ -180,7 +143,7 @@ def _binomial_inversion(source: UniformSource, n: int, p: float) -> int:
 
 def _binomial_btrd(source: UniformSource, n: int, p: float) -> int:
     # BTRD (Hoermann 1993, "The generation of binomial random variates"),
-    # steps 1-3.4, for p <= 0.5, n*p > 30 and n < 2^53.  A proposal is
+    # steps 1-3.4, for p <= 0.5 and n*p > 30.  A proposal is
     # m + floor((2a/us + b) u + c - m): it is formed relative to the mode m,
     # so floor() sees a small float whatever the size of n*p.
     num, den = p.as_integer_ratio()
@@ -188,7 +151,6 @@ def _binomial_btrd(source: UniformSource, n: int, p: float) -> int:
     c = (n * num - m * den) / den + 0.5  # n*p + 0.5 - m
     q = 1.0 - p
     r = p / q
-    log_r = math.log(r)
     nr = (n + 1) * r
     npq = n * p * q
     spq = math.sqrt(npq)
@@ -232,16 +194,22 @@ def _binomial_btrd(source: UniformSource, n: int, p: float) -> int:
             if v <= f:
                 return k
             continue
-        # step 3.2: squeeze on log f(k)/f(m) around its normal approximation
+        # step 3.2: squeeze on log f(k)/f(m) around its normal approximation;
+        # km enters through z = km / npq, so km * km never leaves float range
         v = math.log(v)
-        rho = (km / npq) * (((km / 3.0 + 0.625) * km + 1.0 / 6.0) / npq + 0.5)
-        t = -km * km / (2.0 * npq)
+        z = km / npq
+        rho = z * ((km / 3.0 + 0.625) * z + 1.0 / (6.0 * npq) + 0.5)
+        t = -0.5 * km * z
         if v < t - rho:
             return k
         if v > t + rho:
             continue
-        # steps 3.3-3.4: log f(k)/f(m) = log(m!/k!) + log((n-m)!/(n-k)!) + (k-m) log r
-        if v <= _log_fact_ratio(m, k) + _log_fact_ratio(n - m, n - k) + (k - m) * log_r:
+        # steps 3.3-3.4: log f(k)/f(m) = log(m!/k!) + log((n-m)!/(n-k)!) + d log(p/q),
+        # d = k - m, with the d log(b + 1) parts and d log(p/q) in one exact quotient
+        d = k - m
+        if v <= (d * _log_quotient((n - k + 1) * num, (k + 1) * (den - num))
+                 + _log_fact_core(m, k) + _log_fact_core(n - m, n - k)
+                 + _fc(m) + _fc(n - m) - _fc(k) - _fc(n - k)):
             return k
 
 
@@ -253,19 +221,29 @@ def _fc(k: int) -> float:
     return (1.0 / 12.0 - (1.0 / 360.0 - rr / 1260.0) * rr) * r
 
 
-def _log_fact_ratio(a: int, b: int) -> float:
-    """log(a!) - log(b!) for integers 0 <= a, b < 2^53.
+def _log_fact_core(a: int, b: int) -> float:
+    """log(a!/b!) - d log(b + 1) - fc(a) + fc(b), d = a - b, for ints a, b >= 0.
 
-    With d = a - b, Stirling's formula gives
-    (a + 1/2) log1p(d / (b + 1)) + d (log(b + 1) - 1) + fc(a) - fc(b),
-    whose rounding error is a few ulps of |d| log(b + 1), not of log(a!).
+    By Stirling's formula this is (a + 1/2) log1p(x) - d, x = d / (b + 1).
+    For |x| < 1/10, where those two terms nearly cancel, the same value is
+    x (d - 1) / (2 + x) + 2 (a + 1/2) (atanh(y) - y), y = x / (2 + x), with
+    atanh(y) - y summed as a series to y^11: relative accuracy at every x.
     """
     d = a - b
-    if -_PRODUCT_SPAN <= d <= _PRODUCT_SPAN:
-        if d >= 0:
-            return math.log(math.prod(range(b + 1, a + 1)))
-        return -math.log(math.prod(range(a + 1, b + 1)))
-    return (a + 0.5) * math.log1p(d / (b + 1)) + d * (math.log(b + 1) - 1.0) + _fc(a) - _fc(b)
+    x = d / (b + 1)
+    if not -0.1 < x < 0.1:
+        return (a + 0.5) * math.log1p(x) - d
+    y = x / (2.0 + x)
+    yy = y * y
+    tail = y * yy * (1 / 3 + yy * (1 / 5 + yy * (1 / 7 + yy * (1 / 9 + yy / 11))))
+    return x * (d - 1) / (2.0 + x) + 2.0 * (a + 0.5) * tail
+
+
+def _log_quotient(p: int, q: int) -> float:
+    """log(p / q) for positive integers, to relative accuracy near p = q."""
+    if q < 2 * p and p < 2 * q:
+        return math.log1p((p - q) / q)
+    return math.log(p) - math.log(q)
 
 
 def beta(source: UniformSource, params: BetaParams) -> float:
@@ -279,10 +257,7 @@ def beta(source: UniformSource, params: BetaParams) -> float:
     if params.alpha < 1.0:
         raise ValueError(f"beta sampling requires alpha >= 1, got {params.alpha}")
     source.stats.beta += 1
-    return _beta_raw(source, params.alpha, params.beta)
-
-
-def _beta_raw(source: UniformSource, a: float, b: float) -> float:
+    a, b = params.alpha, params.beta
     if b == 0.0:
         return 1.0
     if a == 1.0:
@@ -351,16 +326,12 @@ def hypergeometric(source: UniformSource, params: HypergeomParams) -> int:
     the support becomes [0, min(v, k)].  When min(v, k) < 10, CDF inversion
     from 0 takes one uniform and at most ten steps; otherwise HRUA
     (Stadlober 1989) takes about three uniforms in O(1) expected time, its
-    proposals bounded only by the true support.  From n = 2^53 up, where
-    floats no longer hold every integer, the older bisection search on
-    sorted-sample positions runs instead, O(log k) beta-binomial draws with
-    output unchanged from earlier releases.  Counts as one logical
-    hypergeometric draw; below 2^53 it draws no other family.
+    proposals bounded only by the true support.  Both hold at every n whose
+    float is finite.  Counts as one logical hypergeometric draw and draws
+    no other family.
     """
     source.stats.hypergeometric += 1
     v, n, k = params.v, params.n, params.k
-    if n >= _FLOAT_EXACT:
-        return _hypergeometric_bisect(source, v, n, k)
     flip_v = 2 * v > n
     if flip_v:
         v = n - v
@@ -401,26 +372,31 @@ def _hypergeometric_inversion(source: UniformSource, v: int, n: int, k: int) -> 
 
 
 def _hypergeometric_hrua(source: UniformSource, v: int, n: int, k: int) -> int:
-    # HRUA (Stadlober 1989), for 10 <= v, k <= n/2 and n < 2^53.  A proposal
+    # HRUA (Stadlober 1989), for 10 <= v, k <= n/2.  A proposal
     # is m + floor(a + h (w - 1/2) / u) with a = mean + 1/2 - m, so floor()
     # sees a small float whatever the size of the mean.  Unlike numpy there
     # is no cut at mean + 16 sd: only the support bounds proposals.
     p = v / n
-    var = (n - k) * k * p * (1.0 - p) / (n - 1)
+    var = k * p * (1.0 - p) * ((n - k) / (n - 1))  # (n - k) * k may pass 2^1024
     h = _HRUA_D1 * math.sqrt(var + 0.5) + _HRUA_D2
     m = (k + 1) * (v + 1) // (n + 2)  # the mode, exact
     a = (k * v - m * n) / n + 0.5
     top = min(v, k)
     rest = n - v - k
+    fc_m = _fc(m) + _fc(v - m) + _fc(k - m) + _fc(rest + m)
     uniform = source.next_uniform_real
     while True:
         u = 1.0 - uniform()  # in (0, 1]
         c = m + math.floor(a + h * (uniform() - 0.5) / u)
         if c < 0 or c > top:
             continue
-        # log f(c)/f(m), f(c) = 1 / (c! (v-c)! (k-c)! (rest+c)!)
-        t = (_log_fact_ratio(m, c) + _log_fact_ratio(v - m, v - c)
-             + _log_fact_ratio(k - m, k - c) + _log_fact_ratio(rest + m, rest + c))
+        # log f(c)/f(m), f(c) = 1 / (c! (v-c)! (k-c)! (rest+c)!), its four
+        # d log(b + 1) parts joined in one exact quotient
+        d = c - m
+        t = (d * _log_quotient((v - c + 1) * (k - c + 1), (c + 1) * (rest + c + 1))
+             + _log_fact_core(m, c) + _log_fact_core(v - m, v - c)
+             + _log_fact_core(k - m, k - c) + _log_fact_core(rest + m, rest + c)
+             + fc_m - _fc(c) - _fc(v - c) - _fc(k - c) - _fc(rest + c))
         # accept when u^2 <= f(c)/f(m); 2 log u lies in [u - 1/u, u(4 - u) - 3]
         if u * (4.0 - u) - 3.0 <= t:
             return c
@@ -428,39 +404,3 @@ def _hypergeometric_hrua(source: UniformSource, v: int, n: int, k: int) -> int:
             continue
         if 2.0 * math.log(u) <= t:
             return c
-
-
-def _hypergeometric_bisect(source: UniformSource, v: int, n: int, k: int) -> int:
-    # The generator for n >= 2^53, where HRUA's float arithmetic is no longer
-    # integer-exact: bisection search on sorted-sample positions, as in
-    # earlier releases.  The j-th smallest of k sampled positions in
-    # [1, n] is j + BetaBinomial(j, k-j+1, n-k).  Drawing that position for
-    # j = ceil(k/2) splits the problem: either the prefix keeps the first j
-    # items and the question recurses on the suffix, or it recurses strictly
-    # below the drawn position.  The beta-binomial is spelled out so that
-    # its binomial stays on the bisection path whatever the size of n - k:
-    # draws and nested family counters stay those of earlier releases.
-    stats = source.stats
-    acc = 0
-    while True:
-        if k == 0 or v == 0:
-            return acc
-        if v == n:
-            return acc + k
-        j = (k + 1) // 2
-        stats.beta_binomial += 1
-        if j == 1:
-            p = 1.0 - source.next_uniform_real() ** (1.0 / k)
-        else:
-            stats.beta += 1
-            p = _beta_raw(source, float(j), float(k - j + 1))
-        stats.binomial += 1
-        pos = j + _binomial_bisect(source, n - k, p)
-        if pos <= v:
-            acc += j
-            v -= pos
-            n -= pos
-            k -= j
-        else:
-            n = pos - 1
-            k = j - 1

@@ -293,7 +293,9 @@ def run_suite(suite: str = "quick", seed: int = 0,
                           ("beta-binomial-pmf-2-2-6", 2, 2, 6)):
         law(name, lambda s: beta_binomial(s, a, b, m),
             lambda c: statcheck.beta_binomial_pmf(a, b, m, c), range(0, m + 1), reps)
-    for params in (HypergeomParams(2, 4, 2), HypergeomParams(5, 12, 7)):
+    # (20, 60, 25) keeps min(v, k) = 20 after the symmetries: the HRUA path
+    for params in (HypergeomParams(2, 4, 2), HypergeomParams(5, 12, 7),
+                   HypergeomParams(20, 60, 25)):
         law(f"hypergeometric-pmf-{params.v}-{params.n}-{params.k}",
             lambda s: hypergeometric(s, params),
             lambda c: statcheck.hypergeom_pmf(params, c),

@@ -11,6 +11,8 @@ import sys
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+import hypothesis.strategies as st
 
 import srswor
 from srswor.cli import BENCH_HEADER, main
@@ -75,21 +77,58 @@ def _limit_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (600 * 2**20, 600 * 2**20))
 
 
+def _run_module(argv, **kwargs):
+    env = dict(os.environ)
+    src = str(pathlib.Path(srswor.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "srswor", *argv], env=env,
+                          capture_output=True, text=True, timeout=60, **kwargs)
+
+
 @pytest.mark.parametrize("argv", [
     ["sample", "--indices-only", "--algo", "fy", "--n", "10000000000", "--k", "2"],
     ["sample", "--indices-only", "--algo", "preinit", "--n", "10000000000", "--k", "2"],
     ["bench", "--grid", "10000000000:2", "--algos", "fy", "--reps", "1"],
 ])
 def test_out_of_memory_exits_2_without_traceback(argv):
-    env = dict(os.environ)
-    src = str(pathlib.Path(srswor.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-m", "srswor", *argv], env=env,
-                          capture_output=True, text=True, timeout=60,
-                          preexec_fn=_limit_address_space)
+    proc = _run_module(argv, preexec_fn=_limit_address_space)
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith(f"{argv[0]}: out of memory")
+
+
+def test_float_overflow_exits_2_without_traceback(tmp_path):
+    # 10^400 is beyond float range, which inorder's binomials and merge
+    # thinning need for n
+    huge = str(10**400)
+    manifest = tmp_path / "manifest.tsv"
+    manifest.write_text(f"{huge}\t2\ta,b\n5\t1\tc\n")
+    for argv in (["sample", "--indices-only", "--algo", "inorder", "--n", huge, "--k", "2"],
+                 ["merge", "--manifest", str(manifest)]):
+        proc = _run_module(argv)
+        assert proc.returncode == 2
+        assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+        assert proc.stderr.startswith(f"{argv[0]}: input too large for float arithmetic")
+
+
+@given(algo=st.sampled_from(["sparse", "member", "inorder"]),
+       # every bit length alike, so n is not mostly tiny or near 2^1100
+       n=st.integers(min_value=1, max_value=1100).flatmap(
+           lambda bits: st.integers(min_value=2 ** (bits - 1), max_value=2**bits)),
+       seed=st.integers(min_value=0, max_value=2**32), data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_sample_indices_exit_0_or_2_at_any_n(algo, n, seed, data):
+    # the O(k) samplers at every n: a valid sample, or exit 2 with no traceback
+    k = data.draw(st.integers(min_value=0, max_value=min(n, 64)))
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(["sample", "--indices-only", "--algo", algo, "--n", str(n),
+                     "--k", str(k), "--seed", str(seed)])
+    assert code in (0, 2), err.getvalue()
+    if code == 0:
+        values = [int(line) for line in out.getvalue().splitlines()]
+        assert len(set(values)) == len(values) == k
+        assert all(1 <= v <= n for v in values)
 
 
 def test_sample_sorted_algorithms_print_ascending(capsys):

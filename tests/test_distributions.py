@@ -14,10 +14,11 @@ from srswor.distributions import (
     beta_binomial,
     binomial,
     hypergeometric,
-    _log_fact_ratio,
+    _fc,
+    _log_fact_core,
 )
 from srswor.rng import RandomSource, ScriptedSource
-from srswor.statcheck import chi_square_gof, hypergeom_pmf
+from srswor.statcheck import chi_square_gof, hypergeom_pmf, ks_gof
 
 # pmf reference values computed once with scipy and frozen. Parameter
 # order for the hypergeometric is (successes, population, draws).
@@ -249,6 +250,9 @@ def _law_report(draws, mode, ratio, lo, hi, mean, sd):
     (1000, 0.3, 61),
     (5000, 0.9, 67),
     (10**9, 0.4, 71),
+    (2**53 + 1, 2.0**-45, 83),
+    (2**64 + 1, 1 - 2.0**-50, 89),
+    (10**30, 1e-27, 97),
 ])
 def test_binomial_btrd_law(n, p, seed):
     # n*min(p, 1-p) > 30: the BTRD route, including the p > 0.5 reflection
@@ -266,6 +270,8 @@ def test_binomial_btrd_law(n, p, seed):
 @pytest.mark.parametrize("v, n, k, seed", [
     (500, 2000, 300, 73),
     (10**9, 3 * 10**9, 1500, 79),
+    (2**62, 2**64 + 1, 1500, 101),
+    (10**29, 10**30, 4000, 103),
 ])
 def test_hypergeometric_hrua_law(v, n, k, seed):
     params = HypergeomParams(v, n, k)
@@ -281,20 +287,52 @@ def test_hypergeometric_hrua_law(v, n, k, seed):
     assert src.stats.uniform_real < 4 * reps
 
 
+@pytest.mark.parametrize("family, args, seed", [
+    ("binomial", (10**300, 1e-290), 107),
+    ("binomial", (2**1023, 0.5), 109),
+    ("binomial", (2**1023 + 2**1000, 0.3), 113),
+    ("hypergeometric", (10**40, 3 * 10**40, 10**39), 127),
+    ("hypergeometric", (10**200, 3 * 10**200, 10**150), 131),
+    ("hypergeometric", (10**300, 10**307, 10**306), 137),
+])
+def test_large_sd_law_is_normal(family, args, seed):
+    # sd from 1e5 to 3e149: too wide for _law_report's walk, and normal to
+    # within O(1/sd).  z = (c - mean) / sd with c - mean formed exactly.
+    src = RandomSource(seed)
+    reps = 20000
+    if family == "binomial":
+        n, p = args
+        num, den = p.as_integer_ratio()
+        num *= n
+        sd = math.sqrt(n * p * (1 - p))
+        draws = [binomial(src, n, p) for _ in range(reps)]
+    else:
+        v, n, k = args
+        num, den = k * v, n
+        sd = math.sqrt(k * (v / n) * (1 - v / n) * ((n - k) / (n - 1)))
+        draws = [hypergeometric(src, HypergeomParams(v, n, k)) for _ in range(reps)]
+    zs = [(c * den - num) / den / sd for c in draws]
+    report = ks_gof(zs, lambda z: 0.5 * math.erfc(-z / math.sqrt(2.0)), alpha=0.001)
+    assert report.passed, report
+
+
 def test_log_fact_ratio_accuracy():
-    # against sums of logs, both for the exact-product and the Stirling route
+    # log(a!/b!) = (a - b) log(b + 1) + core + fc(a) - fc(b), against sums of
+    # logs, on both sides of |a - b| = (b + 1) / 10, where the core switches formulas
     for a, b in [(0, 7), (9, 10), (12, 3), (700, 400), (10**6, 10**6 + 13),
                  (10**9, 10**9 - 123), (3 * 10**9, 3 * 10**9 - 5000),
-                 (2**53 - 1, 2**53 - 200)]:
+                 (2**53 - 1, 2**53 - 200), (2**64 + 1, 2**64 - 5000),
+                 (2**80 + 7, 2**80 - 20000), (10**30, 10**30 - 5000)]:
         lo, hi = min(a, b), max(a, b)
         reference = math.fsum(math.log(i) for i in range(lo + 1, hi + 1))
         if a < b:
             reference = -reference
-        assert _log_fact_ratio(a, b) == pytest.approx(reference, rel=1e-13, abs=1e-10)
+        got = (a - b) * math.log(b + 1) + _log_fact_core(a, b) + _fc(a) - _fc(b)
+        assert got == pytest.approx(reference, rel=1e-13, abs=1e-10)
 
 
 # n*min(p, 1-p) at 29, 30 and 31 around the inversion/BTRD switch; n at
-# 2^53 - 1 (BTRD) and 2^53 (beta bisection).
+# 2^53 - 1 and 2^53, either side of the largest n whose integers are all floats.
 BINOMIAL_BOUNDARY_CASES = [
     (116, 0.25), (120, 0.25), (124, 0.25),
     (116, 0.75), (120, 0.75), (124, 0.75),
@@ -314,7 +352,8 @@ def test_binomial_branch_boundaries(n, p):
 
 
 # min(v, k) at 9 and 10 around the inversion/HRUA switch, directly and
-# through both symmetries; n at 2^53 - 1 (HRUA) and 2^53 (bisection).
+# through both symmetries; n at 2^53 - 1 and 2^53, either side of the
+# largest n whose integers are all floats.
 HYPERGEOMETRIC_BOUNDARY_CASES = [
     (9, 1000, 500), (10, 1000, 500), (500, 1000, 9), (500, 1000, 10),
     (991, 1000, 500), (990, 1000, 500), (500, 1000, 991), (500, 1000, 990),
@@ -332,41 +371,6 @@ def test_hypergeometric_branch_boundaries(v, n, k):
         c = hypergeometric(RandomSource(seed), params)
         assert lo <= c <= hi
         assert hypergeometric(RandomSource(seed), params) == c
-
-
-# From n = 2^53 up, binomial and hypergeometric keep their bisection
-# generators; these draws were recorded from them before BTRD and HRUA.
-BISECTION_PINS = [
-    ("binomial", (2**53, 0.3), [2702159785949214, 2702159727493792, 2702159770553011]),
-    ("binomial", (2**53, 0.75), [6755399418346397, 6755399461927009, 6755399454384070]),
-    ("binomial", (2**60 + 7, 0.5), [576460752547770431, 576460751859968603, 576460752200741867]),
-    ("binomial", (10**30, 0.4), [400000000000000180843808683174, 399999999999999455864232599730,
-                                 399999999999999851685715051853]),
-    ("hypergeometric", (2**52, 2**53, 200), [101, 94, 99]),
-    ("hypergeometric", (3 * 2**51, 2**53 + 1, 2**52 + 5),
-     [3377699725646847, 3377699704048385, 3377699724626815]),
-    ("hypergeometric", (10**17, 10**18, 37), [1, 3, 3]),
-]
-
-
-@pytest.mark.parametrize("family, args, expected", BISECTION_PINS)
-def test_bisection_path_bit_identical(family, args, expected):
-    got = []
-    for seed in range(3):
-        src = RandomSource(seed)
-        if family == "binomial":
-            got.append(binomial(src, *args))
-        else:
-            got.append(hypergeometric(src, HypergeomParams(*args)))
-    assert got == expected
-
-
-def test_bisection_path_keeps_nested_counters():
-    # (2^52, 2^53, 200), seed 2: as recorded before HRUA
-    src = RandomSource(2)
-    hypergeometric(src, HypergeomParams(2**52, 2**53, 200))
-    assert (src.stats.hypergeometric, src.stats.beta_binomial, src.stats.beta,
-            src.stats.binomial, src.stats.uniform_real) == (1, 8, 7, 8, 2079)
 
 
 # --- beta-binomial ---
@@ -528,9 +532,11 @@ def test_hypergeometric_counts_stats_once():
 
 
 def test_hypergeometric_draws_no_nested_family():
-    # inversion and HRUA draw uniforms only
+    # inversion and HRUA draw uniforms only, at every n
     src = RandomSource(16)
-    for params in (HypergeomParams(5, 12, 7), HypergeomParams(500, 2000, 300)):
+    cases = (HypergeomParams(5, 12, 7), HypergeomParams(500, 2000, 300),
+             HypergeomParams(2**52, 2**53, 200), HypergeomParams(10**29, 10**30, 4000))
+    for params in cases:
         hypergeometric(src, params)
-    assert src.stats.hypergeometric == 2
+    assert src.stats.hypergeometric == len(cases)
     assert src.stats.beta_binomial == src.stats.beta == src.stats.binomial == 0
