@@ -27,7 +27,6 @@ from .samplers import (
     SampleOrder,
     SampleResult,
     SparseFisherYatesIterator,
-    SparseSwapState,
     UndoLog,
     default_samplers,
     fisher_yates_sample,
@@ -54,7 +53,6 @@ __all__ = [
     "ScriptExhaustedError",
     "ScriptedSource",
     "SparseFisherYatesIterator",
-    "SparseSwapState",
     "UndoLog",
     "bernoulli",
     "beta",

@@ -44,12 +44,12 @@ _HRUA_D1 = 2.0 * math.sqrt(2.0 / math.e)
 _HRUA_D2 = 3.0 - 2.0 * math.sqrt(3.0 / math.e)
 
 # fc(k) = log k! - (k + 1/2) log(k + 1) + (k + 1) - log sqrt(2 pi), the
-# remainder of Stirling's series.  Tabulated below 10; from 10 on, three
-# series terms leave an error below 1/(1680 (k + 1)^7) < 1e-10.
+# remainder of Stirling's series.  Tabulated below 30; from 30 on, three
+# series terms leave an error below 1/(1680 (k + 1)^7) < 3e-14.
 _FC_TABLE = tuple(
     math.lgamma(k + 1.0) - (k + 0.5) * math.log(k + 1.0) + (k + 1.0)
     - 0.5 * math.log(2.0 * math.pi)
-    for k in range(10)
+    for k in range(30)
 )
 
 
@@ -214,7 +214,7 @@ def _binomial_btrd(source: UniformSource, n: int, p: float) -> int:
 
 
 def _fc(k: int) -> float:
-    if k < 10:
+    if k < 30:
         return _FC_TABLE[k]
     r = 1.0 / (k + 1)
     rr = r * r

@@ -177,9 +177,6 @@ class ScriptedSource(UniformSource):
         self._pos += 1
         return value
 
-    def remaining(self) -> int:
-        return len(self._script) - self._pos
-
     def next_uniform_real(self) -> float:
         value = self._take()
         if isinstance(value, bool) or not isinstance(value, (int, float)):

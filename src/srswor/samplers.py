@@ -50,33 +50,14 @@ class SampleResult:
 
 
 @dataclass
-class SparseSwapState:
-    """Snapshot of the sparse iterator: i selections done out of n.
-
-    entries maps array positions to the item currently stored there, for
-    exactly those live positions whose content differs from the position
-    number itself.  Overlaying entries on the identity reproduces the
-    classical Fisher-Yates array over positions 1..n-i.
-    """
-
-    n: int
-    i: int
-    entries: dict
-
-
-@dataclass
 class UndoLog:
     """Record of (position, partner) transpositions in application order."""
 
     swaps: list = field(default_factory=list)
 
-    def apply(self, x: list) -> None:
-        for a, b in self.swaps:
-            x[a - 1], x[b - 1] = x[b - 1], x[a - 1]
-
     def undo(self, x: list) -> None:
         """Replay in reverse; transpositions are involutions, so this exactly
-        restores whatever apply() (or the sampler) did to x."""
+        restores whatever the sampler did to x."""
         for a, b in reversed(self.swaps):
             x[a - 1], x[b - 1] = x[b - 1], x[a - 1]
 
@@ -139,9 +120,6 @@ class SparseFisherYatesIterator:
         entries.pop(top, None)
         self.i += 1
         return picked
-
-    def state(self) -> SparseSwapState:
-        return SparseSwapState(self.n, self.i, dict(self._entries))
 
     def state_size(self) -> int:
         return len(self._entries)

@@ -1,17 +1,19 @@
-"""Statistical oracles: exact pmfs, goodness-of-fit machinery, cost formulas.
+"""Statistical oracles: exact laws, goodness-of-fit machinery, cost formulas.
 
 This layer is what the test suite and the `verify` command trust, so it is
-kept independent of the sampling code paths: the hypergeometric and
-first-position pmfs are exact binomial-coefficient ratios, the binomial and
-beta-binomial pmfs come from log-gamma identities, p-values from a locally
-implemented regularized incomplete gamma function, and expectations from
-closed-form sums.  No third-party statistics dependency.
+kept independent of the sampling code paths: each discrete law (binomial,
+beta-binomial, hypergeometric) is one walk of its exact pmf ratio out from
+its integer mode, in O(support) and correctly rounded steps for any n;
+p-values come from a locally implemented regularized incomplete gamma
+function, and expectations from closed-form sums.  No third-party
+statistics dependency.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 
 from .distributions import HypergeomParams
@@ -222,68 +224,71 @@ def ks_gof(values, cdf, alpha: float = 0.001) -> KsReport:
     return KsReport(d, n, p_value, p_value >= alpha, alpha)
 
 
-# --- exact pmfs and cost formulas --------------------------------------------
+# --- exact laws and cost formulas --------------------------------------------
 
 
-def _log_comb(n: int, k: int) -> float:
-    return math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
+def _walk(lo: int, hi: int, ratio) -> tuple[int, list[float]]:
+    """The law on [lo, hi] whose pmf ratio f(c+1)/f(c) is num/den, where
+    (num, den) = ratio(c) are exact integers.
 
-
-def first_position_pmf(n: int, k: int, x: int) -> float:
-    """P(smallest sampled index = x) = C(n-x, k-1) / C(n, k).
-
-    The smallest of a uniform k-subset of [1, n]; zero outside
-    1 <= x <= n-k+1.  The ratio of exact integers is correctly rounded for
-    any n.
+    The law must be log-concave, so its integer mode is the first c with
+    num <= den; bisection finds it.  From f = 1 there, each step outward
+    multiplies by one correctly rounded int/int quotient, until the
+    support's end or until f would drop below the smallest normal float.
+    Returns (start, probs), probs[i] being the probability of start + i.
     """
-    if n < 1 or not 1 <= k <= n:
-        raise ValueError(f"invalid parameters n={n}, k={k}")
-    if x < 1 or x > n - k + 1:
-        return 0.0
-    return math.comb(n - x, k - 1) / math.comb(n, k)
+    a, b = lo, hi
+    while a < b:
+        mid = (a + b) // 2
+        num, den = ratio(mid)
+        if num > den:
+            a = mid + 1
+        else:
+            b = mid
+    up, f = [], 1.0
+    for c in range(a, hi):
+        num, den = ratio(c)
+        f *= num / den
+        if f < sys.float_info.min:
+            break
+        up.append(f)
+    down, f = [], 1.0
+    for c in range(a - 1, lo - 1, -1):
+        num, den = ratio(c)
+        f *= den / num
+        if f < sys.float_info.min:
+            break
+        down.append(f)
+    probs = down[::-1] + [1.0] + up
+    total = math.fsum(probs)
+    return a - len(down), [f / total for f in probs]
 
 
-def binomial_pmf(n: int, p: float, c: int) -> float:
-    """Binomial(n, p) pmf from log-gamma values; accurate for moderate n
-    only, as the rounding error of lgamma(n) grows with n."""
+def binomial_law(n: int, p: float) -> tuple[int, list[float]]:
+    """Binomial(n, p) as (lo, probs), for any n; p is taken exactly."""
     if n < 0 or not 0.0 <= p <= 1.0:
         raise ValueError(f"invalid parameters n={n}, p={p}")
-    if c < 0 or c > n:
-        return 0.0
-    if p == 0.0:
-        return 1.0 if c == 0 else 0.0
-    if p == 1.0:
-        return 1.0 if c == n else 0.0
-    return math.exp(_log_comb(n, c) + c * math.log(p) + (n - c) * math.log1p(-p))
+    a, b = p.as_integer_ratio()
+    return _walk(0, n, lambda c: ((n - c) * a, (c + 1) * (b - a)))
 
 
-def hypergeom_pmf(params: HypergeomParams, c: int) -> float:
-    """P(c of the k sampled items fall in the first v of n positions).
+def beta_binomial_law(alpha: int, beta: int, m: int) -> tuple[int, list[float]]:
+    """BetaBinomial(alpha, beta, m) as (lo, probs), integer shapes >= 1.
 
-    C(v, c) C(n-v, k-c) / C(n, k) as a ratio of exact integers, correctly
-    rounded for any n.  Returns 0.0 outside the support
-    [max(0, k-(n-v)), min(k, v)].
+    The smallest index of a uniform k-subset of [1, n] is
+    1 + BetaBinomial(1, k, n - k).
     """
+    if alpha < 1 or beta < 1 or m < 0:
+        raise ValueError(f"invalid parameters alpha={alpha}, beta={beta}, m={m}")
+    return _walk(0, m, lambda c: ((m - c) * (c + alpha), (c + 1) * (m - c - 1 + beta)))
+
+
+def hypergeom_law(params: HypergeomParams) -> tuple[int, list[float]]:
+    """How many of k sampled items fall in the first v of n positions, as
+    (lo, probs) over [max(0, k - (n - v)), min(k, v)]."""
     v, n, k = params.v, params.n, params.k
-    if c < max(0, k - (n - v)) or c > min(k, v):
-        return 0.0
-    return math.comb(v, c) * math.comb(n - v, k - c) / math.comb(n, k)
-
-
-def beta_binomial_pmf(alpha: float, beta: float, n: int, c: int) -> float:
-    """Beta-Binomial pmf via log Beta-function ratios; accurate for moderate
-    n only, as the rounding error of lgamma(n) grows with n."""
-    if alpha <= 0 or beta <= 0 or n < 0:
-        raise ValueError(f"invalid parameters alpha={alpha}, beta={beta}, n={n}")
-    if c < 0 or c > n:
-        return 0.0
-
-    def log_beta(a, b):
-        return math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
-
-    return math.exp(
-        _log_comb(n, c) + log_beta(c + alpha, n - c + beta) - log_beta(alpha, beta)
-    )
+    return _walk(max(0, k - (n - v)), min(k, v),
+                 lambda c: ((v - c) * (k - c), (c + 1) * (n - v - k + c + 1)))
 
 
 def expected_membership_draws(n: int, k: int) -> float:

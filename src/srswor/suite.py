@@ -63,32 +63,30 @@ def random_cells(source, count: int, n_lo: int, n_hi: int):
         yield n, source.next_uniform_int(n)
 
 
-def pmf_law(draw, pmf, support: range, source, reps: int,
-            alpha: float) -> statcheck.GofReport:
-    """Chi-square of reps values draw(source) against pmf over support.
+def pmf_law(draw, law, source, reps: int, alpha: float) -> statcheck.GofReport:
+    """Chi-square of reps values draw(source) against law = (lo, probs),
+    where probs[i] is the probability of lo + i.
 
-    support must hold every value draw can return, and its pmf values must
-    sum to 1 within 1e-12.
+    A value outside [lo, lo + len(probs)) raises ValueError.
     """
-    probs = [pmf(c) for c in support]
-    if abs(1.0 - math.fsum(probs)) > 1e-12:
-        raise ValueError(f"support {support} does not cover the law")
-    lo = support[0]
-    counts = [0] * len(support)
+    lo, probs = law
+    size = len(probs)
+    counts = [0] * size
     for _ in range(reps):
-        counts[draw(source) - lo] += 1
+        i = draw(source) - lo
+        if not 0 <= i < size:
+            raise ValueError(f"value {lo + i} outside [{lo}, {lo + size - 1}]")
+        counts[i] += 1
     return statcheck.chi_square_gof(counts, probs, alpha)
 
 
 def first_position_law(sampler, source, n: int, k: int, reps: int,
                        alpha: float) -> statcheck.GofReport:
-    """The smallest index of reps samples sampler(source, n, k), against
-    first_position_pmf(n, k, .)."""
-    return pmf_law(
-        lambda s: min(sampler(s, n, k).indices),
-        lambda x: statcheck.first_position_pmf(n, k, x),
-        range(1, n - k + 2), source, reps, alpha,
-    )
+    """The smallest index of reps samples sampler(source, n, k), against its
+    law 1 + BetaBinomial(1, k, n - k)."""
+    lo, probs = statcheck.beta_binomial_law(1, k, n - k)
+    return pmf_law(lambda s: min(sampler(s, n, k).indices), (1 + lo, probs),
+                   source, reps, alpha)
 
 
 def bitexact_mismatches(cells) -> int:
@@ -264,10 +262,8 @@ def run_suite(suite: str = "quick", seed: int = 0,
     def src(name: str) -> RandomSource:
         return RandomSource(_derive(seed, name))
 
-    def law(name, draw, pmf, support, reps):
-        records.append(
-            _gof_record(name, pmf_law(draw, pmf, support, src(name), reps, alpha))
-        )
+    def law(name, draw, expected, reps):
+        records.append(_gof_record(name, pmf_law(draw, expected, src(name), reps, alpha)))
 
     def ks(name, draw, cdf):
         s = src(name)
@@ -277,29 +273,27 @@ def run_suite(suite: str = "quick", seed: int = 0,
     # -- uniform primitives ---------------------------------------------------
 
     law("uniform-int-equidist-m6", lambda s: s.next_uniform_int(6),
-        lambda c: 1 / 6, range(1, 7), scale["uniform_draws"])
+        (1, [1 / 6] * 6), scale["uniform_draws"])
     ks("uniform-real-ks", lambda s: s.next_uniform_real(), lambda z: z)
 
     # -- distribution laws ----------------------------------------------------
 
     reps = scale["dist_reps"]
     law("binomial-pmf-n10-p0.5", lambda s: binomial(s, 10, 0.5),
-        lambda c: statcheck.binomial_pmf(10, 0.5, c), range(0, 11), reps)
+        statcheck.binomial_law(10, 0.5), reps)
     # np = 40 exercises the BTRD path
     law("binomial-pmf-n100-p0.4", lambda s: binomial(s, 100, 0.4),
-        lambda c: statcheck.binomial_pmf(100, 0.4, c), range(0, 101), reps)
+        statcheck.binomial_law(100, 0.4), reps)
     for name, a, b, m in (("beta-binomial-uniform-1-1-5", 1, 1, 5),
                           ("beta-binomial-pmf-1-2-3", 1, 2, 3),
                           ("beta-binomial-pmf-2-2-6", 2, 2, 6)):
         law(name, lambda s: beta_binomial(s, a, b, m),
-            lambda c: statcheck.beta_binomial_pmf(a, b, m, c), range(0, m + 1), reps)
+            statcheck.beta_binomial_law(a, b, m), reps)
     # (20, 60, 25) keeps min(v, k) = 20 after the symmetries: the HRUA path
     for params in (HypergeomParams(2, 4, 2), HypergeomParams(5, 12, 7),
                    HypergeomParams(20, 60, 25)):
         law(f"hypergeometric-pmf-{params.v}-{params.n}-{params.k}",
-            lambda s: hypergeometric(s, params),
-            lambda c: statcheck.hypergeom_pmf(params, c),
-            range(0, min(params.v, params.k) + 1), reps)
+            lambda s: hypergeometric(s, params), statcheck.hypergeom_law(params), reps)
 
     ks("beta-quantile-ks-a1-b4", lambda s: beta(s, BetaParams(1.0, 4.0)),
        lambda z: 1.0 - (1.0 - z) ** 4)
@@ -385,8 +379,7 @@ def run_suite(suite: str = "quick", seed: int = 0,
 
     law("split-counts-2-2-k2",
         lambda s: distributed.split_sample_counts(s, (2, 2), 2)[0],
-        lambda c: statcheck.hypergeom_pmf(HypergeomParams(2, 4, 2), c),
-        range(0, 3), scale["split_reps"])
+        statcheck.hypergeom_law(HypergeomParams(2, 4, 2)), scale["split_reps"])
 
     inclusion, _, winner_violations = merge_two_shards(
         src("merge-item-inclusion-4-4"), scale["merge_reps"]
@@ -400,14 +393,14 @@ def run_suite(suite: str = "quick", seed: int = 0,
     perm_index = {p: i for i, p in enumerate(itertools.permutations(range(1, 5)))}
     law("permutation-uniformity-n4",
         lambda s: perm_index[tuple(permutation_from_transpositions(s, 4))],
-        lambda c: 1 / 24, range(24), scale["perm_reps"])
+        (0, [1 / 24] * 24), scale["perm_reps"])
 
     if suite != "full":
         return records
 
     name = "uniform-int-sweep-m1-64"
     reports = [
-        pmf_law(lambda s: s.next_uniform_int(m), lambda c: 1.0 / m, range(1, m + 1),
+        pmf_law(lambda s: s.next_uniform_int(m), (1, [1.0 / m] * m),
                 src(f"{name}-{m}"), 10_000 * m, alpha)
         for m in range(2, 65)
     ]
@@ -424,8 +417,8 @@ def run_suite(suite: str = "quick", seed: int = 0,
     reps = 100_000
     cal_alpha = 0.01
     rejected = sum(
-        not pmf_law(lambda s: s.next_uniform_int(20), lambda c: 1.0 / 20,
-                    range(1, 21), s, 100, cal_alpha).passed
+        not pmf_law(lambda s: s.next_uniform_int(20), (1, [1.0 / 20] * 20), s, 100,
+                    cal_alpha).passed
         for _ in range(reps)
     )
     expect = reps * cal_alpha

@@ -125,8 +125,7 @@ def test_criterion_07_hypergeometric_law():
     for v, n, k in triples:
         params = HypergeomParams(v, n, k)
         rep = suite.pmf_law(lambda s: hypergeometric(s, params),
-                            lambda c: statcheck.hypergeom_pmf(params, c),
-                            range(max(0, k - (n - v)), min(v, k) + 1),
+                            statcheck.hypergeom_law(params),
                             RandomSource(7000 + v * 169 + n * 13 + k), 100000, ALPHA)
         if not rep.passed:
             failures.append(f"{(v, n, k)} p={rep.p_value:.2e}")

@@ -1,7 +1,5 @@
 """Split/merge tests: count laws, inclusion uniformity, structural guarantees."""
 
-import itertools
-import math
 from collections import Counter
 
 import pytest
@@ -17,7 +15,8 @@ from srswor.distributed import (
 from srswor.distributions import HypergeomParams
 from srswor.rng import RandomSource
 from srswor.samplers import fisher_yates_sample
-from srswor.statcheck import chi_square_two_sample, hypergeom_pmf
+from srswor.statcheck import chi_square_gof, chi_square_two_sample, hypergeom_law
+from srswor.suite import pmf_law
 
 
 def test_merge_input_validation():
@@ -67,14 +66,11 @@ def test_split_counts_validation():
 
 
 def test_split_counts_marginal_law():
-    # first-block count of a (2, 2) split of k=2 is hypergeometric:
-    # P(0) = P(2) = 1/6, P(1) = 2/3
-    src = RandomSource(13)
-    reps = 60000
-    counts = Counter(split_sample_counts(src, [2, 2], 2)[0] for _ in range(reps))
-    pmf = [hypergeom_pmf(HypergeomParams(2, 4, 2), c) for c in range(3)]
-    stat = sum((counts[c] - reps * q) ** 2 / (reps * q) for c, q in enumerate(pmf))
-    assert stat < 13.816  # chi2(2) 0.999 quantile
+    # first-block count of a (2, 2) split of k=2 is Hypergeom(2, 4, 2)
+    report = pmf_law(lambda s: split_sample_counts(s, [2, 2], 2)[0],
+                     hypergeom_law(HypergeomParams(2, 4, 2)), RandomSource(13), 60000,
+                     0.001)
+    assert report.passed, report
 
 
 def test_split_counts_three_block_marginals():
@@ -87,12 +83,9 @@ def test_split_counts_three_block_marginals():
         for t, c in zip(tallies, split_sample_counts(src, sizes, 4)):
             t[c] += 1
     for size, tally in zip(sizes, tallies):
-        pmf = [hypergeom_pmf(HypergeomParams(size, 12, 4), c) for c in range(min(size, 4) + 1)]
-        stat = sum(
-            (tally[c] - reps * q) ** 2 / (reps * q)
-            for c, q in enumerate(pmf) if q > 0
-        )
-        assert stat < 20.515  # chi2(5) 0.999 quantile, conservative for fewer cells
+        lo, probs = hypergeom_law(HypergeomParams(size, 12, 4))
+        report = chi_square_gof([tally[lo + i] for i in range(len(probs))], probs)
+        assert report.passed and sum(tally.values()) == reps, report
 
 
 # --- merging ---
@@ -161,11 +154,8 @@ def test_merge_inclusion_probabilities_equalize():
         merged, _ = merge_all_with_state(src, (MergeInput(sa, 4), MergeInput(sb, 4)))
         for item in merged:
             inc[item] += 1
-    counts = [inc[i] for i in range(1, 9)]
-    total = sum(counts)
-    expected = total / 8
-    stat = sum((c - expected) ** 2 / expected for c in counts)
-    assert stat < 24.322  # chi2(7) 0.999 quantile
+    report = chi_square_gof([inc[i] for i in range(1, 9)], [1 / 8] * 8)
+    assert report.passed, report
 
 
 def test_merge_three_shards_structure():
@@ -203,9 +193,8 @@ def test_merge_conditional_inclusion_is_size_over_union():
     for s, tally in inc_by_size.items():
         if s == 0 or runs_by_size[s] < 3000:
             continue
-        expected = runs_by_size[s] * s / 8
-        stat = sum((tally[i] - expected) ** 2 / expected for i in range(1, 9))
-        assert stat < 24.322, f"size {s}: stat {stat:.1f}"  # chi2(7) 0.999
+        report = chi_square_gof([tally[i] for i in range(1, 9)], [1 / 8] * 8)
+        assert report.passed, f"size {s}: {report}"
 
 
 def test_merge_symmetric_in_inputs():
@@ -265,9 +254,8 @@ def test_downsample_uniform_over_items():
     for _ in range(reps):
         for item in downsample(src, [1, 2, 3, 4, 5], 2):
             inc[item] += 1
-    expected = reps * 2 / 5
-    stat = sum((inc[i] - expected) ** 2 / expected for i in range(1, 6))
-    assert stat < 18.467  # chi2(4) 0.999 quantile
+    report = chi_square_gof([inc[i] for i in range(1, 6)], [1 / 5] * 5)
+    assert report.passed, report
 
 
 @given(

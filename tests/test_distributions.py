@@ -1,6 +1,9 @@
-"""Distribution sampler tests: exactness properties, edge cases, pmf oracles."""
+"""Distribution sampler tests: exactness properties, edge cases, laws against
+the statcheck oracle."""
 
+import bisect
 import math
+from decimal import Decimal, localcontext
 
 import pytest
 from hypothesis import given, settings
@@ -18,23 +21,14 @@ from srswor.distributions import (
     _log_fact_core,
 )
 from srswor.rng import RandomSource, ScriptedSource
-from srswor.statcheck import chi_square_gof, hypergeom_pmf, ks_gof
-
-# pmf reference values computed once with scipy and frozen. Parameter
-# order for the hypergeometric is (successes, population, draws).
-HYPERGEOM_PMF_CASES = {
-    (2, 4, 2): [0.16666666666666666, 0.6666666666666666, 0.16666666666666666],
-    (5, 12, 7): [
-        0.0012626262626262627,
-        0.04419191919191919,
-        0.26515151515151514,
-        0.4419191919191919,
-        0.22095959595959594,
-        0.026515151515151512,
-    ],
-    (3, 10, 4): [0.16666666666666666, 0.5, 0.3, 0.03333333333333333],
-    (1, 6, 3): [0.5, 0.5],
-}
+from srswor.statcheck import (
+    beta_binomial_law,
+    binomial_law,
+    chi_square_gof,
+    hypergeom_law,
+    ks_gof,
+)
+from srswor.suite import pmf_law
 
 
 # --- parameter containers ---
@@ -167,24 +161,10 @@ def test_binomial_support():
 
 
 def test_binomial_inversion_route_pmf():
-    # n*min(p,1-p) small: CDF inversion path. chi-square against the
-    # frozen Binomial(10, 0.3) pmf, bound at the 0.999 quantile of chi2(10).
-    pmf = [
-        0.0282475249, 0.12106082099999989, 0.2334744405000001,
-        0.26682793199999977, 0.2001209489999999, 0.10291934519999989,
-        0.036756908999999956, 0.009001691999999992, 0.0014467004999999982,
-        0.00013778099999999988, 5.9048999999999975e-06,
-    ]
-    src = RandomSource(31)
-    reps = 60000
-    counts = [0] * 11
-    for _ in range(reps):
-        counts[binomial(src, 10, 0.3)] += 1
-    # pool the sparse upper tail into one cell
-    obs = counts[:7] + [sum(counts[7:])]
-    exp = [reps * q for q in pmf[:7]] + [reps * sum(pmf[7:])]
-    stat = sum((o - e) ** 2 / e for o, e in zip(obs, exp))
-    assert stat < 24.322
+    # n*min(p,1-p) small: the CDF inversion path
+    report = pmf_law(lambda s: binomial(s, 10, 0.3), binomial_law(10, 0.3),
+                     RandomSource(31), 60000, 0.001)
+    assert report.passed, report
 
 
 def test_binomial_split_route_mean_var():
@@ -209,40 +189,26 @@ def test_binomial_support_property(n, p, seed):
     assert 0 <= c <= n
 
 
-def _law_report(draws, mode, ratio, lo, hi, mean, sd):
-    """Chi-square of draws against the pmf with f(c+1)/f(c) = ratio(c) on [lo, hi].
+def _law_report(draws, law):
+    """Chi-square of draws against law = (lo, probs), the statcheck oracle's
+    exact pmf of lo, lo + 1, ...
 
-    The pmf is built by walking out from the mode until the mass is below
-    1e-20 of the mode's, independently of the generators' log-factorial
-    arithmetic.  Cells of equal width cover mean +- 4 sd; the two tails
-    beyond are pooled into one cell each.
+    Cells of equal width cover the law's mean +- 4 sd; the two tails beyond
+    are pooled into one cell each.  Both are taken over offsets from lo, so
+    a float keeps them exact to a fraction of a cell however large lo is.
     """
+    lo, probs = law
+    mean = sum(i * q for i, q in enumerate(probs))
+    sd = math.sqrt(sum((i - mean) ** 2 * q for i, q in enumerate(probs)))
     left, right = math.floor(mean - 4 * sd), math.ceil(mean + 4 * sd)
     width = max(1, math.ceil((right - left + 1) / 60))
-    cells = (right - left) // width + 3
-
-    def cell(c):
-        if c < left:
-            return 0
-        if c > right:
-            return cells - 1
-        return 1 + (c - left) // width
-
-    mass = [0.0] * cells
-    mass[cell(mode)] += 1.0
-    for step in (1, -1):
-        f, c = 1.0, mode
-        while f > 1e-20 and lo <= c + step <= hi:
-            f = f * ratio(c) if step == 1 else f / ratio(c - 1)
-            c += step
-            mass[cell(c)] += f
-    assert lo <= min(draws) and max(draws) <= hi
-    observed = [0] * cells
+    edges = [0, *range(left, right + 1, width), right + 1, len(probs)]
+    edges = sorted({min(max(e, 0), len(probs)) for e in edges})
+    observed = [0] * (len(edges) - 1)
     for c in draws:
-        observed[cell(c)] += 1
-    keep = [i for i, m in enumerate(mass) if m > 0.0]
-    total = math.fsum(mass)
-    return chi_square_gof([observed[i] for i in keep], [mass[i] / total for i in keep],
+        assert 0 <= c - lo < len(probs), c
+        observed[bisect.bisect_right(edges, c - lo) - 1] += 1
+    return chi_square_gof(observed, [math.fsum(probs[a:b]) for a, b in zip(edges, edges[1:])],
                           alpha=0.001)
 
 
@@ -259,9 +225,7 @@ def test_binomial_btrd_law(n, p, seed):
     src = RandomSource(seed)
     reps = 40000
     draws = [binomial(src, n, p) for _ in range(reps)]
-    report = _law_report(draws, math.floor((n + 1) * p),
-                         lambda c: (n - c) / (c + 1) * p / (1 - p),
-                         0, n, n * p, math.sqrt(n * p * (1 - p)))
+    report = _law_report(draws, binomial_law(n, p))
     assert report.passed, report
     # one binomial is 1.4-1.8 uniforms on this route, not O(log n) gamma pairs
     assert src.stats.uniform_real < 2 * reps
@@ -278,11 +242,7 @@ def test_hypergeometric_hrua_law(v, n, k, seed):
     src = RandomSource(seed)
     reps = 40000
     draws = [hypergeometric(src, params) for _ in range(reps)]
-    p = v / n
-    report = _law_report(draws, (k + 1) * (v + 1) // (n + 2),
-                         lambda c: (v - c) * (k - c) / ((c + 1) * (n - v - k + c + 1)),
-                         max(0, k - (n - v)), min(v, k),
-                         k * p, math.sqrt(k * p * (1 - p) * (n - k) / (n - 1)))
+    report = _law_report(draws, hypergeom_law(params))
     assert report.passed, report
     assert src.stats.uniform_real < 4 * reps
 
@@ -329,6 +289,19 @@ def test_log_fact_ratio_accuracy():
             reference = -reference
         got = (a - b) * math.log(b + 1) + _log_fact_core(a, b) + _fc(a) - _fc(b)
         assert got == pytest.approx(reference, rel=1e-13, abs=1e-10)
+
+
+def test_fc_accuracy():
+    # fc(k) = log k! - (k + 1/2) log(k + 1) + (k + 1) - log sqrt(2 pi), in
+    # 50-digit decimals, across the switch from the table to the series
+    pi = Decimal("3.14159265358979323846264338327950288419716939937510")
+    for k in range(61):
+        with localcontext() as ctx:
+            ctx.prec = 50
+            reference = (sum((Decimal(i).ln() for i in range(2, k + 1)), Decimal(0))
+                         - (k + Decimal("0.5")) * Decimal(k + 1).ln() + (k + 1)
+                         - (2 * pi).ln() / 2)
+        assert abs(_fc(k) - float(reference)) <= 1e-13, k
 
 
 # n*min(p, 1-p) at 29, 30 and 31 around the inversion/BTRD switch; n at
@@ -401,47 +374,15 @@ def test_beta_binomial_shapes_must_be_positive():
         beta_binomial(src, 1.0, 0.0, 7)
 
 
-def test_beta_binomial_pmf_uniform_case():
-    # BetaBinomial(1, 1, n) is uniform on {0..n}.
-    src = RandomSource(41)
-    n, reps = 5, 60000
-    counts = [0] * (n + 1)
-    for _ in range(reps):
-        counts[beta_binomial(src, 1.0, 1.0, n)] += 1
-    expected = reps / (n + 1)
-    stat = sum((c - expected) ** 2 / expected for c in counts)
-    assert stat < 20.515  # chi2(5) 0.999 quantile
-
-
-def test_beta_binomial_pmf_skewed_case():
-    # frozen BetaBinomial(1, 3, 5) pmf
-    pmf = [
-        0.3750000000000001, 0.2678571428571428, 0.17857142857142858,
-        0.10714285714285714, 0.05357142857142861, 0.017857142857142867,
-    ]
-    src = RandomSource(43)
-    reps = 60000
-    counts = [0] * 6
-    for _ in range(reps):
-        counts[beta_binomial(src, 1.0, 3.0, 5)] += 1
-    stat = sum((c - reps * q) ** 2 / (reps * q) for c, q in zip(counts, pmf))
-    assert stat < 20.515
-
-
-def test_beta_binomial_two_stage_case():
-    # alpha>1 exercises the explicit beta draw then binomial stage.
-    pmf = [
-        0.08333333333333333, 0.1428571428571429, 0.17857142857142846,
-        0.19047619047619033, 0.17857142857142846, 0.1428571428571429,
-        0.08333333333333333,
-    ]
-    src = RandomSource(47)
-    reps = 60000
-    counts = [0] * 7
-    for _ in range(reps):
-        counts[beta_binomial(src, 2.0, 2.0, 6)] += 1
-    stat = sum((c - reps * q) ** 2 / (reps * q) for c, q in zip(counts, pmf))
-    assert stat < 22.458  # chi2(6) 0.999 quantile
+@pytest.mark.parametrize("a, b, m, seed", [
+    (1, 1, 5, 41),  # uniform on {0..5}
+    (1, 3, 5, 43),  # skewed, closed-form beta quantile
+    (2, 2, 6, 47),  # alpha > 1: explicit beta draw, then the binomial stage
+])
+def test_beta_binomial_law(a, b, m, seed):
+    report = pmf_law(lambda s: beta_binomial(s, a, b, m),
+                     beta_binomial_law(a, b, m), RandomSource(seed), 60000, 0.001)
+    assert report.passed, report
 
 
 def test_beta_binomial_alpha1_stats_families():
@@ -454,28 +395,6 @@ def test_beta_binomial_alpha1_stats_families():
 
 
 # --- hypergeometric ---
-
-def test_hypergeom_pmf_oracle():
-    for (v, n, k), expected in HYPERGEOM_PMF_CASES.items():
-        params = HypergeomParams(v, n, k)
-        for c, q in enumerate(expected):
-            assert hypergeom_pmf(params, c) == pytest.approx(q, rel=1e-12)
-
-
-def test_hypergeom_pmf_outside_support():
-    params = HypergeomParams(2, 6, 3)
-    assert hypergeom_pmf(params, -1) == 0.0
-    assert hypergeom_pmf(params, 3) == 0.0
-    # c cannot exceed draws either
-    assert hypergeom_pmf(HypergeomParams(5, 6, 2), 3) == 0.0
-
-
-def test_hypergeom_pmf_sums_to_one():
-    for v, n, k in [(2, 4, 2), (5, 12, 7), (7, 20, 11), (0, 9, 4)]:
-        params = HypergeomParams(v, n, k)
-        total = math.fsum(hypergeom_pmf(params, c) for c in range(k + 1))
-        assert total == pytest.approx(1.0, abs=1e-12)
-
 
 def test_hypergeometric_degenerate():
     src = RandomSource(13)
@@ -500,15 +419,10 @@ def test_hypergeometric_support():
 
 
 def test_hypergeometric_matches_pmf():
-    # empirical law against the frozen (2,4,2) pmf
-    pmf = HYPERGEOM_PMF_CASES[(2, 4, 2)]
-    src = RandomSource(53)
-    reps = 60000
-    counts = [0, 0, 0]
-    for _ in range(reps):
-        counts[hypergeometric(src, HypergeomParams(2, 4, 2))] += 1
-    stat = sum((c - reps * q) ** 2 / (reps * q) for c, q in zip(counts, pmf))
-    assert stat < 13.816  # chi2(2) 0.999 quantile
+    params = HypergeomParams(2, 4, 2)
+    report = pmf_law(lambda s: hypergeometric(s, params), hypergeom_law(params),
+                     RandomSource(53), 60000, 0.001)
+    assert report.passed, report
 
 
 @given(

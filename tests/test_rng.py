@@ -8,6 +8,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from srswor.rng import DrawStats, RandomSource, ScriptedSource, ScriptExhaustedError
+from srswor.suite import pmf_law
 
 # First five raw 64-bit words for a handful of seeds, frozen from an
 # independent C implementation of the same mixing constants.
@@ -118,16 +119,9 @@ def test_uniform_int_always_in_range(m, seed):
 
 
 def test_uniform_int_equidistribution_m6():
-    # chi-square against uniform over 6 cells; seed fixed, bound frozen
-    # at the 0.999 quantile of chi2(5).
-    src = RandomSource(2024)
-    counts = [0] * 6
-    reps = 60000
-    for _ in range(reps):
-        counts[src.next_uniform_int(6) - 1] += 1
-    expected = reps / 6
-    stat = sum((c - expected) ** 2 / expected for c in counts)
-    assert stat < 20.515
+    report = pmf_law(lambda s: s.next_uniform_int(6), (1, [1 / 6] * 6),
+                     RandomSource(2024), 60000, 0.001)
+    assert report.passed, report
 
 
 @pytest.mark.parametrize("m", [2**64, 2**64 + 1, 2**80])
@@ -147,16 +141,11 @@ def test_uniform_int_beyond_one_word(m):
 
 
 def test_uniform_int_beyond_one_word_equidistribution():
-    # thirds of [1, 3 * 2^64]; bound frozen at the 0.999 quantile of chi2(2)
+    # thirds of [1, 3 * 2^64]
     m = 3 * 2**64
-    src = RandomSource(2025)
-    counts = [0] * 3
-    reps = 30000
-    for _ in range(reps):
-        counts[(src.next_uniform_int(m) - 1) * 3 // m] += 1
-    expected = reps / 3
-    stat = sum((c - expected) ** 2 / expected for c in counts)
-    assert stat < 13.816
+    report = pmf_law(lambda s: (s.next_uniform_int(m) - 1) * 3 // m, (0, [1 / 3] * 3),
+                     RandomSource(2025), 30000, 0.001)
+    assert report.passed, report
 
 
 def test_draw_count_counts_logical_draws_not_words():
@@ -174,7 +163,8 @@ def test_scripted_int_replay():
     assert src.next_uniform_int(3) == 2
     assert src.next_uniform_int(2) == 1
     assert src.next_uniform_int(3) == 3
-    assert src.remaining() == 0
+    with pytest.raises(ScriptExhaustedError):
+        src.next_uniform_int(3)
 
 
 def test_scripted_real_replay():

@@ -17,6 +17,7 @@ from srswor.samplers import (
     selection_sample,
     sparse_fisher_yates,
 )
+from srswor.suite import first_position_law
 
 ALL_INDEX_SAMPLERS = [
     fisher_yates_sample,
@@ -210,9 +211,8 @@ def test_sparse_state_overlay_reconstructs_classical_array():
         r = classical.next_uniform_int(top)
         x[top - 1], x[r - 1] = x[r - 1], x[top - 1]
         next(it)
-        st_ = it.state()
-        assert st_.i == i + 1
-        live = {pos: st_.entries.get(pos, pos) for pos in range(1, top)}
+        assert it.i == i + 1
+        live = {pos: it._entries.get(pos, pos) for pos in range(1, top)}
         assert live == {pos: x[pos - 1] for pos in range(1, top)}
 
 
@@ -255,15 +255,6 @@ def test_preinit_sample_values_come_from_array():
     assert set(res.indices) <= set(items)
 
 
-def test_undo_log_apply_then_undo_roundtrip():
-    x = [10, 20, 30]
-    _, log = preinit_fy_sample_with_undo(RandomSource(21), x, 3)
-    y = list(x)
-    log.apply(y)
-    log.undo(y)
-    assert y == x
-
-
 def test_preinit_same_subset_as_fisher_yates():
     # same seed, same selected positions, expressed as values
     n, k, seed = 30, 12, 99
@@ -280,16 +271,9 @@ def test_inorder_full_sample_is_identity():
 
 
 def test_inorder_first_position_distribution():
-    # P(first selected position = x) = C(n-x, k-1)/C(n, k); for n=5, k=2
-    # that is (0.4, 0.3, 0.2, 0.1) on x = 1..4
-    src = RandomSource(61)
-    reps = 40000
-    counts = [0] * 4
-    for _ in range(reps):
-        counts[inorder_sample(src, 5, 2).indices[0] - 1] += 1
-    pmf = [0.4, 0.3, 0.2, 0.1]
-    stat = sum((c - reps * q) ** 2 / (reps * q) for c, q in zip(counts, pmf))
-    assert stat < 16.266  # chi2(3) 0.999 quantile
+    # the first index of a sorted sample is its smallest
+    report = first_position_law(inorder_sample, RandomSource(61), 5, 2, 40000, 0.001)
+    assert report.passed, report
 
 
 # --- reservoir ---

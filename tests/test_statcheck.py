@@ -12,20 +12,20 @@ from srswor.rng import RandomSource
 from srswor.samplers import fisher_yates_sample
 from srswor.statcheck import (
     MAX_ENUMERATED_SUBSETS,
-    beta_binomial_pmf,
-    binomial_pmf,
+    beta_binomial_law,
+    binomial_law,
     chi2_sf,
     chi_square_gof,
     chi_square_two_sample,
     enumerate_subset_distribution,
     expected_hash_occupancy,
     expected_membership_draws,
-    first_position_pmf,
-    hypergeom_pmf,
+    hypergeom_law,
     kolmogorov_sf,
     ks_gof,
     normal_sf_two_sided,
 )
+from srswor.suite import pmf_law
 
 # chi-square upper tails frozen from an independent implementation
 CHI2_SF_CASES = [
@@ -176,86 +176,112 @@ def test_ks_statistic_hand_case():
     assert report.n == 10
 
 
-# --- pmfs and cost formulas ---
+# --- exact laws and cost formulas ---
 
-def test_first_position_pmf_cases():
-    # n=5, k=2: (0.4, 0.3, 0.2, 0.1) on x=1..4
-    expected = [0.4, 0.3, 0.2, 0.1]
-    for x, q in enumerate(expected, start=1):
-        assert first_position_pmf(5, 2, x) == pytest.approx(q, rel=1e-12)
-    assert first_position_pmf(5, 2, 5) == 0.0
-    assert first_position_pmf(5, 2, 0) == 0.0
+# pmfs frozen from an independent implementation; hypergeometric parameters
+# are (successes, population, draws)
+LAW_CASES = [
+    (binomial_law, (10, 0.3), [
+        0.0282475249, 0.12106082099999989, 0.2334744405000001,
+        0.26682793199999977, 0.2001209489999999, 0.10291934519999989,
+        0.036756908999999956, 0.009001691999999992, 0.0014467004999999982,
+        0.00013778099999999988, 5.9048999999999975e-06,
+    ]),
+    (beta_binomial_law, (1, 3, 5), [
+        0.3750000000000001, 0.2678571428571428, 0.17857142857142858,
+        0.10714285714285714, 0.05357142857142861, 0.017857142857142867,
+    ]),
+    (beta_binomial_law, (2, 2, 6), [
+        0.08333333333333333, 0.1428571428571429, 0.17857142857142846,
+        0.19047619047619033, 0.17857142857142846, 0.1428571428571429,
+        0.08333333333333333,
+    ]),
+    # the smallest index of a 2-subset of [1, 5], minus 1
+    (beta_binomial_law, (1, 2, 3), [0.4, 0.3, 0.2, 0.1]),
+    (beta_binomial_law, (1, 1, 7), [0.125] * 8),
+    (hypergeom_law, (HypergeomParams(2, 4, 2),), [1 / 6, 2 / 3, 1 / 6]),
+    (hypergeom_law, (HypergeomParams(5, 12, 7),), [
+        0.0012626262626262627, 0.04419191919191919, 0.26515151515151514,
+        0.4419191919191919, 0.22095959595959594, 0.026515151515151512,
+    ]),
+    (hypergeom_law, (HypergeomParams(3, 10, 4),), [1 / 6, 0.5, 0.3, 1 / 30]),
+    (hypergeom_law, (HypergeomParams(1, 6, 3),), [0.5, 0.5]),
+]
 
 
-def test_first_position_pmf_normalizes():
-    for n in (1, 2, 5, 17, 50):
-        for k in {1, 2, n // 2 or 1, n}:
-            if k > n:
-                continue
-            total = math.fsum(first_position_pmf(n, k, x) for x in range(1, n + 1))
-            assert abs(total - 1.0) <= 1e-12, (n, k)
+@pytest.mark.parametrize("law, args, expected", LAW_CASES)
+def test_law_reference_values(law, args, expected):
+    assert law(*args) == (0, pytest.approx(expected, rel=1e-12))
 
 
-def test_first_position_pmf_k_equals_n():
-    assert first_position_pmf(6, 6, 1) == pytest.approx(1.0)
-
-
-def test_first_position_pmf_errors():
-    with pytest.raises(ValueError):
-        first_position_pmf(5, 0, 1)
-    with pytest.raises(ValueError):
-        first_position_pmf(0, 1, 1)
+@given(st.integers(min_value=1, max_value=60), st.integers(min_value=1, max_value=60),
+       st.integers(min_value=0, max_value=60))
+@settings(max_examples=100, deadline=None)
+def test_laws_match_exact_values(n, k, v):
+    n, k, v = max(n, k), min(n, k), min(v, max(n, k))
+    # P(smallest index of a uniform k-subset of [1, n] = x) = C(n-x, k-1) / C(n, k)
+    exact = [math.comb(n - x, k - 1) / math.comb(n, k) for x in range(1, n - k + 2)]
+    assert beta_binomial_law(1, k, n - k) == (0, pytest.approx(exact, rel=1e-13))
+    lo = max(0, k - (n - v))
+    exact = [math.comb(v, c) * math.comb(n - v, k - c) / math.comb(n, k)
+             for c in range(lo, min(v, k) + 1)]
+    assert hypergeom_law(HypergeomParams(v, n, k)) == (lo, pytest.approx(exact, rel=1e-13))
+    p = k / (n + 1)
+    q = Fraction(p)
+    exact = [float(math.comb(n, c) * q ** c * (1 - q) ** (n - c)) for c in range(n + 1)]
+    assert binomial_law(n, p) == (0, pytest.approx(exact, rel=1e-13))
 
 
 def test_exact_pmfs_at_large_n():
-    # each pmf must be its exact rational value, correctly rounded, even
-    # where the arguments pass 2^53 or lgamma loses digits
-    half = hypergeom_pmf(HypergeomParams(2**52, 2**53, 2), 1)
-    assert half == float(Fraction(2**52 * 2**52, math.comb(2**53, 2)))
-    assert half == pytest.approx(0.5, rel=1e-15)
-    tiny = first_position_pmf(2**53, 3, 2**52)
-    assert tiny == float(Fraction(math.comb(2**52, 2), math.comb(2**53, 3)))
-    assert tiny == pytest.approx(8.326672684688675e-17, rel=1e-15)
+    # a value next to the mode is its exact rational value, correctly
+    # rounded, even where the arguments pass 2^53
+    lo, probs = hypergeom_law(HypergeomParams(2**52, 2**53, 2))
+    assert probs[1 - lo] == float(Fraction(2**52 * 2**52, math.comb(2**53, 2)))
+    assert probs[1 - lo] == pytest.approx(0.5, rel=1e-15)
     v, n, k = 10**9, 3 * 10**9, 5
     exact = Fraction(math.comb(v, 2) * math.comb(n - v, 3), math.comb(n, k))
-    assert hypergeom_pmf(HypergeomParams(v, n, k), 2) == float(exact)
+    lo, probs = hypergeom_law(HypergeomParams(v, n, k))
+    assert probs[2 - lo] == float(exact)
 
 
-def test_binomial_pmf_matches_reference():
-    # Binomial(10, 0.3) head frozen from an independent implementation
-    assert binomial_pmf(10, 0.3, 0) == pytest.approx(0.0282475249, rel=1e-12)
-    assert binomial_pmf(10, 0.3, 3) == pytest.approx(0.26682793199999977, rel=1e-12)
-    assert binomial_pmf(10, 0.3, 11) == 0.0
-    assert binomial_pmf(10, 0.0, 0) == 1.0
-    assert binomial_pmf(10, 1.0, 10) == 1.0
+@pytest.mark.parametrize("law, args, mean, var", [
+    (binomial_law, (10**6, 0.3), 10**6 * 0.3, 10**6 * 0.3 * 0.7),
+    # k = 10^5, walked out until the pmf falls below 2^-1022
+    (hypergeom_law, (HypergeomParams(5 * 10**8, 10**9, 10**5),), 5 * 10**4,
+     10**5 * 0.25 * (10**9 - 10**5) / (10**9 - 1)),
+])
+def test_wide_laws_hold_their_moments(law, args, mean, var):
+    lo, probs = law(*args)
+    got = math.fsum(i * q for i, q in enumerate(probs))
+    assert lo + got == pytest.approx(mean, rel=1e-12)
+    assert math.fsum((i - got) ** 2 * q for i, q in enumerate(probs)) == pytest.approx(
+        var, rel=1e-9)
+    assert min(probs) > 0.0
 
 
-def test_binomial_pmf_normalizes():
-    total = math.fsum(binomial_pmf(40, 0.37, c) for c in range(41))
-    assert abs(total - 1.0) <= 1e-12
+def test_law_edges_and_errors():
+    assert binomial_law(10, 0.0) == (0, [1.0])
+    assert binomial_law(10, 1.0) == (10, [1.0])
+    assert binomial_law(0, 0.5) == (0, [1.0])
+    # the first position of a full sample is 1
+    assert beta_binomial_law(1, 6, 0) == (0, [1.0])
+    assert hypergeom_law(HypergeomParams(0, 9, 4)) == (0, [1.0])
+    assert hypergeom_law(HypergeomParams(5, 6, 4)) == (3, pytest.approx([2 / 3, 1 / 3]))
+    for bad in ((-1, 0.5), (5, -0.1), (5, 1.5)):
+        with pytest.raises(ValueError):
+            binomial_law(*bad)
+    for bad in ((0, 1, 5), (1, 0, 5), (1, 1, -1)):
+        with pytest.raises(ValueError):
+            beta_binomial_law(*bad)
 
 
-def test_beta_binomial_pmf_uniform_special_case():
-    # alpha = beta = 1 gives the discrete uniform on {0..n}
-    for c in range(8):
-        assert beta_binomial_pmf(1, 1, 7, c) == pytest.approx(0.125, rel=1e-12)
-
-
-def test_beta_binomial_pmf_matches_reference():
-    # BetaBinomial(1, 3, 5) frozen from an independent implementation
-    expected = [
-        0.3750000000000001, 0.2678571428571428, 0.17857142857142858,
-        0.10714285714285714, 0.05357142857142861, 0.017857142857142867,
-    ]
-    for c, q in enumerate(expected):
-        assert beta_binomial_pmf(1, 3, 5, c) == pytest.approx(q, rel=1e-10)
-
-
-def test_beta_binomial_pmf_errors_and_support():
-    with pytest.raises(ValueError):
-        beta_binomial_pmf(0, 1, 5, 2)
-    assert beta_binomial_pmf(2, 2, 5, 6) == 0.0
-    assert beta_binomial_pmf(2, 2, 5, -1) == 0.0
+def test_pmf_law_refuses_values_outside_the_support():
+    # one below the support must not wrap around to the last cell
+    uniform6 = (1, [1 / 6] * 6)
+    for shift, value in ((-1, 0), (1, 7)):
+        with pytest.raises(ValueError, match=f"value {value} outside"):
+            pmf_law(lambda s: s.next_uniform_int(6) + shift, uniform6, RandomSource(3),
+                    60000, 0.001)
 
 
 def test_expected_membership_draws_value():
@@ -336,12 +362,3 @@ def test_enumerate_subset_distribution_rejects_invalid_output():
 def test_chi2_sf_is_a_tail_probability(stat, dof):
     p = chi2_sf(stat, dof)
     assert 0.0 <= p <= 1.0
-
-
-@given(st.integers(min_value=1, max_value=60), st.integers(min_value=1, max_value=60))
-@settings(max_examples=100, deadline=None)
-def test_first_position_pmf_property(n, k):
-    if k > n:
-        n, k = k, n
-    total = math.fsum(first_position_pmf(n, k, x) for x in range(1, n - k + 2))
-    assert abs(total - 1.0) <= 1e-11
