@@ -374,15 +374,23 @@ def test_beta_binomial_shapes_must_be_positive():
         beta_binomial(src, 1.0, 0.0, 7)
 
 
-@pytest.mark.parametrize("a, b, m, seed", [
-    (1, 1, 5, 41),  # uniform on {0..5}
-    (1, 3, 5, 43),  # skewed, closed-form beta quantile
-    (2, 2, 6, 47),  # alpha > 1: explicit beta draw, then the binomial stage
-])
-def test_beta_binomial_law(a, b, m, seed):
-    report = pmf_law(lambda s: beta_binomial(s, a, b, m),
-                     beta_binomial_law(a, b, m), RandomSource(seed), 60000, 0.001)
+def _assert_beta_binomial_law(a, b, m, seed):
+    report = pmf_law(lambda s: beta_binomial(s, a, b, m), beta_binomial_law(a, b, m),
+                     RandomSource(seed), 60000, 0.001)
     assert report.passed, report
+
+
+def test_beta_binomial_pmf_uniform_case():
+    _assert_beta_binomial_law(1, 1, 5, 41)  # uniform on {0..5}
+
+
+def test_beta_binomial_pmf_skewed_case():
+    _assert_beta_binomial_law(1, 3, 5, 43)  # closed-form beta quantile
+
+
+def test_beta_binomial_two_stage_case():
+    # alpha > 1 exercises the explicit beta draw, then the binomial stage
+    _assert_beta_binomial_law(2, 2, 6, 47)
 
 
 def test_beta_binomial_alpha1_stats_families():
@@ -395,6 +403,28 @@ def test_beta_binomial_alpha1_stats_families():
 
 
 # --- hypergeometric ---
+
+def test_hypergeom_pmf_oracle():
+    # against exact binomial-coefficient ratios
+    for v, n, k in [(2, 4, 2), (5, 12, 7), (3, 10, 4), (1, 6, 3), (5, 6, 4), (0, 9, 4)]:
+        lo = max(0, k - (n - v))
+        exact = [math.comb(v, c) * math.comb(n - v, k - c) / math.comb(n, k)
+                 for c in range(lo, min(v, k) + 1)]
+        assert hypergeom_law(HypergeomParams(v, n, k)) == (lo, pytest.approx(exact, rel=1e-12))
+
+
+def test_hypergeom_pmf_outside_support():
+    # the support is max(0, k - (n - v)) .. min(v, k); c cannot exceed draws either
+    for (v, n, k), support in [((2, 6, 3), (0, 3)), ((5, 6, 2), (1, 2))]:
+        lo, probs = hypergeom_law(HypergeomParams(v, n, k))
+        assert (lo, len(probs)) == support
+
+
+def test_hypergeom_pmf_sums_to_one():
+    for v, n, k in [(2, 4, 2), (5, 12, 7), (7, 20, 11), (0, 9, 4)]:
+        total = math.fsum(hypergeom_law(HypergeomParams(v, n, k))[1])
+        assert total == pytest.approx(1.0, abs=1e-12)
+
 
 def test_hypergeometric_degenerate():
     src = RandomSource(13)

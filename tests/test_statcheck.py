@@ -178,40 +178,77 @@ def test_ks_statistic_hand_case():
 
 # --- exact laws and cost formulas ---
 
-# pmfs frozen from an independent implementation; hypergeometric parameters
-# are (successes, population, draws)
-LAW_CASES = [
-    (binomial_law, (10, 0.3), [
+def _first_position(n, k):
+    """(lo, probs) of the smallest index of a uniform k-subset of [1, n]."""
+    lo, probs = beta_binomial_law(1, k, n - k)
+    return 1 + lo, probs
+
+
+def test_first_position_pmf_cases():
+    # n=5, k=2: (0.4, 0.3, 0.2, 0.1) on x=1..4, nothing at 0 or 5
+    assert _first_position(5, 2) == (1, pytest.approx([0.4, 0.3, 0.2, 0.1], rel=1e-12))
+
+
+def test_first_position_pmf_normalizes():
+    for n in (1, 2, 5, 17, 50):
+        for k in {1, 2, n // 2 or 1, n}:
+            if k > n:
+                continue
+            assert abs(math.fsum(_first_position(n, k)[1]) - 1.0) <= 1e-12, (n, k)
+
+
+def test_first_position_pmf_k_equals_n():
+    # the first position of a full sample is 1
+    assert _first_position(6, 6) == (1, [1.0])
+
+
+def test_first_position_pmf_errors():
+    with pytest.raises(ValueError):
+        _first_position(5, 0)
+    with pytest.raises(ValueError):
+        _first_position(0, 1)
+
+
+def test_binomial_pmf_matches_reference():
+    # Binomial(10, 0.3) frozen from an independent implementation
+    assert binomial_law(10, 0.3) == (0, pytest.approx([
         0.0282475249, 0.12106082099999989, 0.2334744405000001,
         0.26682793199999977, 0.2001209489999999, 0.10291934519999989,
         0.036756908999999956, 0.009001691999999992, 0.0014467004999999982,
         0.00013778099999999988, 5.9048999999999975e-06,
-    ]),
-    (beta_binomial_law, (1, 3, 5), [
+    ], rel=1e-12))
+    assert binomial_law(10, 0.0) == (0, [1.0])
+    assert binomial_law(10, 1.0) == (10, [1.0])
+
+
+def test_binomial_pmf_normalizes():
+    assert abs(math.fsum(binomial_law(40, 0.37)[1]) - 1.0) <= 1e-12
+
+
+def test_beta_binomial_pmf_uniform_special_case():
+    # alpha = beta = 1 gives the discrete uniform on {0..n}
+    assert beta_binomial_law(1, 1, 7) == (0, pytest.approx([0.125] * 8, rel=1e-12))
+
+
+def test_beta_binomial_pmf_matches_reference():
+    # BetaBinomial(1, 3, 5) and (2, 2, 6) frozen from an independent implementation
+    assert beta_binomial_law(1, 3, 5) == (0, pytest.approx([
         0.3750000000000001, 0.2678571428571428, 0.17857142857142858,
         0.10714285714285714, 0.05357142857142861, 0.017857142857142867,
-    ]),
-    (beta_binomial_law, (2, 2, 6), [
+    ], rel=1e-12))
+    assert beta_binomial_law(2, 2, 6) == (0, pytest.approx([
         0.08333333333333333, 0.1428571428571429, 0.17857142857142846,
         0.19047619047619033, 0.17857142857142846, 0.1428571428571429,
         0.08333333333333333,
-    ]),
-    # the smallest index of a 2-subset of [1, 5], minus 1
-    (beta_binomial_law, (1, 2, 3), [0.4, 0.3, 0.2, 0.1]),
-    (beta_binomial_law, (1, 1, 7), [0.125] * 8),
-    (hypergeom_law, (HypergeomParams(2, 4, 2),), [1 / 6, 2 / 3, 1 / 6]),
-    (hypergeom_law, (HypergeomParams(5, 12, 7),), [
-        0.0012626262626262627, 0.04419191919191919, 0.26515151515151514,
-        0.4419191919191919, 0.22095959595959594, 0.026515151515151512,
-    ]),
-    (hypergeom_law, (HypergeomParams(3, 10, 4),), [1 / 6, 0.5, 0.3, 1 / 30]),
-    (hypergeom_law, (HypergeomParams(1, 6, 3),), [0.5, 0.5]),
-]
+    ], rel=1e-12))
 
 
-@pytest.mark.parametrize("law, args, expected", LAW_CASES)
-def test_law_reference_values(law, args, expected):
-    assert law(*args) == (0, pytest.approx(expected, rel=1e-12))
+def test_beta_binomial_pmf_errors_and_support():
+    for bad in ((0, 1, 5), (1, 0, 5), (1, 1, -1)):
+        with pytest.raises(ValueError):
+            beta_binomial_law(*bad)
+    lo, probs = beta_binomial_law(2, 2, 5)
+    assert (lo, len(probs)) == (0, 6)
 
 
 @given(st.integers(min_value=1, max_value=60), st.integers(min_value=1, max_value=60),
@@ -259,20 +296,11 @@ def test_wide_laws_hold_their_moments(law, args, mean, var):
     assert min(probs) > 0.0
 
 
-def test_law_edges_and_errors():
-    assert binomial_law(10, 0.0) == (0, [1.0])
-    assert binomial_law(10, 1.0) == (10, [1.0])
+def test_binomial_law_edges_and_errors():
     assert binomial_law(0, 0.5) == (0, [1.0])
-    # the first position of a full sample is 1
-    assert beta_binomial_law(1, 6, 0) == (0, [1.0])
-    assert hypergeom_law(HypergeomParams(0, 9, 4)) == (0, [1.0])
-    assert hypergeom_law(HypergeomParams(5, 6, 4)) == (3, pytest.approx([2 / 3, 1 / 3]))
     for bad in ((-1, 0.5), (5, -0.1), (5, 1.5)):
         with pytest.raises(ValueError):
             binomial_law(*bad)
-    for bad in ((0, 1, 5), (1, 0, 5), (1, 1, -1)):
-        with pytest.raises(ValueError):
-            beta_binomial_law(*bad)
 
 
 def test_pmf_law_refuses_values_outside_the_support():
@@ -362,3 +390,13 @@ def test_enumerate_subset_distribution_rejects_invalid_output():
 def test_chi2_sf_is_a_tail_probability(stat, dof):
     p = chi2_sf(stat, dof)
     assert 0.0 <= p <= 1.0
+
+
+@given(st.integers(min_value=1, max_value=60), st.integers(min_value=1, max_value=60))
+@settings(max_examples=100, deadline=None)
+def test_first_position_pmf_property(n, k):
+    if k > n:
+        n, k = k, n
+    lo, probs = _first_position(n, k)
+    assert (lo, len(probs)) == (1, n - k + 1)
+    assert abs(math.fsum(probs) - 1.0) <= 1e-11
