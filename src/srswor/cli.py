@@ -230,6 +230,21 @@ def _cmd_verify(args) -> int:
     return 0
 
 
+def _parse_shard(line: str) -> MergeInput:
+    """One manifest line, population<TAB>size<TAB>comma-separated ids."""
+    parts = line.split("\t")
+    if len(parts) != 3:
+        raise ValueError(f"expected population<TAB>size<TAB>ids, got {len(parts)} field(s)")
+    try:
+        population, size = int(parts[0]), int(parts[1])
+    except ValueError:
+        raise ValueError("non-integer population or size") from None
+    ids = parts[2].split(",") if parts[2] else []
+    if len(ids) != size:
+        raise ValueError(f"declared size {size} but {len(ids)} identifier(s)")
+    return MergeInput(ids, population)
+
+
 def _cmd_merge(args) -> int:
     try:
         with open(args.manifest, "r") as handle:
@@ -243,45 +258,11 @@ def _cmd_merge(args) -> int:
         line = raw.rstrip("\n")
         if not line.strip():
             continue
-        parts = line.split("\t")
-        if len(parts) != 3:
-            print(
-                f"merge: manifest line {lineno}: expected "
-                f"population<TAB>size<TAB>ids, got {len(parts)} field(s)",
-                file=sys.stderr,
-            )
-            return 1
         try:
-            population = int(parts[0])
-            size = int(parts[1])
-        except ValueError:
-            print(
-                f"merge: manifest line {lineno}: non-integer population or size",
-                file=sys.stderr,
-            )
+            inputs.append(_parse_shard(line))
+        except ValueError as exc:
+            print(f"merge: manifest line {lineno}: {exc}", file=sys.stderr)
             return 1
-        ids = parts[2].split(",") if parts[2] else []
-        if len(ids) != size:
-            print(
-                f"merge: manifest line {lineno}: declared size {size} but "
-                f"{len(ids)} identifier(s)",
-                file=sys.stderr,
-            )
-            return 1
-        if population < 1 or size < 0 or size > population:
-            print(
-                f"merge: manifest line {lineno}: invalid sizes "
-                f"k={size}, n={population}",
-                file=sys.stderr,
-            )
-            return 1
-        if len(set(ids)) != len(ids):
-            print(
-                f"merge: manifest line {lineno}: duplicate identifiers",
-                file=sys.stderr,
-            )
-            return 1
-        inputs.append(MergeInput(ids, population))
     if not inputs:
         print("merge: manifest holds no shards", file=sys.stderr)
         return 1

@@ -11,11 +11,11 @@ be read as the k smallest of n iid uniforms, and the (k+1)-th order
 statistic, distributed Beta(k+1, n-k), is the threshold below which the
 sample is a complete census of the union population.  Taking the smallest
 threshold T' across shards, every sampled item survives independently with
-probability min(1, T'/T_c) given its shard's threshold T_c, so the shard
-whose threshold attains the minimum keeps all of its items and every other
-shard is thinned by a Binomial draw.  The survivors are a simple random
-sample of the union with a random (but valid) size; downsample trims to an
-exact target size when one is required.
+probability min(1, T'/T_c) given its shard's threshold T_c: shard c keeps a
+Binomial number kappa_c of its k_c items, all of them where T_c is the
+minimum, and downsample picks which, in input order.  The survivors are a
+simple random sample of the union with a random (but valid) size;
+downsample also trims them to an exact target size when one is required.
 """
 
 from __future__ import annotations
@@ -38,14 +38,10 @@ class MergeInput:
     def __init__(self, sample: Sequence, population_size: int):
         object.__setattr__(self, "sample", tuple(sample))
         object.__setattr__(self, "population_size", population_size)
-        if population_size < 1:
-            raise ValueError(f"population size must be >= 1, got {population_size}")
-        if len(self.sample) > population_size:
-            raise ValueError(
-                f"sample of {len(self.sample)} exceeds population {population_size}"
-            )
+        if population_size < 1 or len(self.sample) > population_size:
+            raise ValueError(f"invalid sizes k={len(self.sample)}, n={population_size}")
         if len(set(self.sample)) != len(self.sample):
-            raise ValueError("sample identifiers must be distinct")
+            raise ValueError("duplicate identifiers")
 
 
 @dataclass(frozen=True)
@@ -87,7 +83,9 @@ def merge_all_with_state(source: UniformSource,
     """Merge any number of shard samples; see the module docstring for the law.
 
     All thresholds are drawn first, then every shard is thinned against the
-    common minimum, so the construction is symmetric in its inputs.
+    common minimum, so the construction is symmetric in its inputs.  Shard c
+    costs a beta, a binomial and min(kappa_c, k_c - kappa_c) uniform ints;
+    its kept items follow input order, shard by shard.
     """
     if not inputs:
         raise ValueError("merge requires at least one input")
@@ -103,23 +101,23 @@ def merge_all_with_state(source: UniformSource,
         k_c = len(inp.sample)
         kappa = binomial(source, k_c, min(1.0, t_min / t_c)) if k_c else 0
         kappas.append(kappa)
-        if kappa == 0:
-            continue
-        if kappa == k_c:
-            # the winning shard (and any other full survivor) keeps its
-            # whole sample; no randomness needed to pick all of it
-            merged.extend(inp.sample)
-            continue
-        positions = sparse_fisher_yates(source, k_c, kappa).indices
-        merged.extend(inp.sample[p - 1] for p in positions)
+        merged.extend(downsample(source, inp.sample, kappa))
     return merged, MergeState(tuple(thresholds), tuple(kappas))
 
 
 def downsample(source: UniformSource, sample: Sequence, target: int) -> list:
-    """Uniformly keep exactly target items of an existing sample."""
-    if not 0 <= target <= len(sample):
-        raise ValueError(f"target {target} outside [0, {len(sample)}]")
-    if target == 0:
-        return []
-    positions = sparse_fisher_yates(source, len(sample), target).indices
-    return [sample[p - 1] for p in positions]
+    """Uniformly keep exactly target of the n items of sample, in input order.
+
+    sparse_fisher_yates draws the positions to keep if 2 * target <= n, else
+    the uniform subset to drop: min(target, n - target) uniform ints.
+    """
+    n = len(sample)
+    if not 0 <= target <= n:
+        raise ValueError(f"target {target} outside [0, {n}]")
+    if 2 * target <= n:
+        if target == 0:
+            return []
+        positions = sparse_fisher_yates(source, n, target).indices
+        return [sample[p - 1] for p in sorted(positions)]
+    dropped = set(sparse_fisher_yates(source, n, n - target).indices)
+    return [item for p, item in enumerate(sample, 1) if p not in dropped]

@@ -11,6 +11,7 @@ statistics dependency.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 import sys
@@ -260,7 +261,11 @@ def _walk(lo: int, hi: int, ratio) -> tuple[int, list[float]]:
             break
         down.append(f)
     probs = down[::-1] + [1.0] + up
-    total = math.fsum(probs)
+    # fsum is slow over a wide dynamic range, so the two monotone tails
+    # below 2^-60 are summed plainly, each from its smallest value
+    i = bisect.bisect_left(probs, 2.0 ** -60, hi=len(down))
+    j = len(probs) - bisect.bisect_left(up[::-1], 2.0 ** -60)
+    total = math.fsum(probs[i:j]) + (sum(probs[:i]) + sum(probs[:j - 1:-1]))
     return a - len(down), [f / total for f in probs]
 
 

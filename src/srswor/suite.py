@@ -157,20 +157,35 @@ def restoration_violations(source, cells, value_bound: int) -> int:
     return violations
 
 
+def _subset_gof(draw, n: int, k: int, source, reps: int,
+                alpha: float) -> statcheck.GofReport:
+    # chi-square of reps k-subsets draw(source) of [1, n] against the
+    # uniform law on all C(n, k) of them
+    index = {frozenset(c): i for i, c in enumerate(itertools.combinations(range(1, n + 1), k))}
+    counts = [0] * len(index)
+    for _ in range(reps):
+        counts[index[frozenset(draw(source))]] += 1
+    return statcheck.chi_square_gof(counts, [1 / len(index)] * len(index), alpha)
+
+
 def split_merge_law(source, k: int, reps: int, alpha: float) -> statcheck.GofReport:
     """Split k over blocks (4, 4), sample each block's share with
     sparse_fisher_yates, and chi-square the union against the uniform law
     on all C(8, k) subsets."""
-    subsets = {
-        frozenset(c): i for i, c in enumerate(itertools.combinations(range(1, 9), k))
-    }
-    counts = [0] * len(subsets)
-    for _ in range(reps):
-        c0, c1 = distributed.split_sample_counts(source, (4, 4), k)
-        picked = sparse_fisher_yates(source, 4, c0).indices
-        picked += [i + 4 for i in sparse_fisher_yates(source, 4, c1).indices]
-        counts[subsets[frozenset(picked)]] += 1
-    return statcheck.chi_square_gof(counts, [1 / len(subsets)] * len(subsets), alpha)
+    def draw(s):
+        c0, c1 = distributed.split_sample_counts(s, (4, 4), k)
+        return (sparse_fisher_yates(s, 4, c0).indices
+                + [i + 4 for i in sparse_fisher_yates(s, 4, c1).indices])
+    return _subset_gof(draw, 8, k, source, reps, alpha)
+
+
+def downsample_subsets_law(source, n: int, m: int, reps: int,
+                           alpha: float) -> statcheck.GofReport:
+    """Keep m of range(1, n + 1) with downsample, reps times, and chi-square
+    the kept sets against the uniform law on all C(n, m) subsets.  2m <= n
+    draws the positions to keep, 2m > n the positions to drop."""
+    return _subset_gof(lambda s: distributed.downsample(s, range(1, n + 1), m),
+                       n, m, source, reps, alpha)
 
 
 def merge_two_shards(source, reps: int) -> tuple[list[int], Counter, int]:
@@ -395,37 +410,38 @@ def run_suite(suite: str = "quick", seed: int = 0,
         lambda s: perm_index[tuple(permutation_from_transpositions(s, 4))],
         (0, [1 / 24] * 24), scale["perm_reps"])
 
-    if suite != "full":
-        return records
+    if suite == "full":
+        name = "uniform-int-sweep-m1-64"
+        reports = [
+            pmf_law(lambda s: s.next_uniform_int(m), (1, [1.0 / m] * m),
+                    src(f"{name}-{m}"), 10_000 * m, alpha)
+            for m in range(2, 65)
+        ]
+        worst = min(r.p_value for r in reports)
+        records.append(CheckRecord(name, worst, worst, all(r.passed for r in reports)))
 
-    name = "uniform-int-sweep-m1-64"
-    reports = [
-        pmf_law(lambda s: s.next_uniform_int(m), (1, [1.0 / m] * m),
-                src(f"{name}-{m}"), 10_000 * m, alpha)
-        for m in range(2, 65)
-    ]
-    worst = min(r.p_value for r in reports)
-    records.append(CheckRecord(name, worst, worst, all(r.passed for r in reports)))
+        name = "split-merge-duality-4-4-k3"
+        records.append(_gof_record(name, split_merge_law(src(name), 3, 20_000, alpha)))
 
-    name = "split-merge-duality-4-4-k3"
-    records.append(_gof_record(name, split_merge_law(src(name), 3, 20_000, alpha)))
+        # 100 uniform draws over 20 cells per rep: the share of reps that a fixed
+        # internal level of 0.01 rejects measures the p-value machinery
+        name = "chi-square-calibration-ncat20"
+        s = src(name)
+        reps = 100_000
+        cal_alpha = 0.01
+        rejected = sum(
+            not pmf_law(lambda s: s.next_uniform_int(20), (1, [1.0 / 20] * 20), s, 100,
+                        cal_alpha).passed
+            for _ in range(reps)
+        )
+        expect = reps * cal_alpha
+        z = (rejected - expect) / math.sqrt(reps * cal_alpha * (1.0 - cal_alpha))
+        p = statcheck.normal_sf_two_sided(z)
+        records.append(CheckRecord(name, z, p, p >= alpha))
 
-    # 100 uniform draws over 20 cells per rep: the share of reps that a fixed
-    # internal level of 0.01 rejects measures the p-value machinery
-    name = "chi-square-calibration-ncat20"
-    s = src(name)
-    reps = 100_000
-    cal_alpha = 0.01
-    rejected = sum(
-        not pmf_law(lambda s: s.next_uniform_int(20), (1, [1.0 / 20] * 20), s, 100,
-                    cal_alpha).passed
-        for _ in range(reps)
-    )
-    expect = reps * cal_alpha
-    z = (rejected - expect) / math.sqrt(reps * cal_alpha * (1.0 - cal_alpha))
-    p = statcheck.normal_sf_two_sided(z)
-    records.append(CheckRecord(name, z, p, p >= alpha))
-
+    for name, m in (("downsample-subsets-5-2", 2), ("downsample-subsets-5-3", 3)):
+        report = downsample_subsets_law(src(name), 5, m, scale["subset_reps"], alpha)
+        records.append(_gof_record(name, report))
     return records
 
 

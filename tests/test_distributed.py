@@ -13,10 +13,10 @@ from srswor.distributed import (
     split_sample_counts,
 )
 from srswor.distributions import HypergeomParams
-from srswor.rng import RandomSource
-from srswor.samplers import fisher_yates_sample
+from srswor.rng import DrawStats, RandomSource
+from srswor.samplers import fisher_yates_sample, sparse_fisher_yates
 from srswor.statcheck import chi_square_gof, chi_square_two_sample, hypergeom_law
-from srswor.suite import pmf_law
+from srswor.suite import downsample_subsets_law, pmf_law
 
 
 def test_merge_input_validation():
@@ -256,6 +256,68 @@ def test_downsample_uniform_over_items():
             inc[item] += 1
     report = chi_square_gof([inc[i] for i in range(1, 6)], [1 / 5] * 5)
     assert report.passed, report
+
+
+@pytest.mark.parametrize("m, seed", [(2, 27), (3, 28)])
+def test_downsample_subsets_law(m, seed):
+    # keep 2 of 5 draws the kept positions, keep 3 of 5 the dropped ones
+    report = downsample_subsets_law(RandomSource(seed), 5, m, 20000, 0.001)
+    assert report.passed, report
+
+
+def test_merge_inclusion_drop_side():
+    # shards of 4 sorted items from 8: kappa = 3 drops one position, and a
+    # bias toward either end of a shard would show in the inclusion counts
+    src = RandomSource(29)
+    reps = 40000
+    inc = Counter()
+    drop_side = 0
+    for _ in range(reps):
+        sa = sorted(sparse_fisher_yates(src, 8, 4).indices)
+        sb = sorted(x + 8 for x in sparse_fisher_yates(src, 8, 4).indices)
+        merged, state = merge_all_with_state(src, (MergeInput(sa, 8), MergeInput(sb, 8)))
+        drop_side += state.kappas.count(3)
+        inc.update(merged)
+    assert drop_side > reps // 4
+    report = chi_square_gof([inc[i] for i in range(1, 17)], [1 / 16] * 16)
+    assert report.passed, report
+
+
+def _is_subsequence(part, whole):
+    rest = iter(whole)
+    return all(item in rest for item in part)
+
+
+@given(
+    st.lists(st.integers(min_value=0, max_value=40), min_size=1, max_size=3),
+    st.integers(min_value=0, max_value=2**48),
+)
+@settings(max_examples=150, deadline=None)
+def test_keep_draw_budget_and_order(sizes, seed):
+    # downsample draws min(m, n - m) uniform ints and nothing else; merge
+    # adds one beta per shard and one binomial per non-empty shard, whose
+    # uniforms are all reals
+    src = RandomSource(seed)
+    items = [f"i{src.next_uniform_int(10**6)}-{j}" for j in range(sizes[0])]
+    m = src.next_uniform_int(len(items) + 1) - 1
+    before = src.stats.copy()
+    kept = downsample(src, items, m)
+    assert src.stats - before == DrawStats(uniform_int=min(m, len(items) - m))
+    assert len(kept) == m and _is_subsequence(kept, items)
+
+    inputs = []
+    for c, size in enumerate(sizes):
+        sample = [(c, i) for i in sparse_fisher_yates(src, size + 9, size).indices]
+        inputs.append(MergeInput(sample, size + 9))
+    before = src.stats.copy()
+    merged, state = merge_all_with_state(src, inputs)
+    delta = src.stats - before
+    assert delta.uniform_int == sum(
+        min(kappa, len(inp.sample) - kappa) for kappa, inp in zip(state.kappas, inputs))
+    assert delta.beta == len(inputs)
+    assert delta.binomial == sum(1 for size in sizes if size)
+    assert delta.bernoulli == delta.beta_binomial == delta.hypergeometric == 0
+    assert _is_subsequence(merged, [x for inp in inputs for x in inp.sample])
 
 
 @given(
