@@ -10,14 +10,11 @@ times excepted).
 from __future__ import annotations
 
 import argparse
-import csv
-import json
 import sys
 import time
-from dataclasses import dataclass, fields
 
 from .distributed import MergeInput, downsample, merge_all_with_state
-from .rng import RandomSource
+from .rng import RandomSource, Record
 from .samplers import (
     SparseFisherYatesIterator,
     default_samplers,
@@ -32,16 +29,14 @@ BENCH_HEADER = (
 )
 
 
-@dataclass(frozen=True)
-class BenchRecord:
-    algorithm: str
-    n: int
-    k: int
-    rep: int
-    wall_time_ns: int
-    logical_draws: int
-    peak_aux_entries: int
-    seed: int
+class BenchRecord(Record, frozen=True):
+    """One timed rep of run_bench, one field per BENCH_HEADER column."""
+
+    __slots__ = _fields = BENCH_HEADER
+
+    def __init__(self, algorithm: str, n: int, k: int, rep: int, wall_time_ns: int,
+                 logical_draws: int, peak_aux_entries: int, seed: int) -> None:
+        self._init(algorithm, n, k, rep, wall_time_ns, logical_draws, peak_aux_entries, seed)
 
 
 def _bench_once(algo: str, n: int, k: int, source: RandomSource) -> tuple[int, int]:
@@ -121,24 +116,15 @@ def _cmd_sample(args) -> int:
 
 
 def _sample_lines(args, source: RandomSource) -> int:
-    """Line-sampling mode: in-order single pass when n is known, reservoir
-    when reading a stream of unknown length."""
+    """Line-sampling mode: one pass over the input, lines out in input order.
+
+    With --n the sorted positions come from inorder; without it the
+    reservoir keeps k lines, which it returns in stream order.  A file
+    shorter than k is refused; a shorter stdin yields all of its lines."""
     path = args.input
     use_stdin = path is None or path == "-"
     if args.k == 0:
         return 0
-
-    n = args.n
-    if n is None and not use_stdin:
-        try:
-            with open(path, "r") as handle:
-                n = sum(1 for _ in handle)
-        except OSError as exc:
-            print(f"sample: cannot read {path}: {exc}", file=sys.stderr)
-            return 1
-        if args.k > n:
-            print(f"sample: k={args.k} exceeds inferred n={n}", file=sys.stderr)
-            return 2
 
     try:
         handle = sys.stdin if use_stdin else open(path, "r")
@@ -146,10 +132,13 @@ def _sample_lines(args, source: RandomSource) -> int:
         print(f"sample: cannot read {path}: {exc}", file=sys.stderr)
         return 1
     try:
+        n = args.n
         if n is None:
-            pairs = reservoir_sample(source, enumerate(handle, 1), args.k).indices
-            for _, line in sorted(pairs):
-                sys.stdout.write(line)
+            result = reservoir_sample(source, handle, args.k)
+            if result.n < args.k and not use_stdin:
+                print(f"sample: k={args.k} exceeds inferred n={result.n}", file=sys.stderr)
+                return 2
+            sys.stdout.writelines(result.indices)
             return 0
         positions = inorder_sample(source, n, args.k).indices
         emitted = 0
@@ -194,10 +183,12 @@ def _cmd_bench(args) -> int:
     if args.reps < 1:
         print("bench: --reps must be >= 1", file=sys.stderr)
         return 2
+    import csv
+
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(BENCH_HEADER)
     for rec in run_bench(grid, algos, args.reps, args.seed):
-        writer.writerow([getattr(rec, f.name) for f in fields(BenchRecord)])
+        writer.writerow(rec._astuple())
     return 0
 
 
@@ -209,6 +200,8 @@ def _cmd_verify(args) -> int:
     for line in format_report(records):
         print(line)
     if args.json is not None:
+        import json
+
         payload = [
             {
                 "name": r.name,

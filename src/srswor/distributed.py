@@ -20,36 +20,34 @@ downsample also trims them to an exact target size when one is required.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 from .distributions import BetaParams, HypergeomParams, beta, binomial, hypergeometric
-from .rng import UniformSource
+from .rng import Record, UniformSource
 from .samplers import sparse_fisher_yates
 
 
-@dataclass(frozen=True)
-class MergeInput:
+class MergeInput(Record, frozen=True):
     """One shard: the drawn sample plus the size of the population it came from."""
 
-    sample: tuple
-    population_size: int
+    __slots__ = _fields = ("sample", "population_size")
 
-    def __init__(self, sample: Sequence, population_size: int):
-        object.__setattr__(self, "sample", tuple(sample))
-        object.__setattr__(self, "population_size", population_size)
-        if population_size < 1 or len(self.sample) > population_size:
-            raise ValueError(f"invalid sizes k={len(self.sample)}, n={population_size}")
-        if len(set(self.sample)) != len(self.sample):
+    def __init__(self, sample: Sequence, population_size: int) -> None:
+        sample = tuple(sample)
+        if population_size < 1 or len(sample) > population_size:
+            raise ValueError(f"invalid sizes k={len(sample)}, n={population_size}")
+        if len(set(sample)) != len(sample):
             raise ValueError("duplicate identifiers")
+        self._init(sample, population_size)
 
 
-@dataclass(frozen=True)
-class MergeState:
+class MergeState(Record, frozen=True):
     """Per-shard thresholds and surviving counts from one merge."""
 
-    thresholds: tuple
-    kappas: tuple
+    __slots__ = _fields = ("thresholds", "kappas")
+
+    def __init__(self, thresholds: tuple, kappas: tuple) -> None:
+        self._init(thresholds, kappas)
 
 
 def split_sample_counts(source: UniformSource, block_sizes: Sequence[int],

@@ -27,9 +27,8 @@ n = 1e10, lgamma(n + 1) is about 2.2e11 and its ulp is about 3e-5.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .rng import UniformSource
+from .rng import Record, UniformSource
 
 # Below this product of trials and min(p, 1-p), plain CDF inversion is both
 # exact and fast; above it, BTRD (valid from n*p >= 10) takes over.
@@ -53,39 +52,36 @@ _FC_TABLE = tuple(
 )
 
 
-@dataclass(frozen=True)
-class BetaParams:
+class BetaParams(Record, frozen=True):
     """Shape parameters for a Beta draw; beta == 0 degenerates to point mass 1."""
 
-    alpha: float
-    beta: float
+    __slots__ = _fields = ("alpha", "beta")
 
-    def __post_init__(self):
-        if not self.alpha > 0:
-            raise ValueError(f"alpha must be positive, got {self.alpha}")
-        if self.beta < 0:
-            raise ValueError(f"beta must be non-negative, got {self.beta}")
+    def __init__(self, alpha: float, beta: float) -> None:
+        if not alpha > 0:
+            raise ValueError(f"alpha must be positive, got {alpha}")
+        if beta < 0:
+            raise ValueError(f"beta must be non-negative, got {beta}")
+        self._init(alpha, beta)
 
 
-@dataclass(frozen=True)
-class HypergeomParams:
+class HypergeomParams(Record, frozen=True):
     """A population of n items, k of them sampled, restricted to a prefix of v.
 
     The variate of interest is how many of the k sampled items land inside
     the first v positions of the population.
     """
 
-    v: int
-    n: int
-    k: int
+    __slots__ = _fields = ("v", "n", "k")
 
-    def __post_init__(self):
-        if self.n < 0:
-            raise ValueError(f"population size must be >= 0, got {self.n}")
-        if not 0 <= self.v <= self.n:
-            raise ValueError(f"prefix size {self.v} outside [0, {self.n}]")
-        if not 0 <= self.k <= self.n:
-            raise ValueError(f"sample size {self.k} outside [0, {self.n}]")
+    def __init__(self, v: int, n: int, k: int) -> None:
+        if n < 0:
+            raise ValueError(f"population size must be >= 0, got {n}")
+        if not 0 <= v <= n:
+            raise ValueError(f"prefix size {v} outside [0, {n}]")
+        if not 0 <= k <= n:
+            raise ValueError(f"sample size {k} outside [0, {n}]")
+        self._init(v, n, k)
 
 
 def bernoulli(source: UniformSource, p: float) -> int:

@@ -12,8 +12,6 @@ test suite pins down, so any refactor that changes the stream is caught.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
@@ -24,21 +22,78 @@ class ScriptExhaustedError(RuntimeError):
     """Raised when a ScriptedSource is asked for more values than it holds."""
 
 
-@dataclass
-class DrawStats:
+def _read_only(record, name, *value) -> None:
+    raise AttributeError(f"cannot assign to field {name!r} of a frozen {type(record).__name__}")
+
+
+def _hash_fields(record) -> int:
+    return hash(record._astuple())
+
+
+class Record:
+    """Base of the package's small records: equality and repr over _fields.
+
+    A subclass names its fields in _fields, in constructor order, and sets
+    them in its own __init__.  Declared with frozen=True, it refuses
+    assignment once built and hashes its fields; its __init__ then sets
+    them through _init.  It stands in for dataclasses, whose import (with
+    inspect) would add to the start-up of every CLI process.
+    """
+
+    __slots__ = ()
+    _fields: tuple = ()
+
+    def __init_subclass__(cls, frozen: bool = False, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        if frozen:
+            cls.__setattr__ = cls.__delattr__ = _read_only
+            cls.__hash__ = _hash_fields
+
+    def _init(self, *values) -> None:
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+
+    def _astuple(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __reduce__(self):
+        # copy and pickle rebuild through __init__, which a frozen record needs
+        return type(self), self._astuple()
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._astuple() == other._astuple()
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({body})"
+
+
+class DrawStats(Record):
     """Counters of logical draws, one field per variate family.
 
     A logical draw is one request made by calling code: internal rejection
-    retries inside a single request do not add to these counters.
+    retries inside a single request do not add to these counters.  The
+    counters live in the instance dict, so vars(stats) maps each family to
+    its count.
     """
 
-    uniform_int: int = 0
-    uniform_real: int = 0
-    bernoulli: int = 0
-    binomial: int = 0
-    beta: int = 0
-    beta_binomial: int = 0
-    hypergeometric: int = 0
+    _fields = ("uniform_int", "uniform_real", "bernoulli", "binomial", "beta",
+               "beta_binomial", "hypergeometric")
+
+    def __init__(self, uniform_int: int = 0, uniform_real: int = 0, bernoulli: int = 0,
+                 binomial: int = 0, beta: int = 0, beta_binomial: int = 0,
+                 hypergeometric: int = 0) -> None:
+        self.uniform_int = uniform_int
+        self.uniform_real = uniform_real
+        self.bernoulli = bernoulli
+        self.binomial = binomial
+        self.beta = beta
+        self.beta_binomial = beta_binomial
+        self.hypergeometric = hypergeometric
 
     def copy(self) -> "DrawStats":
         return DrawStats(self.uniform_int, self.uniform_real, self.bernoulli,

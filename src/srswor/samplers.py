@@ -10,7 +10,7 @@ items).  They differ in output order, work, and memory:
   preinit_fy_sample_with_undo  selection order, k draws, caller array + undo log
   selection_sample             sorted order, <= n Bernoulli draws, O(1) extra
   inorder_sample               sorted order, k beta-binomial draws, O(1) extra
-  reservoir_sample             array order, one draw per item past k, O(k)
+  reservoir_sample             stream order, ~3k ln(n/k) draws, O(k)
 
 The two Fisher-Yates variants are exchangeable: given the same source they
 produce bit-identical output, the sparse one just stores only the array
@@ -21,11 +21,12 @@ registry of the seven algorithms by name.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+import itertools
+import math
 from typing import Any, Iterable
 
 from .distributions import bernoulli, beta_binomial
-from .rng import DrawStats, UniformSource
+from .rng import DrawStats, Record, UniformSource
 
 
 class SampleOrder(enum.Enum):
@@ -33,27 +34,32 @@ class SampleOrder(enum.Enum):
     SORTED = "sorted"
 
 
-@dataclass
-class SampleResult:
+class SampleResult(Record):
     """A drawn sample plus the draw accounting for the run that produced it.
 
     indices holds population indices in [1, n] for the index-based samplers;
     for preinit_fy_sample_with_undo and reservoir_sample it holds the
-    caller's item values instead.  order is SORTED only when the sequence is
-    guaranteed strictly increasing.
+    caller's item values instead, reservoir_sample's in stream order.  order
+    is SORTED only when the sequence is guaranteed strictly increasing.
     """
 
-    indices: list
-    order: SampleOrder
-    n: int
-    draw_stats: DrawStats
+    __slots__ = _fields = ("indices", "order", "n", "draw_stats")
+
+    def __init__(self, indices: list, order: SampleOrder, n: int,
+                 draw_stats: DrawStats) -> None:
+        self.indices = indices
+        self.order = order
+        self.n = n
+        self.draw_stats = draw_stats
 
 
-@dataclass
-class UndoLog:
+class UndoLog(Record):
     """Record of (position, partner) transpositions in application order."""
 
-    swaps: list = field(default_factory=list)
+    __slots__ = _fields = ("swaps",)
+
+    def __init__(self, swaps: list | None = None) -> None:
+        self.swaps = [] if swaps is None else swaps
 
     def undo(self, x: list) -> None:
         """Replay in reverse; transpositions are involutions, so this exactly
@@ -235,30 +241,59 @@ def inorder_sample(source: UniformSource, n: int, k: int) -> SampleResult:
 def reservoir_sample(source: UniformSource, stream: Iterable[Any], k: int) -> SampleResult:
     """Uniform k-subset of a stream of unknown length, one pass, O(k) memory.
 
-    Item m > k displaces a uniformly chosen reservoir slot with probability
-    k/m: this realizes the right action of the random transposition sequence
-    (m r_m), r_m <= m, truncated to the first k slots.  One uniform-int draw
-    per item after the first k.  The result's indices hold item values in
-    reservoir (array) order, which carries no selection-order meaning; n
-    reports the number of items consumed.  A stream shorter than k yields
-    all of its items; k = 0 reads nothing and draws nothing.
+    Li's Algorithm L (ACM TOMS 20(4), 1994): give every item an implicit
+    uniform key and keep the k smallest.  w, the largest kept key, is drawn
+    as the top of k uniforms and shrinks by a factor U^(1/k) at each
+    replacement; the number of items skipped before the next key below w is
+    Geometric(w), drawn from one uniform real.  Skipped items are read in
+    islice chunks, and each kept one replaces a uniformly chosen slot.  Item
+    t > k is kept with probability k/t, so a run makes about k ln(n/k)
+    replacements, each one uniform int and two uniform reals, plus two reals
+    for the first w and for the skip that runs off the end.  The result's
+    indices hold the kept items in stream order, and n reports the number of
+    items consumed.  A stream shorter than k yields all of its items and
+    draws nothing; k = 0 reads nothing and draws nothing.
     """
     if k < 0:
         raise ValueError(f"reservoir capacity must be >= 0, got {k}")
     if k == 0:
         return SampleResult([], SampleOrder.SELECTION, 0, DrawStats())
     before = source.stats.copy()
-    res = []
-    count = 0
-    for item in stream:
-        count += 1
-        if count <= k:
-            res.append(item)
-        else:
-            j = source.next_uniform_int(count)
-            if j <= k:
-                res[j - 1] = item
-    return SampleResult(res, SampleOrder.SELECTION, count, source.stats - before)
+    items = iter(stream)
+    res = list(itertools.islice(items, k))
+    n = len(res)
+    if n == k:
+        positions = list(range(1, k + 1))
+        real, log, log1p, exp = source.next_uniform_real, math.log, math.log1p, math.exp
+        w = exp(log(1.0 - real()) / k)
+        while True:
+            skip = int(log(1.0 - real()) / log1p(-w)) if w < 1.0 else 0
+            read, chunk = _read(items, skip + 1)
+            n += read
+            if read <= skip:
+                break
+            slot = source.next_uniform_int(k) - 1
+            res[slot] = chunk[-1]
+            positions[slot] = n
+            w *= exp(log(1.0 - real()) / k)
+        res = [res[i] for i in sorted(range(k), key=positions.__getitem__)]
+    return SampleResult(res, SampleOrder.SELECTION, n, source.stats - before)
+
+
+# items per islice call in _read: a chunk list is counted, and stays small
+_CHUNK = 512
+
+
+def _read(items, count: int) -> tuple[int, list]:
+    """Reads up to count items; returns how many it read and its last chunk."""
+    read, chunk = 0, []
+    while read < count:
+        want = min(count - read, _CHUNK)
+        chunk = list(itertools.islice(items, want))
+        read += len(chunk)
+        if len(chunk) < want:
+            break
+    return read, chunk
 
 
 def permutation_from_transpositions(source: UniformSource, n: int) -> list[int]:

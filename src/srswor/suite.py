@@ -36,9 +36,17 @@ from .samplers import (
     membership_checking_sample,
     permutation_from_transpositions,
     preinit_fy_sample_with_undo,
+    reservoir_sample,
     selection_sample,
     sparse_fisher_yates,
 )
+
+# reservoir_sample's draw budget, in units of k(1 + ln(n/k)).  A run makes
+# three draws per replacement and about k ln(n/k) replacements, so it
+# averages under 3 units.  By the exact law of the replacement count, a run
+# breaks the budget with probability below 2e-11 at every n <= 61 (the
+# worst case is k = 1).
+RESERVOIR_DRAW_FACTOR = 12
 
 
 @dataclass(frozen=True)
@@ -89,6 +97,21 @@ def first_position_law(sampler, source, n: int, k: int, reps: int,
                    source, reps, alpha)
 
 
+def reservoir_max_law(source, n: int, k: int, reps: int,
+                      alpha: float) -> statcheck.GofReport:
+    """The largest item that reservoir_sample keeps of range(1, n + 1), reps
+    times, against its law P(max = m) = C(m - 1, k - 1) / C(n, k).
+
+    Items arrive in increasing order, so the largest kept one is the last
+    replacement: the law reads the whole chain of skips, the longest ones
+    included.
+    """
+    total = math.comb(n, k)
+    law = (k, [math.comb(m - 1, k - 1) / total for m in range(k, n + 1)])
+    return pmf_law(lambda s: max(reservoir_sample(s, range(1, n + 1), k).indices),
+                   law, source, reps, alpha)
+
+
 def bitexact_mismatches(cells) -> int:
     """Cells (seed, n, k) where fisher_yates_sample and sparse_fisher_yates,
     each on a fresh RandomSource(seed), select different sequences."""
@@ -104,7 +127,10 @@ def draw_budget_violations(cells) -> int:
 
     fy, sparse and preinit run in turn on the cell's source and must make
     exactly k uniform-int draws, inorder exactly k beta-binomial draws, and
-    select at most n Bernoulli draws.
+    select at most n Bernoulli draws.  reservoir, on range(1, n + 1), must
+    make one uniform int per replacement (at most n - k), two uniform reals
+    per replacement plus two, and at most RESERVOIR_DRAW_FACTOR *
+    k(1 + ln(n/k)) draws in all.
     """
     violations = 0
     for source, n, k in cells:
@@ -115,6 +141,10 @@ def draw_budget_violations(cells) -> int:
         violations += res.draw_stats.uniform_int != k
         violations += inorder_sample(source, n, k).draw_stats.beta_binomial != k
         violations += selection_sample(source, n, k).draw_stats.bernoulli > n
+        stats = reservoir_sample(source, range(1, n + 1), k).draw_stats
+        violations += (stats.uniform_int > n - k
+                       or stats.uniform_real != 2 * stats.uniform_int + 2
+                       or stats.total() > RESERVOIR_DRAW_FACTOR * k * (1 + math.log(n / k)))
     return violations
 
 
@@ -442,6 +472,10 @@ def run_suite(suite: str = "quick", seed: int = 0,
     for name, m in (("downsample-subsets-5-2", 2), ("downsample-subsets-5-3", 3)):
         report = downsample_subsets_law(src(name), 5, m, scale["subset_reps"], alpha)
         records.append(_gof_record(name, report))
+
+    name = "reservoir-max-position-60-3"
+    records.append(_gof_record(name, reservoir_max_law(src(name), 60, 3, scale["fp_reps"],
+                                                       alpha)))
     return records
 
 

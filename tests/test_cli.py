@@ -77,12 +77,26 @@ def _limit_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (600 * 2**20, 600 * 2**20))
 
 
-def _run_module(argv, **kwargs):
+def _run_python(args, **kwargs):
     env = dict(os.environ)
     src = str(pathlib.Path(srswor.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-m", "srswor", *argv], env=env,
+    return subprocess.run([sys.executable, *args], env=env,
                           capture_output=True, text=True, timeout=60, **kwargs)
+
+
+def _run_module(argv, **kwargs):
+    return _run_python(["-m", "srswor", *argv], **kwargs)
+
+
+def test_cli_import_stays_lean():
+    # every CLI process pays for what `import srswor.cli` loads; bench and
+    # verify import what only they need when they run
+    probe = ("import sys, srswor.cli; print(*(m for m in ('dataclasses', 'inspect', 'csv', "
+             "'json', 'srswor.suite', 'srswor.statcheck') if m in sys.modules))")
+    proc = _run_python(["-c", probe])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == []
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,12 +1,14 @@
 """Generator-level tests: raw word stream, bounded draws, scripted sources."""
 
+import copy
 import math
-from dataclasses import fields
+import pickle
 
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from srswor import BetaParams, MergeInput, SampleOrder, SampleResult
 from srswor.rng import DrawStats, RandomSource, ScriptedSource, ScriptExhaustedError
 from srswor.suite import pmf_law
 
@@ -213,7 +215,8 @@ def test_stats_copy_and_diff():
 
 
 def test_stats_copy_diff_total_cover_every_field():
-    names = [f.name for f in fields(DrawStats)]
+    names = list(DrawStats._fields)
+    assert names == list(vars(DrawStats()))
     s = DrawStats(**{name: 2 ** j for j, name in enumerate(names)})
     c = s.copy()
     assert c == s and c is not s
@@ -234,3 +237,12 @@ def test_real_resolution():
     for _ in range(100):
         u = src.next_uniform_real()
         assert u == math.ldexp(round(math.ldexp(u, 53)), -53)
+
+
+def test_records_survive_copy_and_pickle():
+    for record in (DrawStats(uniform_int=3, beta=1), BetaParams(2.0, 0.5),
+                   MergeInput(["a", "b"], 5),
+                   SampleResult([4, 2], SampleOrder.SELECTION, 9, DrawStats(2))):
+        for clone in (copy.copy(record), copy.deepcopy(record),
+                      pickle.loads(pickle.dumps(record))):
+            assert clone == record and clone is not record

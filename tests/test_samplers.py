@@ -1,5 +1,8 @@
 """Sampler tests: hand-traced draw sequences, equivalences, restoration."""
 
+import math
+import sys
+
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
@@ -17,7 +20,7 @@ from srswor.samplers import (
     selection_sample,
     sparse_fisher_yates,
 )
-from srswor.suite import first_position_law
+from srswor.suite import first_position_law, reservoir_max_law
 
 ALL_INDEX_SAMPLERS = [
     fisher_yates_sample,
@@ -290,11 +293,39 @@ def test_reservoir_exact_length_stream():
     assert res.indices == [1, 2, 3]
 
 
-def test_reservoir_draw_count_one_per_overflow_item():
-    src = RandomSource(19)
-    res = reservoir_sample(src, range(1, 101), 10)
-    assert res.draw_stats.uniform_int == 90
-    assert res.n == 100
+def test_reservoir_draw_budget():
+    # Algorithm L: three draws per replacement, about k ln(n/k) replacements
+    # (92 here), plus two; a run breaks 4 k (1 + ln(n/k)) with probability
+    # 3e-6 at this cell, by the exact law of the replacement count
+    n, k = 10**5, 10
+    res = reservoir_sample(RandomSource(19), range(1, n + 1), k)
+    stats = res.draw_stats
+    assert stats.uniform_real == 2 * stats.uniform_int + 2
+    assert stats.total() <= 4 * k * (1 + math.log(n / k))
+    assert res.n == n
+
+
+def test_reservoir_skip_beyond_maxsize():
+    # w = 2^-53 then 2^-106 leaves a skip of about 0.69 * 2^106, past
+    # sys.maxsize, which islice cannot take in one call.  No process reads
+    # 2^63 items, so the stream is the last five items of range(1, 2**70):
+    # the skip runs off its end, and the one replacement is the sample.
+    assert math.log(2.0) * 2**106 > sys.maxsize
+    items = iter(range(1, 2**70))
+    items.__setstate__(2**70 - 6)
+    tail = [2**70 - 5 + i for i in range(5)]
+    # reals are 1 - u: w, the skip, the next w, the skip; the int is the slot
+    script = [1.0 - 2.0**-53, 0.0, 1, 1.0 - 2.0**-53, 0.5]
+    res = reservoir_sample(ScriptedSource(script), items, 1)
+    assert res.indices == [tail[1]]
+    assert res.n == 5
+    assert res.draw_stats.uniform_int == 1 and res.draw_stats.uniform_real == 4
+
+
+def test_reservoir_max_position_law():
+    # the largest kept item is the last replacement; n/k = 20 makes long skips
+    report = reservoir_max_law(RandomSource(63), 60, 3, 40000, 0.001)
+    assert report.passed, report
 
 
 def test_reservoir_requires_positive_capacity():
