@@ -38,6 +38,11 @@ _INVERSION_LIMIT = 30.0
 # support has at most ten points and is inverted directly.
 _HRUA_MIN = 10
 
+# Below this value a Beta(1, b) draw leaves 1 - U**(1/b), which is off by
+# up to 2^-53 absolute, for -expm1(log(U)/b), which keeps its relative
+# precision.
+_BETA_EXPM1_BELOW = 2.0 ** -10
+
 # Stadlober's constants: 2 sqrt(2/e) and 3 - 2 sqrt(3/e).
 _HRUA_D1 = 2.0 * math.sqrt(2.0 / math.e)
 _HRUA_D2 = 3.0 - 2.0 * math.sqrt(3.0 / math.e)
@@ -247,6 +252,10 @@ def beta(source: UniformSource, params: BetaParams) -> float:
 
     beta == 0 returns exactly 1.0 (the sample-everything threshold case).
     alpha == 1 uses the quantile map 1 - U**(1/beta), one uniform draw.
+    Its subtraction is exact, so the map is off by at most 2^-53, and a
+    draw below 2^-10 is computed as -expm1(log(U)/beta) instead, which keeps
+    its relative precision: at beta past about 2^50 the plain map rounds
+    almost every draw to 0.
     alpha > 1 uses a Marsaglia-Tsang gamma pair.  alpha < 1 is rejected:
     nothing in this package needs it.
     """
@@ -257,7 +266,9 @@ def beta(source: UniformSource, params: BetaParams) -> float:
     if b == 0.0:
         return 1.0
     if a == 1.0:
-        return 1.0 - source.next_uniform_real() ** (1.0 / b)
+        u = source.next_uniform_real()
+        x = 1.0 - u ** (1.0 / b)
+        return x if x >= _BETA_EXPM1_BELOW else -math.expm1(math.log(u) / b)
     g1 = _gamma_raw(source, a)
     g2 = _gamma_raw(source, b)
     return g1 / (g1 + g2)

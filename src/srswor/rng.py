@@ -8,14 +8,58 @@ The generator is splitmix64: 64-bit state advanced by a fixed odd constant,
 output produced by a two-round xor-multiply mix.  It is tiny, passes the
 usual statistical batteries, and has a published reference sequence that the
 test suite pins down, so any refactor that changes the stream is caught.
+
+The j-th word is a pure function of seed + j * golden, so words are mixed
+many at a time (SWAR, one Python integer as a vector): lane i of one big
+integer, 128 bits wide, holds the i-th state, and each xor-shift and
+multiply of the mix acts on every lane in one pass.  A lane is masked back
+to its low 64 bits before each multiply, which clears the bits a right
+shift carries in from the lane above, so every product stays inside its
+lane.  The stream is the same word for word as the scalar mix.
 """
 
 from __future__ import annotations
+
+import sys
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
+
+
+def _lane_constants(lanes: int) -> tuple[int, int, int]:
+    """(ones, low, steps) for a vector of 128-bit lanes, each built in O(lanes):
+    lane i of ones is 1, of low is 2^64 - 1, of steps is (i + 1) * golden
+    mod 2^64."""
+    ones = int.from_bytes(b"\x01".ljust(16, b"\0") * lanes, "little")
+    low = int.from_bytes((b"\xff" * 8).ljust(16, b"\0") * lanes, "little")
+    index = bytearray(16 * lanes)
+    index[::16] = range(lanes)
+    steps = ((int.from_bytes(index, "little") + ones) * _GOLDEN) & low
+    return ones, low, steps
+
+
+# Words per refill: a source's first refill mixes 16 lanes, and each later
+# one twice as many, up to 256.
+_FILLS = (16, 32, 64, 128, 256)
+_LANES = {lanes: _lane_constants(lanes) for lanes in _FILLS}
+
+# Lane i's low word sits at 64-bit position 2i of the little-endian bytes
+# and 2 * lanes - 1 - 2i of the big-endian ones; either slice reads the
+# lanes last first.
+_LAST_FIRST = slice(-2, None, -2) if sys.byteorder == "little" else slice(1, None, 2)
+
+
+def _splitmix64(state: int, count: int) -> list[int]:
+    """The count splitmix64 words that follow state, last first, so that
+    list.pop() hands them out in stream order; count is a key of _LANES."""
+    ones, low, steps = _LANES[count]
+    z = (state * ones + steps) & low
+    z = (((z ^ (z >> 30)) & low) * _MIX1) & low
+    z = (((z ^ (z >> 27)) & low) * _MIX2) & low
+    z ^= z >> 31
+    return memoryview(z.to_bytes(16 * count, sys.byteorder)).cast("Q")[_LAST_FIRST].tolist()
 
 
 class ScriptExhaustedError(RuntimeError):
@@ -145,26 +189,47 @@ class RandomSource(UniformSource):
     negative ones) is accepted.  words_generated counts raw 64-bit outputs,
     which can exceed draw_count because bounded-integer rejection may burn
     more than one word per logical draw.
+
+    Words come from a buffer of upcoming outputs that _splitmix64 fills a
+    block at a time: 16 words at the first refill, twice as many at each
+    later one, up to 256.  A short-lived source thus mixes few words it
+    never uses, and a long-lived one mixes 256 per pass.  words_generated
+    and _state count only the words handed out, never the buffered ones.
     """
 
     def __init__(self, seed: int) -> None:
         super().__init__()
-        self._state = seed & _MASK64
         self.seed = seed
         self.words_generated = 0
+        self._buf: list[int] = []
+        self._head = seed & _MASK64   # state of the last buffered word
+        self._fill = _FILLS[0]
+
+    @property
+    def _state(self) -> int:
+        """splitmix64 state after the last word handed out."""
+        return (self.seed + self.words_generated * _GOLDEN) & _MASK64
+
+    def _refill(self) -> int:
+        """Refill the empty buffer and hand out its first word."""
+        count = self._fill
+        buf = self._buf
+        buf += _splitmix64(self._head, count)
+        self._head = (self._head + count * _GOLDEN) & _MASK64
+        self._fill = min(2 * count, _FILLS[-1])
+        return buf.pop()
 
     def _next_word(self) -> int:
-        self._state = (self._state + _GOLDEN) & _MASK64
         self.words_generated += 1
-        z = self._state
-        z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
-        z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
-        return z ^ (z >> 31)
+        buf = self._buf
+        return buf.pop() if buf else self._refill()
 
     def next_uniform_real(self) -> float:
         """Uniform float in [0, 1), 53-bit resolution."""
         self.stats.uniform_real += 1
-        return (self._next_word() >> 11) * (2.0 ** -53)
+        self.words_generated += 1
+        buf = self._buf
+        return ((buf.pop() if buf else self._refill()) >> 11) * (2.0 ** -53)
 
     def next_uniform_int(self, m: int) -> int:
         """Uniform integer in [1, m].
@@ -180,17 +245,11 @@ class RandomSource(UniformSource):
         shift = 64 - (m - 1).bit_length()
         if shift < 0:
             return self._next_wide_int(m)
-        state = self._state
-        words = self.words_generated
+        buf = self._buf
         while True:
-            state = (state + _GOLDEN) & _MASK64
-            words += 1
-            z = ((state ^ (state >> 30)) * _MIX1) & _MASK64
-            z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
-            r = (z ^ (z >> 31)) >> shift
+            self.words_generated += 1
+            r = (buf.pop() if buf else self._refill()) >> shift
             if r < m:
-                self._state = state
-                self.words_generated = words
                 return r + 1
 
     def _next_wide_int(self, m: int) -> int:

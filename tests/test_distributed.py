@@ -221,6 +221,23 @@ def test_merge_symmetric_in_inputs():
     assert report.passed, f"p={report.p_value}"
 
 
+def test_merge_beside_empty_shard_flat_in_n():
+    # an empty shard's threshold is Beta(1, N); beside it, the kept count
+    # of a 10-item shard has nearly the same law at N = 10^5 and 10^17
+    # (Exp(1) against Gamma(11) after scaling by N)
+    reps = 20000
+    tallies = []
+    for n in (10**5, 10**17):
+        src = RandomSource(n % 1009)
+        inputs = (MergeInput([], n), MergeInput(range(10), n))
+        tally = [0] * 11
+        for _ in range(reps):
+            tally[merge_all_with_state(src, inputs)[1].kappas[1]] += 1
+        tallies.append(tally)
+    report = chi_square_two_sample(*tallies, alpha=0.001)
+    assert report.passed, report
+
+
 # --- downsampling ---
 
 def test_downsample_structure():

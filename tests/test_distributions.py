@@ -119,6 +119,16 @@ def test_beta_alpha1_quantiles():
         assert abs(empirical - theoretical) < 0.01
 
 
+@pytest.mark.parametrize("b", [2.0 ** 60, 1e17])
+def test_beta_alpha1_huge_beta_law(b):
+    # past b of about 2^50, 1 - U**(1/b) rounds to 0 for almost every U;
+    # the draws must still follow the exact CDF 1 - (1 - x)^b
+    src = RandomSource(61)
+    xs = [beta(src, BetaParams(1.0, b)) for _ in range(20000)]
+    report = ks_gof(xs, lambda x: -math.expm1(b * math.log1p(-x)), alpha=0.001)
+    assert report.passed, report
+
+
 def test_beta_gamma_route_moments():
     # Beta(3, 2): mean 0.6, var 0.04. Loose 4-sigma-ish bounds.
     src = RandomSource(23)
