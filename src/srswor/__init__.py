@@ -14,8 +14,6 @@ from .distributed import (
     split_sample_counts,
 )
 from .distributions import (
-    BetaParams,
-    HypergeomParams,
     bernoulli,
     beta,
     beta_binomial,
@@ -27,7 +25,6 @@ from .samplers import (
     SampleOrder,
     SampleResult,
     SparseFisherYatesIterator,
-    UndoLog,
     default_samplers,
     fisher_yates_sample,
     inorder_sample,
@@ -42,9 +39,7 @@ from .samplers import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BetaParams",
     "DrawStats",
-    "HypergeomParams",
     "MergeInput",
     "MergeState",
     "RandomSource",
@@ -53,7 +48,6 @@ __all__ = [
     "ScriptExhaustedError",
     "ScriptedSource",
     "SparseFisherYatesIterator",
-    "UndoLog",
     "bernoulli",
     "beta",
     "beta_binomial",

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .distributions import BetaParams, HypergeomParams, beta, binomial, hypergeometric
+from .distributions import beta, binomial, hypergeometric
 from .rng import Record, UniformSource
 from .samplers import sparse_fisher_yates
 
@@ -68,7 +68,7 @@ def split_sample_counts(source: UniformSource, block_sizes: Sequence[int],
     n_rem = total
     k_rem = k
     for size in sizes[:-1]:
-        c = hypergeometric(source, HypergeomParams(v=size, n=n_rem, k=k_rem))
+        c = hypergeometric(source, size, n_rem, k_rem)
         counts.append(c)
         n_rem -= size
         k_rem -= c
@@ -90,8 +90,7 @@ def merge_all_with_state(source: UniformSource,
     thresholds = []
     for inp in inputs:
         k_c = len(inp.sample)
-        n_c = inp.population_size
-        thresholds.append(beta(source, BetaParams(float(k_c + 1), float(n_c - k_c))))
+        thresholds.append(beta(source, k_c + 1, inp.population_size - k_c))
     t_min = min(thresholds)
     merged: list = []
     kappas = []

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 
-from .rng import Record, UniformSource
+from .rng import UniformSource
 
 # Below this product of trials and min(p, 1-p), plain CDF inversion is both
 # exact and fast; above it, BTRD (valid from n*p >= 10) takes over.
@@ -55,38 +55,6 @@ _FC_TABLE = tuple(
     - 0.5 * math.log(2.0 * math.pi)
     for k in range(30)
 )
-
-
-class BetaParams(Record, frozen=True):
-    """Shape parameters for a Beta draw; beta == 0 degenerates to point mass 1."""
-
-    __slots__ = _fields = ("alpha", "beta")
-
-    def __init__(self, alpha: float, beta: float) -> None:
-        if not alpha > 0:
-            raise ValueError(f"alpha must be positive, got {alpha}")
-        if beta < 0:
-            raise ValueError(f"beta must be non-negative, got {beta}")
-        self._init(alpha, beta)
-
-
-class HypergeomParams(Record, frozen=True):
-    """A population of n items, k of them sampled, restricted to a prefix of v.
-
-    The variate of interest is how many of the k sampled items land inside
-    the first v positions of the population.
-    """
-
-    __slots__ = _fields = ("v", "n", "k")
-
-    def __init__(self, v: int, n: int, k: int) -> None:
-        if n < 0:
-            raise ValueError(f"population size must be >= 0, got {n}")
-        if not 0 <= v <= n:
-            raise ValueError(f"prefix size {v} outside [0, {n}]")
-        if not 0 <= k <= n:
-            raise ValueError(f"sample size {k} outside [0, {n}]")
-        self._init(v, n, k)
 
 
 def bernoulli(source: UniformSource, p: float) -> int:
@@ -247,30 +215,31 @@ def _log_quotient(p: int, q: int) -> float:
     return math.log(p) - math.log(q)
 
 
-def beta(source: UniformSource, params: BetaParams) -> float:
-    """Beta(alpha, beta) draw in (0, 1].
+def beta(source: UniformSource, alpha: float, beta_shape: float) -> float:
+    """Beta(alpha, b) draw in (0, 1], b = beta_shape.
 
-    beta == 0 returns exactly 1.0 (the sample-everything threshold case).
-    alpha == 1 uses the quantile map 1 - U**(1/beta), one uniform draw.
+    b == 0 returns exactly 1.0 (the sample-everything threshold case).
+    alpha == 1 uses the quantile map 1 - U**(1/b), one uniform draw.
     Its subtraction is exact, so the map is off by at most 2^-53, and a
-    draw below 2^-10 is computed as -expm1(log(U)/beta) instead, which keeps
-    its relative precision: at beta past about 2^50 the plain map rounds
+    draw below 2^-10 is computed as -expm1(log(U)/b) instead, which keeps
+    its relative precision: at b past about 2^50 the plain map rounds
     almost every draw to 0.
-    alpha > 1 uses a Marsaglia-Tsang gamma pair.  alpha < 1 is rejected:
-    nothing in this package needs it.
+    alpha > 1 uses a Marsaglia-Tsang gamma pair.  alpha < 1 (which nothing
+    in this package needs), b < 0 and NaN shapes are rejected.
     """
-    if params.alpha < 1.0:
-        raise ValueError(f"beta sampling requires alpha >= 1, got {params.alpha}")
+    if not alpha >= 1.0:
+        raise ValueError(f"beta sampling requires alpha >= 1, got {alpha}")
+    if not beta_shape >= 0.0:
+        raise ValueError(f"beta shape must be non-negative, got {beta_shape}")
     source.stats.beta += 1
-    a, b = params.alpha, params.beta
-    if b == 0.0:
+    if beta_shape == 0.0:
         return 1.0
-    if a == 1.0:
+    if alpha == 1.0:
         u = source.next_uniform_real()
-        x = 1.0 - u ** (1.0 / b)
-        return x if x >= _BETA_EXPM1_BELOW else -math.expm1(math.log(u) / b)
-    g1 = _gamma_raw(source, a)
-    g2 = _gamma_raw(source, b)
+        x = 1.0 - u ** (1.0 / beta_shape)
+        return x if x >= _BETA_EXPM1_BELOW else -math.expm1(math.log(u) / beta_shape)
+    g1 = _gamma_raw(source, alpha)
+    g2 = _gamma_raw(source, beta_shape)
     return g1 / (g1 + g2)
 
 
@@ -321,12 +290,12 @@ def beta_binomial(source: UniformSource, alpha: int, beta_shape: int, n: int) ->
     if alpha == 1:
         p = 1.0 - source.next_uniform_real() ** (1.0 / beta_shape)
     else:
-        p = beta(source, BetaParams(float(alpha), float(beta_shape)))
+        p = beta(source, alpha, beta_shape)
     return binomial(source, n, p)
 
 
-def hypergeometric(source: UniformSource, params: HypergeomParams) -> int:
-    """Exact hypergeometric draw: how many of k sampled items fall in v of n.
+def hypergeometric(source: UniformSource, v: int, n: int, k: int) -> int:
+    """Exact hypergeometric draw: how many of k sampled items fall in the first v of n.
 
     The law is unchanged by v -> n - v (the count becomes k - c) and by
     k -> n - k (it becomes v - c), so both are reduced to at most n/2 and
@@ -337,22 +306,22 @@ def hypergeometric(source: UniformSource, params: HypergeomParams) -> int:
     float is finite.  Counts as one logical hypergeometric draw and draws
     no other family.
     """
+    if n < 0:
+        raise ValueError(f"population size must be >= 0, got {n}")
+    if not 0 <= v <= n:
+        raise ValueError(f"prefix size {v} outside [0, {n}]")
+    if not 0 <= k <= n:
+        raise ValueError(f"sample size {k} outside [0, {n}]")
     source.stats.hypergeometric += 1
-    v, n, k = params.v, params.n, params.k
-    flip_v = 2 * v > n
-    if flip_v:
-        v = n - v
-    flip_k = 2 * k > n
-    if flip_k:
-        k = n - k
-    if min(v, k) < _HRUA_MIN:
-        c = _hypergeometric_inversion(source, v, n, k)
+    vs, ks = min(v, n - v), min(k, n - k)
+    if min(vs, ks) < _HRUA_MIN:
+        c = _hypergeometric_inversion(source, vs, n, ks)
     else:
-        c = _hypergeometric_hrua(source, v, n, k)
-    if flip_k:
-        c = v - c
-    if flip_v:
-        c = params.k - c
+        c = _hypergeometric_hrua(source, vs, n, ks)
+    if ks != k:
+        c = vs - c
+    if vs != v:
+        c = k - c
     return c
 
 

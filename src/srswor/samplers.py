@@ -7,7 +7,7 @@ items).  They differ in output order, work, and memory:
   sparse_fisher_yates          selection order, k draws, O(k) hash map
   SparseFisherYatesIterator    selection order, one draw per step, O(k) map
   membership_checking_sample   selection order, ~n(H_n - H_{n-k}) draws, O(k) set
-  preinit_fy_sample_with_undo  selection order, k draws, caller array + undo log
+  preinit_fy_sample_with_undo  selection order, k draws, caller array + k swaps
   selection_sample             sorted order, <= n Bernoulli draws, O(1) extra
   inorder_sample               sorted order, k beta-binomial draws, O(1) extra
   reservoir_sample             stream order, ~3k ln(n/k) draws, O(k)
@@ -51,21 +51,6 @@ class SampleResult(Record):
         self.order = order
         self.n = n
         self.draw_stats = draw_stats
-
-
-class UndoLog(Record):
-    """Record of (position, partner) transpositions in application order."""
-
-    __slots__ = _fields = ("swaps",)
-
-    def __init__(self, swaps: list | None = None) -> None:
-        self.swaps = [] if swaps is None else swaps
-
-    def undo(self, x: list) -> None:
-        """Replay in reverse; transpositions are involutions, so this exactly
-        restores whatever the sampler did to x."""
-        for a, b in reversed(self.swaps):
-            x[a - 1], x[b - 1] = x[b - 1], x[a - 1]
 
 
 def _check_nk(n: int, k: int) -> None:
@@ -172,28 +157,29 @@ def membership_checking_sample(source: UniformSource, n: int, k: int) -> SampleR
 
 
 def preinit_fy_sample_with_undo(source: UniformSource, x: list,
-                                k: int) -> tuple[SampleResult, UndoLog]:
+                                k: int) -> tuple[SampleResult, list[tuple[int, int]]]:
     """Sample k item values from a caller-owned array, then put it back.
 
-    Runs the same swap schedule as fisher_yates_sample over x itself,
-    recording each transposition, and rewinds the log before returning, so
-    x is element-for-element identical to its input state.  Auxiliary space
-    is the k-entry log and the k-entry sample, nothing proportional to n.
+    Runs the same swap schedule as fisher_yates_sample over x itself and
+    returns (result, swaps): swaps lists the (position, partner)
+    transpositions in the order they were applied, 1-based.  Each is an
+    involution, so replaying them in reverse before returning leaves x
+    element-for-element identical to its input state.  Auxiliary space is
+    the k swaps and the k-entry sample, nothing proportional to n.
     """
     n = len(x)
     _check_nk(n, k)
     before = source.stats.copy()
-    log = UndoLog()
+    swaps = []
     out = []
-    for i in range(1, k + 1):
-        top = n - i + 1
+    for top in range(n, n - k, -1):
         r = source.next_uniform_int(top)
         x[top - 1], x[r - 1] = x[r - 1], x[top - 1]
-        log.swaps.append((top, r))
+        swaps.append((top, r))
         out.append(x[top - 1])
-    log.undo(x)
-    result = SampleResult(out, SampleOrder.SELECTION, n, source.stats - before)
-    return result, log
+    for a, b in reversed(swaps):
+        x[a - 1], x[b - 1] = x[b - 1], x[a - 1]
+    return SampleResult(out, SampleOrder.SELECTION, n, source.stats - before), swaps
 
 
 def selection_sample(source: UniformSource, n: int, k: int) -> SampleResult:
@@ -299,17 +285,15 @@ def _read(items, count: int) -> tuple[int, list]:
 def permutation_from_transpositions(source: UniformSource, n: int) -> list[int]:
     """Uniform permutation of [1, n] as a left action of (1 r1)(2 r2)...(n rn).
 
-    Factors apply right to left, so the loop runs i = n down to 1 drawing
-    r_i uniform on [1, i] and swapping slots i and r_i.  Exactly n draws,
-    including the forced r_1 = 1, so scripted traces stay aligned.
+    Factors apply right to left, so i runs from n down to 1, drawing r_i
+    uniform on [1, i] and swapping slots i and r_i: the loop of
+    fisher_yates_sample(source, n, n), whose i-th selection is the final
+    array's slot n + 1 - i.  Exactly n draws, including the forced r_1 = 1,
+    so scripted traces stay aligned.
     """
     if n < 1:
         raise ValueError(f"permutation length must be >= 1, got {n}")
-    x = list(range(1, n + 1))
-    for i in range(n, 0, -1):
-        r = source.next_uniform_int(i)
-        x[i - 1], x[r - 1] = x[r - 1], x[i - 1]
-    return x
+    return fisher_yates_sample(source, n, n).indices[::-1]
 
 
 def default_samplers() -> dict:

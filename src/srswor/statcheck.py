@@ -17,7 +17,6 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .distributions import HypergeomParams
 from .rng import UniformSource
 
 # Minimum expected count per cell after pooling, the usual chi-square rule.
@@ -288,10 +287,15 @@ def beta_binomial_law(alpha: int, beta: int, m: int) -> tuple[int, list[float]]:
     return _walk(0, m, lambda c: ((m - c) * (c + alpha), (c + 1) * (m - c - 1 + beta)))
 
 
-def hypergeom_law(params: HypergeomParams) -> tuple[int, list[float]]:
+def hypergeom_law(v: int, n: int, k: int) -> tuple[int, list[float]]:
     """How many of k sampled items fall in the first v of n positions, as
     (lo, probs) over [max(0, k - (n - v)), min(k, v)]."""
-    v, n, k = params.v, params.n, params.k
+    if n < 0:
+        raise ValueError(f"population size must be >= 0, got {n}")
+    if not 0 <= v <= n:
+        raise ValueError(f"prefix size {v} outside [0, {n}]")
+    if not 0 <= k <= n:
+        raise ValueError(f"sample size {k} outside [0, {n}]")
     return _walk(max(0, k - (n - v)), min(k, v),
                  lambda c: ((v - c) * (k - c), (c + 1) * (n - v - k + c + 1)))
 
@@ -319,15 +323,14 @@ MAX_ENUMERATED_SUBSETS = 200
 MIN_REPS_PER_SUBSET = 100
 
 
-def enumerate_subset_distribution(sampler, n: int, k: int, reps: int,
+def enumerate_subset_distribution(draw, n: int, k: int, reps: int,
                                   source: UniformSource,
                                   alpha: float = 0.001) -> GofReport:
-    """Run a sampler repeatedly and chi-square its subset frequencies.
+    """Chi-square of reps k-subsets draw(source) of [1, n], items in any
+    order, against the uniform law on all C(n, k) of them.
 
-    sampler is called as sampler(source, n, k) and must return a SampleResult
-    whose indices form a k-subset of [1, n].  All C(n, k) subsets are
-    enumerated, so the test is against the full exact uniform law; C(n, k)
-    is capped at 200 and reps must be at least 100 per subset.
+    C(n, k) is capped at 200 and reps must be at least 100 per subset.  A
+    draw that is not a k-subset of [1, n] raises ValueError.
     """
     if not 1 <= k <= n:
         raise ValueError(f"invalid parameters n={n}, k={k}")
@@ -345,11 +348,11 @@ def enumerate_subset_distribution(sampler, n: int, k: int, reps: int,
     index = {frozenset(s): i for i, s in enumerate(subsets)}
     counts = [0] * len(subsets)
     for _ in range(reps):
-        result = sampler(source, n, k)
-        key = frozenset(result.indices)
-        if len(key) != k or key not in index:
-            raise ValueError(f"sampler returned an invalid subset {result.indices}")
-        counts[index[key]] += 1
+        items = draw(source)
+        i = index.get(frozenset(items))
+        if i is None or len(items) != k:
+            raise ValueError(f"draw returned {items}, not a {k}-subset of [1, {n}]")
+        counts[i] += 1
     probs = [1.0 / len(subsets)] * len(subsets)
     return chi_square_gof(counts, probs, alpha)
 

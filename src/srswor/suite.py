@@ -19,14 +19,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from . import distributed, statcheck
-from .distributions import (
-    BetaParams,
-    HypergeomParams,
-    beta,
-    beta_binomial,
-    binomial,
-    hypergeometric,
-)
+from .distributions import beta, beta_binomial, binomial, hypergeometric
 from .rng import RandomSource
 from .samplers import (
     SparseFisherYatesIterator,
@@ -187,17 +180,6 @@ def restoration_violations(source, cells, value_bound: int) -> int:
     return violations
 
 
-def _subset_gof(draw, n: int, k: int, source, reps: int,
-                alpha: float) -> statcheck.GofReport:
-    # chi-square of reps k-subsets draw(source) of [1, n] against the
-    # uniform law on all C(n, k) of them
-    index = {frozenset(c): i for i, c in enumerate(itertools.combinations(range(1, n + 1), k))}
-    counts = [0] * len(index)
-    for _ in range(reps):
-        counts[index[frozenset(draw(source))]] += 1
-    return statcheck.chi_square_gof(counts, [1 / len(index)] * len(index), alpha)
-
-
 def split_merge_law(source, k: int, reps: int, alpha: float) -> statcheck.GofReport:
     """Split k over blocks (4, 4), sample each block's share with
     sparse_fisher_yates, and chi-square the union against the uniform law
@@ -206,7 +188,7 @@ def split_merge_law(source, k: int, reps: int, alpha: float) -> statcheck.GofRep
         c0, c1 = distributed.split_sample_counts(s, (4, 4), k)
         return (sparse_fisher_yates(s, 4, c0).indices
                 + [i + 4 for i in sparse_fisher_yates(s, 4, c1).indices])
-    return _subset_gof(draw, 8, k, source, reps, alpha)
+    return statcheck.enumerate_subset_distribution(draw, 8, k, reps, source, alpha)
 
 
 def downsample_subsets_law(source, n: int, m: int, reps: int,
@@ -214,8 +196,8 @@ def downsample_subsets_law(source, n: int, m: int, reps: int,
     """Keep m of range(1, n + 1) with downsample, reps times, and chi-square
     the kept sets against the uniform law on all C(n, m) subsets.  2m <= n
     draws the positions to keep, 2m > n the positions to drop."""
-    return _subset_gof(lambda s: distributed.downsample(s, range(1, n + 1), m),
-                       n, m, source, reps, alpha)
+    return statcheck.enumerate_subset_distribution(
+        lambda s: distributed.downsample(s, range(1, n + 1), m), n, m, reps, source, alpha)
 
 
 def merge_two_shards(source, reps: int) -> tuple[list[int], Counter, int]:
@@ -335,15 +317,14 @@ def run_suite(suite: str = "quick", seed: int = 0,
         law(name, lambda s: beta_binomial(s, a, b, m),
             statcheck.beta_binomial_law(a, b, m), reps)
     # (20, 60, 25) keeps min(v, k) = 20 after the symmetries: the HRUA path
-    for params in (HypergeomParams(2, 4, 2), HypergeomParams(5, 12, 7),
-                   HypergeomParams(20, 60, 25)):
-        law(f"hypergeometric-pmf-{params.v}-{params.n}-{params.k}",
-            lambda s: hypergeometric(s, params), statcheck.hypergeom_law(params), reps)
+    for v, n, k in ((2, 4, 2), (5, 12, 7), (20, 60, 25)):
+        law(f"hypergeometric-pmf-{v}-{n}-{k}", lambda s: hypergeometric(s, v, n, k),
+            statcheck.hypergeom_law(v, n, k), reps)
 
-    ks("beta-quantile-ks-a1-b4", lambda s: beta(s, BetaParams(1.0, 4.0)),
+    ks("beta-quantile-ks-a1-b4", lambda s: beta(s, 1.0, 4.0),
        lambda z: 1.0 - (1.0 - z) ** 4)
     # chance that at least 3 of 4 uniforms fall below z
-    ks("beta-gamma-ks-a3-b2", lambda s: beta(s, BetaParams(3.0, 2.0)),
+    ks("beta-gamma-ks-a3-b2", lambda s: beta(s, 3.0, 2.0),
        lambda z: 4.0 * z ** 3 * (1.0 - z) + z ** 4)
 
     # -- sampler laws ----------------------------------------------------------
@@ -351,7 +332,7 @@ def run_suite(suite: str = "quick", seed: int = 0,
     for algo_name, sampler in default_samplers().items():
         name = f"subset-uniformity-{algo_name}"
         report = statcheck.enumerate_subset_distribution(
-            sampler, 6, 3, scale["subset_reps"], src(name), alpha
+            lambda s: sampler(s, 6, 3).indices, 6, 3, scale["subset_reps"], src(name), alpha
         )
         records.append(_gof_record(name, report))
 
@@ -424,7 +405,7 @@ def run_suite(suite: str = "quick", seed: int = 0,
 
     law("split-counts-2-2-k2",
         lambda s: distributed.split_sample_counts(s, (2, 2), 2)[0],
-        statcheck.hypergeom_law(HypergeomParams(2, 4, 2)), scale["split_reps"])
+        statcheck.hypergeom_law(2, 4, 2), scale["split_reps"])
 
     inclusion, _, winner_violations = merge_two_shards(
         src("merge-item-inclusion-4-4"), scale["merge_reps"]

@@ -13,7 +13,7 @@ from collections import Counter
 
 from srswor import statcheck, suite
 from srswor.cli import run_bench
-from srswor.distributions import HypergeomParams, hypergeometric
+from srswor.distributions import hypergeometric
 from srswor.rng import RandomSource
 from srswor.samplers import default_samplers, inorder_sample
 
@@ -46,7 +46,8 @@ def test_criterion_02_uniform_subsets_all_algorithms():
     failures = []
     for i, (name, sampler) in enumerate(default_samplers().items()):
         src = RandomSource(90210 + i)
-        rep = statcheck.enumerate_subset_distribution(sampler, 6, 3, 200000, src, ALPHA)
+        rep = statcheck.enumerate_subset_distribution(lambda s: sampler(s, 6, 3).indices,
+                                                      6, 3, 200000, src, ALPHA)
         if not rep.passed:
             failures.append(f"{name} p={rep.p_value:.2e}")
     elapsed = time.perf_counter() - t0
@@ -123,9 +124,8 @@ def test_criterion_07_hypergeometric_law():
             triples.append((v, n, k))
     failures = []
     for v, n, k in triples:
-        params = HypergeomParams(v, n, k)
-        rep = suite.pmf_law(lambda s: hypergeometric(s, params),
-                            statcheck.hypergeom_law(params),
+        rep = suite.pmf_law(lambda s: hypergeometric(s, v, n, k),
+                            statcheck.hypergeom_law(v, n, k),
                             RandomSource(7000 + v * 169 + n * 13 + k), 100000, ALPHA)
         if not rep.passed:
             failures.append(f"{(v, n, k)} p={rep.p_value:.2e}")

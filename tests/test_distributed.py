@@ -12,7 +12,6 @@ from srswor.distributed import (
     merge_all_with_state,
     split_sample_counts,
 )
-from srswor.distributions import HypergeomParams
 from srswor.rng import DrawStats, RandomSource
 from srswor.samplers import fisher_yates_sample, sparse_fisher_yates
 from srswor.statcheck import chi_square_gof, chi_square_two_sample, hypergeom_law
@@ -68,7 +67,7 @@ def test_split_counts_validation():
 def test_split_counts_marginal_law():
     # first-block count of a (2, 2) split of k=2 is Hypergeom(2, 4, 2)
     report = pmf_law(lambda s: split_sample_counts(s, [2, 2], 2)[0],
-                     hypergeom_law(HypergeomParams(2, 4, 2)), RandomSource(13), 60000,
+                     hypergeom_law(2, 4, 2), RandomSource(13), 60000,
                      0.001)
     assert report.passed, report
 
@@ -83,7 +82,7 @@ def test_split_counts_three_block_marginals():
         for t, c in zip(tallies, split_sample_counts(src, sizes, 4)):
             t[c] += 1
     for size, tally in zip(sizes, tallies):
-        lo, probs = hypergeom_law(HypergeomParams(size, 12, 4))
+        lo, probs = hypergeom_law(size, 12, 4)
         report = chi_square_gof([tally[lo + i] for i in range(len(probs))], probs)
         assert report.passed and sum(tally.values()) == reps, report
 

@@ -10,8 +10,6 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from srswor.distributions import (
-    BetaParams,
-    HypergeomParams,
     bernoulli,
     beta,
     beta_binomial,
@@ -31,28 +29,29 @@ from srswor.statcheck import (
 from srswor.suite import pmf_law
 
 
-# --- parameter containers ---
+# --- argument validation ---
 
 def test_beta_params_validation():
-    BetaParams(1.0, 0.0)
-    BetaParams(2.5, 3.0)
-    with pytest.raises(ValueError):
-        BetaParams(0.0, 1.0)
-    with pytest.raises(ValueError):
-        BetaParams(-1.0, 1.0)
-    with pytest.raises(ValueError):
-        BetaParams(1.0, -0.5)
+    src = RandomSource(4)
+    assert beta(src, 1.0, 0.0) == 1.0
+    assert 0.0 < beta(src, 2.5, 3.0) < 1.0
+    for alpha, beta_shape in ((0.0, 1.0), (-1.0, 1.0), (1.0, -0.5), (math.nan, 1.0),
+                              (1.0, math.nan)):
+        with pytest.raises(ValueError):
+            beta(src, alpha, beta_shape)
 
 
 def test_hypergeom_params_validation():
-    HypergeomParams(0, 5, 0)
-    HypergeomParams(5, 5, 5)
-    with pytest.raises(ValueError):
-        HypergeomParams(6, 5, 2)
-    with pytest.raises(ValueError):
-        HypergeomParams(-1, 5, 2)
-    with pytest.raises(ValueError):
-        HypergeomParams(2, 5, 6)
+    src = RandomSource(5)
+    assert hypergeometric(src, 0, 5, 0) == 0
+    assert hypergeometric(src, 5, 5, 5) == 5
+    assert hypergeom_law(0, 5, 0) == (0, [1.0])
+    assert hypergeom_law(5, 5, 5) == (5, [1.0])
+    for v, n, k in ((6, 5, 2), (-1, 5, 2), (2, 5, 6), (2, 5, -1), (0, -1, 0)):
+        with pytest.raises(ValueError):
+            hypergeometric(src, v, n, k)
+        with pytest.raises(ValueError):
+            hypergeom_law(v, n, k)
 
 
 # --- bernoulli ---
@@ -82,14 +81,14 @@ def test_bernoulli_counts_stats():
 def test_beta_closed_form_alpha1():
     # alpha=1: X = 1 - U^(1/beta). U=0.5, beta=2 gives 1 - sqrt(1/2).
     src = ScriptedSource([0.5])
-    x = beta(src, BetaParams(1.0, 2.0))
+    x = beta(src, 1.0, 2.0)
     assert x == 0.2928932188134524
 
 
 def test_beta_degenerate_beta0_is_exactly_one():
     src = RandomSource(3)
     for a in (1.0, 2.0, 5.0):
-        assert beta(src, BetaParams(a, 0.0)) == 1.0
+        assert beta(src, a, 0.0) == 1.0
     # no uniforms consumed on the degenerate branch
     assert src.draw_count == 0
 
@@ -97,14 +96,14 @@ def test_beta_degenerate_beta0_is_exactly_one():
 def test_beta_alpha_below_one_rejected():
     src = RandomSource(4)
     with pytest.raises(ValueError):
-        beta(src, BetaParams(0.5, 1.0))
+        beta(src, 0.5, 1.0)
 
 
 def test_beta_in_open_unit_interval():
     src = RandomSource(5)
-    for params in (BetaParams(1.0, 4.0), BetaParams(3.0, 2.0), BetaParams(6.0, 1.0)):
+    for a, b in ((1.0, 4.0), (3.0, 2.0), (6.0, 1.0)):
         for _ in range(500):
-            x = beta(src, params)
+            x = beta(src, a, b)
             assert 0.0 < x < 1.0
 
 
@@ -112,7 +111,7 @@ def test_beta_alpha1_quantiles():
     # For Beta(1, 4) the cdf is 1 - (1-x)^4; compare empirical quartiles.
     src = RandomSource(17)
     n = 40000
-    xs = sorted(beta(src, BetaParams(1.0, 4.0)) for _ in range(n))
+    xs = sorted(beta(src, 1.0, 4.0) for _ in range(n))
     for q in (0.25, 0.5, 0.75):
         theoretical = 1.0 - (1.0 - q) ** 0.25
         empirical = xs[int(q * n)]
@@ -124,7 +123,7 @@ def test_beta_alpha1_huge_beta_law(b):
     # past b of about 2^50, 1 - U**(1/b) rounds to 0 for almost every U;
     # the draws must still follow the exact CDF 1 - (1 - x)^b
     src = RandomSource(61)
-    xs = [beta(src, BetaParams(1.0, b)) for _ in range(20000)]
+    xs = [beta(src, 1.0, b) for _ in range(20000)]
     report = ks_gof(xs, lambda x: -math.expm1(b * math.log1p(-x)), alpha=0.001)
     assert report.passed, report
 
@@ -133,7 +132,7 @@ def test_beta_gamma_route_moments():
     # Beta(3, 2): mean 0.6, var 0.04. Loose 4-sigma-ish bounds.
     src = RandomSource(23)
     n = 50000
-    xs = [beta(src, BetaParams(3.0, 2.0)) for _ in range(n)]
+    xs = [beta(src, 3.0, 2.0) for _ in range(n)]
     mean = sum(xs) / n
     var = sum((x - mean) ** 2 for x in xs) / n
     assert abs(mean - 0.6) < 0.004
@@ -248,11 +247,10 @@ def test_binomial_btrd_law(n, p, seed):
     (10**29, 10**30, 4000, 103),
 ])
 def test_hypergeometric_hrua_law(v, n, k, seed):
-    params = HypergeomParams(v, n, k)
     src = RandomSource(seed)
     reps = 40000
-    draws = [hypergeometric(src, params) for _ in range(reps)]
-    report = _law_report(draws, hypergeom_law(params))
+    draws = [hypergeometric(src, v, n, k) for _ in range(reps)]
+    report = _law_report(draws, hypergeom_law(v, n, k))
     assert report.passed, report
     assert src.stats.uniform_real < 4 * reps
 
@@ -280,7 +278,7 @@ def test_large_sd_law_is_normal(family, args, seed):
         v, n, k = args
         num, den = k * v, n
         sd = math.sqrt(k * (v / n) * (1 - v / n) * ((n - k) / (n - 1)))
-        draws = [hypergeometric(src, HypergeomParams(v, n, k)) for _ in range(reps)]
+        draws = [hypergeometric(src, v, n, k) for _ in range(reps)]
     zs = [(c * den - num) / den / sd for c in draws]
     report = ks_gof(zs, lambda z: 0.5 * math.erfc(-z / math.sqrt(2.0)), alpha=0.001)
     assert report.passed, report
@@ -348,12 +346,11 @@ HYPERGEOMETRIC_BOUNDARY_CASES = [
 
 @pytest.mark.parametrize("v, n, k", HYPERGEOMETRIC_BOUNDARY_CASES)
 def test_hypergeometric_branch_boundaries(v, n, k):
-    params = HypergeomParams(v, n, k)
     lo, hi = max(0, k - (n - v)), min(v, k)
     for seed in range(20):
-        c = hypergeometric(RandomSource(seed), params)
+        c = hypergeometric(RandomSource(seed), v, n, k)
         assert lo <= c <= hi
-        assert hypergeometric(RandomSource(seed), params) == c
+        assert hypergeometric(RandomSource(seed), v, n, k) == c
 
 
 # --- beta-binomial ---
@@ -420,32 +417,32 @@ def test_hypergeom_pmf_oracle():
         lo = max(0, k - (n - v))
         exact = [math.comb(v, c) * math.comb(n - v, k - c) / math.comb(n, k)
                  for c in range(lo, min(v, k) + 1)]
-        assert hypergeom_law(HypergeomParams(v, n, k)) == (lo, pytest.approx(exact, rel=1e-12))
+        assert hypergeom_law(v, n, k) == (lo, pytest.approx(exact, rel=1e-12))
 
 
 def test_hypergeom_pmf_outside_support():
     # the support is max(0, k - (n - v)) .. min(v, k); c cannot exceed draws either
     for (v, n, k), support in [((2, 6, 3), (0, 3)), ((5, 6, 2), (1, 2))]:
-        lo, probs = hypergeom_law(HypergeomParams(v, n, k))
+        lo, probs = hypergeom_law(v, n, k)
         assert (lo, len(probs)) == support
 
 
 def test_hypergeom_pmf_sums_to_one():
     for v, n, k in [(2, 4, 2), (5, 12, 7), (7, 20, 11), (0, 9, 4)]:
-        total = math.fsum(hypergeom_law(HypergeomParams(v, n, k))[1])
+        total = math.fsum(hypergeom_law(v, n, k)[1])
         assert total == pytest.approx(1.0, abs=1e-12)
 
 
 def test_hypergeometric_degenerate():
     src = RandomSource(13)
     # no successes in the population
-    assert hypergeometric(src, HypergeomParams(0, 8, 3)) == 0
+    assert hypergeometric(src, 0, 8, 3) == 0
     # all successes
-    assert hypergeometric(src, HypergeomParams(8, 8, 3)) == 3
+    assert hypergeometric(src, 8, 8, 3) == 3
     # draw nothing
-    assert hypergeometric(src, HypergeomParams(4, 8, 0)) == 0
+    assert hypergeometric(src, 4, 8, 0) == 0
     # draw everything
-    assert hypergeometric(src, HypergeomParams(4, 8, 8)) == 4
+    assert hypergeometric(src, 4, 8, 8) == 4
 
 
 def test_hypergeometric_support():
@@ -454,13 +451,12 @@ def test_hypergeometric_support():
         lo = max(0, k - (n - v))
         hi = min(v, k)
         for _ in range(400):
-            c = hypergeometric(src, HypergeomParams(v, n, k))
+            c = hypergeometric(src, v, n, k)
             assert lo <= c <= hi
 
 
 def test_hypergeometric_matches_pmf():
-    params = HypergeomParams(2, 4, 2)
-    report = pmf_law(lambda s: hypergeometric(s, params), hypergeom_law(params),
+    report = pmf_law(lambda s: hypergeometric(s, 2, 4, 2), hypergeom_law(2, 4, 2),
                      RandomSource(53), 60000, 0.001)
     assert report.passed, report
 
@@ -475,22 +471,21 @@ def test_hypergeometric_matches_pmf():
 def test_hypergeometric_support_property(v, n, k, seed):
     v = min(v, n)
     k = min(k, n)
-    c = hypergeometric(RandomSource(seed), HypergeomParams(v, n, k))
+    c = hypergeometric(RandomSource(seed), v, n, k)
     assert max(0, k - (n - v)) <= c <= min(v, k)
 
 
 def test_hypergeometric_counts_stats_once():
     src = RandomSource(15)
-    hypergeometric(src, HypergeomParams(5, 12, 7))
+    hypergeometric(src, 5, 12, 7)
     assert src.stats.hypergeometric == 1
 
 
 def test_hypergeometric_draws_no_nested_family():
     # inversion and HRUA draw uniforms only, at every n
     src = RandomSource(16)
-    cases = (HypergeomParams(5, 12, 7), HypergeomParams(500, 2000, 300),
-             HypergeomParams(2**52, 2**53, 200), HypergeomParams(10**29, 10**30, 4000))
-    for params in cases:
-        hypergeometric(src, params)
+    cases = ((5, 12, 7), (500, 2000, 300), (2**52, 2**53, 200), (10**29, 10**30, 4000))
+    for v, n, k in cases:
+        hypergeometric(src, v, n, k)
     assert src.stats.hypergeometric == len(cases)
     assert src.stats.beta_binomial == src.stats.beta == src.stats.binomial == 0

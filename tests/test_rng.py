@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from srswor import BetaParams, MergeInput, SampleOrder, SampleResult
+from srswor import MergeInput, MergeState, SampleOrder, SampleResult
 from srswor.rng import DrawStats, RandomSource, ScriptedSource, ScriptExhaustedError
 from srswor.suite import pmf_law
 
@@ -240,7 +240,7 @@ def test_real_resolution():
 
 
 def test_records_survive_copy_and_pickle():
-    for record in (DrawStats(uniform_int=3, beta=1), BetaParams(2.0, 0.5),
+    for record in (DrawStats(uniform_int=3, beta=1), MergeState((0.25, 1.0), (2, 0)),
                    MergeInput(["a", "b"], 5),
                    SampleResult([4, 2], SampleOrder.SELECTION, 9, DrawStats(2))):
         for clone in (copy.copy(record), copy.deepcopy(record),

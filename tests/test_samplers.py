@@ -69,10 +69,10 @@ def test_membership_trace_counts_rejections():
 
 def test_preinit_trace_and_restoration():
     x = [10, 20, 30]
-    res, log = preinit_fy_sample_with_undo(ScriptedSource([3, 1]), x, 2)
+    res, swaps = preinit_fy_sample_with_undo(ScriptedSource([3, 1]), x, 2)
     assert res.indices == [30, 10]
     assert x == [10, 20, 30]
-    assert log.swaps == [(3, 3), (2, 1)]
+    assert swaps == [(3, 3), (2, 1)]
 
 
 def test_preinit_trace_alternate_script():
@@ -245,10 +245,10 @@ def test_sparse_iterator_exhausts_at_n():
 def test_preinit_restores_arbitrary_arrays(items, seed):
     k = RandomSource(seed ^ 0x5EED).next_uniform_int(len(items))
     x = list(items)
-    res, log = preinit_fy_sample_with_undo(RandomSource(seed), x, k)
+    res, swaps = preinit_fy_sample_with_undo(RandomSource(seed), x, k)
     assert x == items
     assert len(res.indices) == k
-    assert len(log.swaps) == k
+    assert len(swaps) == k
 
 
 def test_preinit_sample_values_come_from_array():

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from srswor.distributions import HypergeomParams
 from srswor.rng import RandomSource
 from srswor.samplers import fisher_yates_sample
 from srswor.statcheck import (
@@ -262,7 +261,7 @@ def test_laws_match_exact_values(n, k, v):
     lo = max(0, k - (n - v))
     exact = [math.comb(v, c) * math.comb(n - v, k - c) / math.comb(n, k)
              for c in range(lo, min(v, k) + 1)]
-    assert hypergeom_law(HypergeomParams(v, n, k)) == (lo, pytest.approx(exact, rel=1e-13))
+    assert hypergeom_law(v, n, k) == (lo, pytest.approx(exact, rel=1e-13))
     p = k / (n + 1)
     q = Fraction(p)
     exact = [float(math.comb(n, c) * q ** c * (1 - q) ** (n - c)) for c in range(n + 1)]
@@ -272,19 +271,19 @@ def test_laws_match_exact_values(n, k, v):
 def test_exact_pmfs_at_large_n():
     # a value next to the mode is its exact rational value, correctly
     # rounded, even where the arguments pass 2^53
-    lo, probs = hypergeom_law(HypergeomParams(2**52, 2**53, 2))
+    lo, probs = hypergeom_law(2**52, 2**53, 2)
     assert probs[1 - lo] == float(Fraction(2**52 * 2**52, math.comb(2**53, 2)))
     assert probs[1 - lo] == pytest.approx(0.5, rel=1e-15)
     v, n, k = 10**9, 3 * 10**9, 5
     exact = Fraction(math.comb(v, 2) * math.comb(n - v, 3), math.comb(n, k))
-    lo, probs = hypergeom_law(HypergeomParams(v, n, k))
+    lo, probs = hypergeom_law(v, n, k)
     assert probs[2 - lo] == float(exact)
 
 
 @pytest.mark.parametrize("law, args, mean, var", [
     (binomial_law, (10**6, 0.3), 10**6 * 0.3, 10**6 * 0.3 * 0.7),
     # k = 10^5, walked out until the pmf falls below 2^-1022
-    (hypergeom_law, (HypergeomParams(5 * 10**8, 10**9, 10**5),), 5 * 10**4,
+    (hypergeom_law, (5 * 10**8, 10**9, 10**5), 5 * 10**4,
      10**5 * 0.25 * (10**9 - 10**5) / (10**9 - 1)),
 ])
 def test_wide_laws_hold_their_moments(law, args, mean, var):
@@ -343,22 +342,20 @@ def test_normal_sf_two_sided():
 
 # --- exhaustive subset check ---
 
+def _fy_draw(source):
+    return fisher_yates_sample(source, 5, 2).indices
+
+
 def test_enumerate_subset_distribution_accepts_uniform_sampler():
     src = RandomSource(999)
-    report = enumerate_subset_distribution(fisher_yates_sample, 5, 2, 4000, src)
+    report = enumerate_subset_distribution(_fy_draw, 5, 2, 4000, src)
     assert report.passed
 
 
 def test_enumerate_subset_distribution_rejects_biased_sampler():
-    from srswor.samplers import SampleOrder, SampleResult
-    from srswor.rng import DrawStats
-
-    def biased(source, n, k):
-        # always returns the same subset
-        return SampleResult(list(range(1, k + 1)), SampleOrder.SORTED, n, DrawStats())
-
+    # always the same subset
     src = RandomSource(1000)
-    report = enumerate_subset_distribution(biased, 5, 2, 4000, src)
+    report = enumerate_subset_distribution(lambda s: [1, 2], 5, 2, 4000, src)
     assert not report.passed
     assert report.p_value < 1e-100
 
@@ -367,22 +364,18 @@ def test_enumerate_subset_distribution_caps():
     src = RandomSource(0)
     with pytest.raises(ValueError):
         # C(30, 5) is far beyond the enumeration cap
-        enumerate_subset_distribution(fisher_yates_sample, 30, 5, 10**6, src)
+        enumerate_subset_distribution(_fy_draw, 30, 5, 10**6, src)
     with pytest.raises(ValueError):
         # too few reps for C(5, 2) = 10 subsets
-        enumerate_subset_distribution(fisher_yates_sample, 5, 2, 500, src)
+        enumerate_subset_distribution(_fy_draw, 5, 2, 500, src)
     assert MAX_ENUMERATED_SUBSETS == 200
 
 
 def test_enumerate_subset_distribution_rejects_invalid_output():
-    from srswor.samplers import SampleOrder, SampleResult
-    from srswor.rng import DrawStats
-
-    def broken(source, n, k):
-        return SampleResult([1, 1], SampleOrder.SELECTION, n, DrawStats())
-
-    with pytest.raises(ValueError):
-        enumerate_subset_distribution(broken, 5, 2, 1000, RandomSource(1))
+    # repeats, the wrong size, and items outside [1, 5]
+    for items in ([1, 1], [1, 2, 2], [1, 2, 3], [1], [0, 1], [5, 6]):
+        with pytest.raises(ValueError):
+            enumerate_subset_distribution(lambda s: items, 5, 2, 1000, RandomSource(1))
 
 
 @given(st.floats(min_value=0.01, max_value=100.0), st.integers(min_value=1, max_value=200))

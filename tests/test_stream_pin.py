@@ -3,77 +3,60 @@
 The stream of draws for a given seed is a contract.  Each path below runs
 on a fresh RandomSource per seed; its output, the vars(draw_stats) of any
 SampleResult in it, and the source's vars(stats) and words_generated all
-go into one sha256.  A refactor that keeps the stream passes this test
-unchanged.  A change that alters the stream on purpose must say so, and
-replace PINNED with the digest that the failure message reports.  Floats
-are hashed by repr, so a libm that rounds exp, log or pow differently
-would change the digest as well.
+go into one sha256.  A refactor that keeps the stream keeps the digest.  A
+change that alters the stream on purpose must say so, and replace PINNED
+with the digest that the failure message reports.  Floats are hashed by
+repr, so a libm that rounds exp, log or pow differently would change the
+digest as well.
 """
 
 import hashlib
 
-from srswor import (
-    BetaParams,
-    HypergeomParams,
-    MergeInput,
-    MergeState,
-    SampleResult,
-    SparseFisherYatesIterator,
-    bernoulli,
-    beta,
-    beta_binomial,
-    binomial,
-    default_samplers,
-    downsample,
-    hypergeometric,
-    merge_all_with_state,
-    permutation_from_transpositions,
-    preinit_fy_sample_with_undo,
-    split_sample_counts,
-)
-from srswor.rng import RandomSource
+from srswor import (MergeInput, MergeState, RandomSource, SampleResult,
+                    SparseFisherYatesIterator, bernoulli, beta, beta_binomial, binomial,
+                    default_samplers, downsample, hypergeometric, merge_all_with_state,
+                    permutation_from_transpositions, preinit_fy_sample_with_undo,
+                    split_sample_counts, sparse_fisher_yates)
 
 PINNED = "4dcccb97c9193837292081312418743142bfd277c1f1e9deb7edd58e0534a64e"
 
 SEEDS = (0, 1, 2, 3, 42, 2**63 + 7, -5)
 
 
+def _each(draw, *cases):
+    return lambda s: [draw(s, *case) for case in cases]
+
+
 def _preinit(s):
     x = [3 * i for i in range(30)]
-    res, log = preinit_fy_sample_with_undo(s, x, 9)
-    return res, log.swaps, x
+    res, swaps = preinit_fy_sample_with_undo(s, x, 9)
+    return res, swaps, x
 
 
 PATHS = {
-    "uniform_int": lambda s: [s.next_uniform_int(m) for m in (1, 6, 2**32 + 1, 2**64,
-                                                             2**64 + 1, 3**80)],
+    "uniform_int": lambda s: [s.next_uniform_int(m)
+                              for m in (1, 6, 2**32 + 1, 2**64, 2**64 + 1, 3**80)],
     "uniform_real": lambda s: [s.next_uniform_real() for _ in range(5)],
-    "bernoulli": lambda s: [bernoulli(s, p) for p in (0.0, 0.3, 0.5, 1.0)],
+    "bernoulli": _each(bernoulli, (0.0,), (0.3,), (0.5,), (1.0,)),
     # inversion, BTRD, the p > 1/2 reflection, n past 2^64 and huge n
-    "binomial": lambda s: [binomial(s, n, p) for n, p in ((0, 0.5), (10, 0.3), (1000, 0.4),
-                                                          (5000, 0.9), (2**64 + 1, 0.5),
-                                                          (10**30, 1e-27))],
+    "binomial": _each(binomial, (0, 0.5), (10, 0.3), (1000, 0.4), (5000, 0.9),
+                      (2**64 + 1, 0.5), (10**30, 1e-27)),
     # the quantile map, its expm1 branch, the gamma pair and the point mass
-    "beta": lambda s: [beta(s, BetaParams(a, b)) for a, b in ((1.0, 4.0), (1.0, 2.0**60),
-                                                            (3.0, 2.0), (2.0, 0.0))],
-    "beta_binomial": lambda s: [beta_binomial(s, a, b, m) for a, b, m in ((1, 1, 5), (1, 3, 80),
-                                                                          (2, 2, 6), (1, 7, 10**20))],
+    "beta": _each(beta, (1.0, 4.0), (1.0, 2.0**60), (3.0, 2.0), (2.0, 0.0)),
+    "beta_binomial": _each(beta_binomial, (1, 1, 5), (1, 3, 80), (2, 2, 6), (1, 7, 10**20)),
     # inversion, HRUA, both symmetries and huge n
-    "hypergeometric": lambda s: [hypergeometric(s, HypergeomParams(v, n, k))
-                                 for v, n, k in ((2, 4, 2), (991, 1000, 500), (9, 20, 10),
-                                                 (500, 2000, 300), (10**29, 10**30, 4000))],
-    **{f"sampler-{name}": (lambda s, f=sampler: [f(s, 40, 7), f(s, 6, 6), f(s, 9, 0)])
+    "hypergeometric": _each(hypergeometric, (2, 4, 2), (991, 1000, 500), (9, 20, 10),
+                            (500, 2000, 300), (10**29, 10**30, 4000)),
+    **{f"sampler-{name}": _each(sampler, (40, 7), (6, 6), (9, 0))
        for name, sampler in default_samplers().items()},
-    "sparse-huge-n": lambda s: default_samplers()["sparse"](s, 2**80, 5),
+    "sparse-huge-n": lambda s: sparse_fisher_yates(s, 2**80, 5),
     "iterator": lambda s: list(SparseFisherYatesIterator(12, s)),
     "permutation": lambda s: permutation_from_transpositions(s, 12),
     "preinit-swaps": _preinit,
-    "split": lambda s: [split_sample_counts(s, (3, 50, 7, 2**70), 40),
-                        split_sample_counts(s, (4, 4), 3)],
-    "merge": lambda s: merge_all_with_state(s, [MergeInput(range(1, 6), 20), MergeInput([], 9),
-                                                MergeInput(range(100, 104), 4),
-                                                MergeInput(range(200, 230), 10**6)]),
-    "downsample": lambda s: [downsample(s, range(50), 10), downsample(s, range(50), 40)],
+    "split": _each(split_sample_counts, ((3, 50, 7, 2**70), 40), ((4, 4), 3)),
+    "merge": lambda s: merge_all_with_state(s, [MergeInput(*shard) for shard in (
+        (range(1, 6), 20), ([], 9), (range(100, 104), 4), (range(200, 230), 10**6))]),
+    "downsample": _each(downsample, (range(50), 10), (range(50), 40)),
 }
 
 
@@ -88,7 +71,7 @@ def _plain(value):
     return value
 
 
-def sweep_digest() -> str:
+def test_stream_is_pinned():
     h = hashlib.sha256()
     for name, path in PATHS.items():
         for seed in SEEDS:
@@ -96,9 +79,4 @@ def sweep_digest() -> str:
             out = _plain(path(s))
             h.update(repr((name, seed, out, sorted(vars(s.stats).items()),
                            s.words_generated)).encode())
-    return h.hexdigest()
-
-
-def test_stream_is_pinned():
-    digest = sweep_digest()
-    assert digest == PINNED, f"the stream changed: the sweep now hashes to {digest}"
+    assert h.hexdigest() == PINNED, f"the stream changed: the sweep now hashes to {h.hexdigest()}"
