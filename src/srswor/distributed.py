@@ -20,11 +20,12 @@ downsample also trims them to an exact target size when one is required.
 
 from __future__ import annotations
 
+import itertools
 from typing import Sequence
 
 from .distributions import beta, binomial, hypergeometric
 from .rng import Record, UniformSource
-from .samplers import sparse_fisher_yates
+from .samplers import fisher_yates_sample
 
 
 class MergeInput(Record, frozen=True):
@@ -105,16 +106,19 @@ def merge_all_with_state(source: UniformSource,
 def downsample(source: UniformSource, sample: Sequence, target: int) -> list:
     """Uniformly keep exactly target of the n items of sample, in input order.
 
-    sparse_fisher_yates draws the positions to keep if 2 * target <= n, else
-    the uniform subset to drop: min(target, n - target) uniform ints.
+    fisher_yates_sample draws the positions to keep if 2 * target <= n, else
+    the uniform subset to drop: min(target, n - target) uniform ints, none
+    at target 0 or n.  Its O(n) array costs no more than the input, and it
+    makes the same draws and picks as sparse_fisher_yates.  The kept items
+    are read off a byte mask over the positions, with no sort.
     """
     n = len(sample)
     if not 0 <= target <= n:
         raise ValueError(f"target {target} outside [0, {n}]")
-    if 2 * target <= n:
-        if target == 0:
-            return []
-        positions = sparse_fisher_yates(source, n, target).indices
-        return [sample[p - 1] for p in sorted(positions)]
-    dropped = set(sparse_fisher_yates(source, n, n - target).indices)
-    return [item for p, item in enumerate(sample, 1) if p not in dropped]
+    if target == 0 or target == n:
+        return list(sample) if target else []
+    drop = 2 * target > n
+    mask = bytearray([drop]) * n
+    for p in fisher_yates_sample(source, n, n - target if drop else target).indices:
+        mask[p - 1] = not drop
+    return list(itertools.compress(sample, mask))

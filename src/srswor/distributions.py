@@ -225,12 +225,14 @@ def beta(source: UniformSource, alpha: float, beta_shape: float) -> float:
     its relative precision: at b past about 2^50 the plain map rounds
     almost every draw to 0.
     alpha > 1 uses a Marsaglia-Tsang gamma pair.  alpha < 1 (which nothing
-    in this package needs), b < 0 and NaN shapes are rejected.
+    in this package needs), b < 0, and infinite or NaN shapes are rejected.
+    The bounds are compared, not converted, so an integer shape past the
+    float range is not refused here.
     """
-    if not alpha >= 1.0:
-        raise ValueError(f"beta sampling requires alpha >= 1, got {alpha}")
-    if not beta_shape >= 0.0:
-        raise ValueError(f"beta shape must be non-negative, got {beta_shape}")
+    if not 1.0 <= alpha < math.inf:
+        raise ValueError(f"beta sampling requires finite alpha >= 1, got {alpha}")
+    if not 0.0 <= beta_shape < math.inf:
+        raise ValueError(f"beta shape must be finite and non-negative, got {beta_shape}")
     source.stats.beta += 1
     if beta_shape == 0.0:
         return 1.0

@@ -16,6 +16,11 @@ multiply of the mix acts on every lane in one pass.  A lane is masked back
 to its low 64 bits before each multiply, which clears the bits a right
 shift carries in from the lane above, so every product stays inside its
 lane.  The stream is the same word for word as the scalar mix.
+
+A partial shuffle of n takes k bounded ints with bounds n, n - 1, ...,
+n - k + 1.  descending_ints(n, k) returns them in one call: the same values
+and counters as k calls of next_uniform_int, with the Python work per draw
+cut to a word read, a shift and a compare.
 """
 
 from __future__ import annotations
@@ -160,8 +165,14 @@ class DrawStats(Record):
                 + self.beta + self.beta_binomial + self.hypergeometric)
 
 
+def _check_descending(n: int, k: int) -> None:
+    if not 0 <= k <= n:
+        raise ValueError(f"draw count {k} outside [0, {n}]")
+
+
 class UniformSource:
-    """Common interface: two uniform primitives plus draw accounting.
+    """Common interface: two uniform primitives, the partial-shuffle batch
+    of descending_ints built on them, and draw accounting.
 
     stats holds per-family counters; the distribution layer increments the
     non-uniform families on top of the uniform ones counted here.
@@ -180,6 +191,14 @@ class UniformSource:
 
     def next_uniform_int(self, m: int) -> int:
         raise NotImplementedError
+
+    def descending_ints(self, n: int, k: int) -> list[int]:
+        """The k draws of a partial shuffle of n: the i-th, counting from 0,
+        is uniform on [1, n - i].  Same values and accounting as k calls of
+        next_uniform_int with bounds n, n - 1, ..., n - k + 1."""
+        _check_descending(n, k)
+        draw = self.next_uniform_int
+        return [draw(m) for m in range(n, n - k, -1)]
 
 
 class RandomSource(UniformSource):
@@ -251,6 +270,39 @@ class RandomSource(UniformSource):
             r = (buf.pop() if buf else self._refill()) >> shift
             if r < m:
                 return r + 1
+
+    def descending_ints(self, n: int, k: int) -> list[int]:
+        """The draws of next_uniform_int(n), next_uniform_int(n - 1), ...,
+        k of them, with the same words and counters, in one loop.
+
+        Bounds above 2^64 go through _next_wide_int one at a time.  The
+        others run in stretches of equal bit_length(m - 1), which share one
+        shift, and the words are counted once per call.
+        """
+        _check_descending(n, k)
+        self.stats.uniform_int += k
+        out: list[int] = []
+        append = out.append
+        top, stop = n, n - k
+        while top > stop and top > 1 << 64:
+            append(self._next_wide_int(top))
+            top -= 1
+        buf, refill = self._buf, self._refill
+        words = top - stop
+        while top > stop:
+            bits = (top - 1).bit_length()
+            shift = 64 - bits
+            # bounds in (2^(bits-1), 2^bits] share the shift; m = 1 has bits 0
+            low = max(stop, (1 << bits) >> 1)
+            for m in range(top, low, -1):
+                r = (buf.pop() if buf else refill()) >> shift
+                while r >= m:
+                    words += 1
+                    r = (buf.pop() if buf else refill()) >> shift
+                append(r + 1)
+            top = low
+        self.words_generated += words
+        return out
 
     def _next_wide_int(self, m: int) -> int:
         """Uniform integer in [1, m] for m > 2^64, by rejection on candidates

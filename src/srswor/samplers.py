@@ -14,8 +14,10 @@ items).  They differ in output order, work, and memory:
 
 The two Fisher-Yates variants are exchangeable: given the same source they
 produce bit-identical output, the sparse one just stores only the array
-slots that differ from their initial value.  default_samplers() is the one
-registry of the seven algorithms by name.
+slots that differ from their initial value.  Both, and preinit, take their
+k draws in one source.descending_ints call; the iterator takes one per
+step.  default_samplers() is the one registry of the seven algorithms by
+name.
 """
 
 from __future__ import annotations
@@ -67,15 +69,11 @@ def fisher_yates_sample(source: UniformSource, n: int, k: int) -> SampleResult:
     lands there is the i-th selection.  Exactly k uniform-int draws.
     """
     _check_nk(n, k)
-    before = source.stats.copy()
-    x = list(range(1, n + 1))
-    out = []
-    for i in range(k):
-        top = n - i
-        r = source.next_uniform_int(top)
-        x[top - 1], x[r - 1] = x[r - 1], x[top - 1]
-        out.append(x[top - 1])
-    return SampleResult(out, SampleOrder.SELECTION, n, source.stats - before)
+    x = list(range(n + 1))  # slot i holds item i; slot 0 is never drawn
+    for top, r in zip(range(n, n - k, -1), source.descending_ints(n, k)):
+        x[top], x[r] = x[r], x[top]
+    # later swaps never reach a filled slot, so slots n, n-1, ... hold the picks
+    return SampleResult(x[n:n - k:-1], SampleOrder.SELECTION, n, DrawStats(k))
 
 
 class SparseFisherYatesIterator:
@@ -120,21 +118,24 @@ def sparse_fisher_yates(source: UniformSource, n: int, k: int) -> SampleResult:
     """Hash-map Fisher-Yates: k draws, O(k) time and space, any n.
 
     The loop of SparseFisherYatesIterator.__next__, inlined: same draws,
-    same map, bit-identical output.
+    same map, bit-identical output.  The map's keys are earlier draws only,
+    so a draw r picks r itself unless an earlier draw was r too: when the k
+    draws are distinct they are the sample, and the map loop runs only when
+    one repeats.
     """
     _check_nk(n, k)
-    before = source.stats.copy()
-    draw = source.next_uniform_int
-    entries: dict = {}
-    get, pop = entries.get, entries.pop
-    out = []
-    append = out.append
-    for top in range(n, n - k, -1):
-        r = draw(top)
-        append(get(r, r))
-        entries[r] = get(top, top)
-        pop(top, None)
-    return SampleResult(out, SampleOrder.SELECTION, n, source.stats - before)
+    draws = source.descending_ints(n, k)
+    if len(set(draws)) < k:
+        entries: dict = {}
+        get, pop = entries.get, entries.pop
+        out = []
+        append = out.append
+        for top, r in zip(range(n, n - k, -1), draws):
+            append(get(r, r))
+            entries[r] = get(top, top)
+            pop(top, None)
+        draws = out
+    return SampleResult(draws, SampleOrder.SELECTION, n, DrawStats(k))
 
 
 def membership_checking_sample(source: UniformSource, n: int, k: int) -> SampleResult:
@@ -169,17 +170,13 @@ def preinit_fy_sample_with_undo(source: UniformSource, x: list,
     """
     n = len(x)
     _check_nk(n, k)
-    before = source.stats.copy()
-    swaps = []
-    out = []
-    for top in range(n, n - k, -1):
-        r = source.next_uniform_int(top)
-        x[top - 1], x[r - 1] = x[r - 1], x[top - 1]
-        swaps.append((top, r))
-        out.append(x[top - 1])
+    swaps = list(zip(range(n, n - k, -1), source.descending_ints(n, k)))
+    for a, b in swaps:
+        x[a - 1], x[b - 1] = x[b - 1], x[a - 1]
+    out = [x[top - 1] for top in range(n, n - k, -1)]
     for a, b in reversed(swaps):
         x[a - 1], x[b - 1] = x[b - 1], x[a - 1]
-    return SampleResult(out, SampleOrder.SELECTION, n, source.stats - before), swaps
+    return SampleResult(out, SampleOrder.SELECTION, n, DrawStats(k)), swaps
 
 
 def selection_sample(source: UniformSource, n: int, k: int) -> SampleResult:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from . import distributed, statcheck
 from .distributions import beta, beta_binomial, binomial, hypergeometric
-from .rng import RandomSource
+from .rng import DrawStats, RandomSource
 from .samplers import (
     SparseFisherYatesIterator,
     default_samplers,
@@ -119,19 +119,20 @@ def draw_budget_violations(cells) -> int:
     """Broken draw budgets over cells (source, n, k).
 
     fy, sparse and preinit run in turn on the cell's source and must make
-    exactly k uniform-int draws, inorder exactly k beta-binomial draws, and
+    exactly k uniform-int draws and nothing else, by their draw_stats and
+    by the source's own counters; inorder exactly k beta-binomial draws, and
     select at most n Bernoulli draws.  reservoir, on range(1, n + 1), must
     make one uniform int per replacement (at most n - k), two uniform reals
     per replacement plus two, and at most RESERVOIR_DRAW_FACTOR *
     k(1 + ln(n/k)) draws in all.
     """
+    samplers = default_samplers()
     violations = 0
     for source, n, k in cells:
-        violations += fisher_yates_sample(source, n, k).draw_stats.uniform_int != k
-        violations += sparse_fisher_yates(source, n, k).draw_stats.uniform_int != k
-        arr = list(range(1, n + 1))
-        res, _ = preinit_fy_sample_with_undo(source, arr, k)
-        violations += res.draw_stats.uniform_int != k
+        for name in ("fy", "sparse", "preinit"):
+            before = source.stats.copy()
+            reported = samplers[name](source, n, k).draw_stats
+            violations += reported != DrawStats(k) or source.stats - before != reported
         violations += inorder_sample(source, n, k).draw_stats.beta_binomial != k
         violations += selection_sample(source, n, k).draw_stats.bernoulli > n
         stats = reservoir_sample(source, range(1, n + 1), k).draw_stats

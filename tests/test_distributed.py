@@ -263,6 +263,50 @@ def test_downsample_zero_consumes_nothing():
     assert src.draw_count == 0
 
 
+def test_downsample_full_consumes_nothing():
+    src = RandomSource(25)
+    items = (3, 1, 2)
+    assert downsample(src, items, 3) == [3, 1, 2]
+    assert src.words_generated == 0 and src.stats == DrawStats()
+
+
+def test_downsample_keeps_input_order():
+    # items run against their natural order, so a sort of the kept items
+    # (not of their positions) would show; targets cover both the keep side
+    # (2 * target <= n) and the drop side
+    src = RandomSource(30)
+    items = [f"x{j:02d}" for j in range(17, 0, -1)]
+    for _ in range(20):
+        for target in range(len(items) + 1):
+            kept = downsample(src, items, target)
+            assert kept == [x for x in items if x in set(kept)]
+            assert len(set(kept)) == target
+
+
+def _downsample_by_sort(source, sample, target):
+    """downsample as a sort of sparse_fisher_yates positions, or a set of
+    the dropped ones past half."""
+    n = len(sample)
+    if 2 * target <= n:
+        if target == 0:
+            return []
+        positions = sparse_fisher_yates(source, n, target).indices
+        return [sample[p - 1] for p in sorted(positions)]
+    dropped = set(sparse_fisher_yates(source, n, n - target).indices)
+    return [item for p, item in enumerate(sample, 1) if p not in dropped]
+
+
+@given(st.integers(min_value=0, max_value=2**64 - 1), st.integers(min_value=0, max_value=60),
+       st.integers(min_value=0, max_value=60))
+@settings(max_examples=200, deadline=None)
+def test_downsample_mask_matches_sort(seed, n, target):
+    target = min(n, target)
+    items = [f"x{j}" for j in range(n, 0, -1)]
+    src, ref = RandomSource(seed), RandomSource(seed)
+    assert downsample(src, items, target) == _downsample_by_sort(ref, items, target)
+    assert src.stats == ref.stats and src.words_generated == ref.words_generated
+
+
 def test_downsample_uniform_over_items():
     src = RandomSource(26)
     reps = 30000

@@ -36,7 +36,8 @@ def test_beta_params_validation():
     assert beta(src, 1.0, 0.0) == 1.0
     assert 0.0 < beta(src, 2.5, 3.0) < 1.0
     for alpha, beta_shape in ((0.0, 1.0), (-1.0, 1.0), (1.0, -0.5), (math.nan, 1.0),
-                              (1.0, math.nan)):
+                              (1.0, math.nan), (math.inf, 1.0), (1.0, math.inf),
+                              (3.0, math.inf)):
         with pytest.raises(ValueError):
             beta(src, alpha, beta_shape)
 

@@ -316,3 +316,60 @@ def test_lane_kernel_matches_scalar_reference(seed):
 @settings(max_examples=40, deadline=None)
 def test_lane_kernel_matches_scalar_reference_any_script(seed, script):
     _assert_same_stream(seed, script, 600)
+
+
+# --- descending_ints, the partial-shuffle kernel ---
+
+def _assert_kernel_matches_scalar(seed: int, calls) -> None:
+    """descending_ints(n, k) on one source against next_uniform_int with
+    bounds n, n - 1, ..., n - k + 1 on a twin, call after call."""
+    src, twin = RandomSource(seed), RandomSource(seed)
+    for n, k in calls:
+        got = src.descending_ints(n, k)
+        assert got == [twin.next_uniform_int(m) for m in range(n, n - k, -1)], (seed, n, k)
+        assert src.words_generated == twin.words_generated, (seed, n, k)
+        assert src._state == twin._state, (seed, n, k)
+        assert src.stats == twin.stats, (seed, n, k)
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**64 - 1])
+def test_descending_ints_matches_scalar_reference(seed):
+    # bounds crossing 2^j (j = 64 crosses from wide to 64-bit bounds too),
+    # n = k down to bound 1, k = 0, and a wide run that ends on 2^64
+    calls = [(2**j + 3, 8) for j in range(3, 65)]
+    calls += [(6, 6), (1, 1), (9, 0), (0, 0), (2**64 + 4, 10), (2**130, 3)]
+    _assert_kernel_matches_scalar(seed, calls)
+
+
+def test_descending_ints_spans_the_first_refill():
+    # a fresh source buffers 16 words, so the first call reads past them
+    _assert_kernel_matches_scalar(3, [(1000, 40), (2**33 + 1, 30), (17, 17)])
+
+
+@given(st.integers(min_value=0, max_value=2**64 - 1),
+       st.lists(st.tuples(st.one_of(st.integers(min_value=0, max_value=12),
+                                    st.integers(min_value=2**62, max_value=2**66)),
+                          st.integers(min_value=0, max_value=40)),
+                min_size=1, max_size=8))
+@settings(max_examples=60, deadline=None)
+def test_descending_ints_matches_scalar_reference_any_calls(seed, calls):
+    _assert_kernel_matches_scalar(seed, [(n, min(n, k)) for n, k in calls])
+
+
+def test_descending_ints_rejects_bad_counts():
+    src = RandomSource(5)
+    for n, k in ((3, 4), (0, 1), (5, -1)):
+        with pytest.raises(ValueError):
+            src.descending_ints(n, k)
+    assert src.words_generated == 0 and src.stats == DrawStats()
+
+
+def test_descending_ints_generic_path_on_scripted_source():
+    src = ScriptedSource([2, 1, 3])
+    assert src.descending_ints(5, 3) == [2, 1, 3]
+    assert src.stats == DrawStats(uniform_int=3)
+    # each scripted value is checked against its own, shrinking bound
+    with pytest.raises(ValueError):
+        ScriptedSource([5, 5]).descending_ints(5, 2)
+    with pytest.raises(ValueError):
+        ScriptedSource([1]).descending_ints(1, 2)

@@ -7,10 +7,11 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from srswor.rng import RandomSource, ScriptedSource
+from srswor.rng import DrawStats, RandomSource, ScriptedSource
 from srswor.samplers import (
     SampleOrder,
     SparseFisherYatesIterator,
+    default_samplers,
     fisher_yates_sample,
     inorder_sample,
     membership_checking_sample,
@@ -53,6 +54,14 @@ def test_sparse_trace_matches_classical():
     res = sparse_fisher_yates(ScriptedSource([2, 1, 3]), 5, 3)
     assert res.indices == [2, 1, 3]
     assert res.draw_stats.uniform_int == 3
+
+
+def test_sparse_repeat_goes_through_the_map():
+    # the second draw repeats the first, so it picks the item that the
+    # first swap moved into slot 2, not 2 again
+    res = sparse_fisher_yates(ScriptedSource([2, 2]), 3, 2)
+    assert res.indices == [2, 3]
+    assert res.draw_stats.uniform_int == 2
 
 
 def test_sparse_iterator_prefix():
@@ -169,12 +178,13 @@ def test_selection_sample_draw_bound():
 
 def test_exact_draw_budgets():
     # one logical draw per selection for the Fisher-Yates family and the
-    # in-order sampler
+    # in-order sampler, in the result and on the source's own counters
+    samplers = default_samplers()
     for n, k in [(10, 3), (100, 37), (1000, 250)]:
-        assert fisher_yates_sample(RandomSource(1), n, k).draw_stats.uniform_int == k
-        assert sparse_fisher_yates(RandomSource(1), n, k).draw_stats.uniform_int == k
-        res, _ = preinit_fy_sample_with_undo(RandomSource(1), list(range(n)), k)
-        assert res.draw_stats.uniform_int == k
+        for name in ("fy", "sparse", "preinit"):
+            src = RandomSource(1)
+            assert samplers[name](src, n, k).draw_stats.uniform_int == k
+            assert src.stats == DrawStats(uniform_int=k)
         assert inorder_sample(RandomSource(1), n, k).draw_stats.beta_binomial == k
 
 
@@ -190,6 +200,35 @@ def test_sparse_equals_classical(n, seed):
     a = fisher_yates_sample(RandomSource(seed), n, k)
     b = sparse_fisher_yates(RandomSource(seed), n, k)
     assert a.indices == b.indices
+
+
+def _sparse_map_loop(source, n, k):
+    """sparse_fisher_yates without the distinct-draw shortcut: one draw and
+    one pass of the map per step, for every step."""
+    entries = {}
+    out = []
+    for top in range(n, n - k, -1):
+        r = source.next_uniform_int(top)
+        out.append(entries.get(r, r))
+        entries[r] = entries.get(top, top)
+        entries.pop(top, None)
+    return out
+
+
+@given(st.integers(min_value=0, max_value=2**64 - 1),
+       st.one_of(st.integers(min_value=1, max_value=8),
+                 st.integers(min_value=10**9 - 100, max_value=10**9 + 100),
+                 st.integers(min_value=2**64 + 1, max_value=2**72)),
+       st.integers(min_value=0, max_value=60))
+@settings(max_examples=300, deadline=None)
+def test_sparse_shortcut_matches_map_loop(seed, n, k):
+    # n <= 8 repeats a draw in most runs, the larger n almost never
+    k = min(n, k)
+    src, ref = RandomSource(seed), RandomSource(seed)
+    res = sparse_fisher_yates(src, n, k)
+    assert res.indices == _sparse_map_loop(ref, n, k)
+    assert res.draw_stats == ref.stats
+    assert src.words_generated == ref.words_generated
 
 
 @given(st.integers(min_value=1, max_value=2**64), st.integers(min_value=0, max_value=2**48))
