@@ -10,8 +10,8 @@ used anywhere; every generator is exact up to float rounding:
   hypergeometric  CDF inversion from 0 when min(k, n-k) or min(v, n-v) is
                   below 10 (one uniform, at most 10 steps); Stadlober's HRUA
                   ratio of uniforms otherwise (about 3 uniforms, O(1)).
-  beta            the closed-form quantile map for shape alpha = 1, a pair of
-                  Marsaglia-Tsang gammas otherwise.
+  beta            closed forms when a shape is 1 (one uniform); Cheng's BB
+                  rejection when both exceed 1 (about 2.2 uniforms).
 
 These hold at every n below 2^1024 (above it, OverflowError).  BTRD and
 HRUA form each proposal as an exact integer mode plus a small float offset
@@ -42,6 +42,11 @@ _HRUA_MIN = 10
 # up to 2^-53 absolute, for -expm1(log(U)/b), which keeps its relative
 # precision.
 _BETA_EXPM1_BELOW = 2.0 ** -10
+
+# Cheng's BB: log 4, and 1 + log 5 for the squeeze log z <= 5z - 1 - log 5
+# (the paper's 2.609438 is rounded up, which would accept a little too much).
+_LOG4 = math.log(4.0)
+_BB_SQUEEZE = 1.0 + math.log(5.0)
 
 # Stadlober's constants: 2 sqrt(2/e) and 3 - 2 sqrt(3/e).
 _HRUA_D1 = 2.0 * math.sqrt(2.0 / math.e)
@@ -223,16 +228,17 @@ def beta(source: UniformSource, alpha: float, beta_shape: float) -> float:
     Its subtraction is exact, so the map is off by at most 2^-53, and a
     draw below 2^-10 is computed as -expm1(log(U)/b) instead, which keeps
     its relative precision: at b past about 2^50 the plain map rounds
-    almost every draw to 0.
-    alpha > 1 uses a Marsaglia-Tsang gamma pair.  alpha < 1 (which nothing
-    in this package needs), b < 0, and infinite or NaN shapes are rejected.
+    almost every draw to 0.  b == 1 uses (1 - U)**(1/alpha), one uniform.
+    Otherwise Cheng's BB rejection takes two uniforms per try, about 2.2 a
+    draw; its log-scale test rounds to about 2^-53 sqrt(min(alpha, b)).
+    alpha < 1, 0 < b < 1, and infinite or NaN shapes raise ValueError.
     The bounds are compared, not converted, so an integer shape past the
-    float range is not refused here.
+    float range raises OverflowError only where a draw needs its float.
     """
     if not 1.0 <= alpha < math.inf:
         raise ValueError(f"beta sampling requires finite alpha >= 1, got {alpha}")
-    if not 0.0 <= beta_shape < math.inf:
-        raise ValueError(f"beta shape must be finite and non-negative, got {beta_shape}")
+    if not (beta_shape == 0.0 or 1.0 <= beta_shape < math.inf):
+        raise ValueError(f"beta shape must be 0 or finite and >= 1, got {beta_shape}")
     source.stats.beta += 1
     if beta_shape == 0.0:
         return 1.0
@@ -240,41 +246,35 @@ def beta(source: UniformSource, alpha: float, beta_shape: float) -> float:
         u = source.next_uniform_real()
         x = 1.0 - u ** (1.0 / beta_shape)
         return x if x >= _BETA_EXPM1_BELOW else -math.expm1(math.log(u) / beta_shape)
-    g1 = _gamma_raw(source, alpha)
-    g2 = _gamma_raw(source, beta_shape)
-    return g1 / (g1 + g2)
-
-
-def _gamma_raw(source: UniformSource, shape: float) -> float:
-    # Marsaglia-Tsang (2000) squeeze-rejection; exact for shape >= 1.
-    if shape < 1.0:
-        u = source.next_uniform_real()
-        return _gamma_raw(source, shape + 1.0) * u ** (1.0 / shape)
-    d = shape - 1.0 / 3.0
-    c = 1.0 / math.sqrt(9.0 * d)
+    if beta_shape == 1.0:
+        return (1.0 - source.next_uniform_real()) ** (1.0 / alpha)
+    # BB (Cheng 1978, "Generating beta variates with nonintegral shape
+    # parameters"), exact for min(alpha, b) > 1, its hat driven by the
+    # smaller shape a.  lam = 1/B = sqrt((2ab - s)/(s - 2)), s = a + b, is
+    # formed as sqrt(1 + 2p/(1 + p/q)), p = a - 1 <= q = b - 1, and the draw
+    # W/(b + W) from the odds W/b, so that neither overflows.
+    swap = alpha > beta_shape
+    a, b = float(min(alpha, beta_shape)), float(max(alpha, beta_shape))
+    p = a - 1.0
+    lam = math.sqrt(1.0 + p * (2.0 / (1.0 + p / (b - 1.0))))
+    uniform = source.next_uniform_real
     while True:
-        x = _std_normal(source)
-        v = 1.0 + c * x
-        if v <= 0.0:
-            continue
-        v = v * v * v
-        u = source.next_uniform_real()
-        x2 = x * x
-        if u < 1.0 - 0.0331 * x2 * x2:
-            return d * v
-        if u > 0.0 and math.log(u) < 0.5 * x2 + d * (1.0 - v + math.log(v)):
-            return d * v
-
-
-def _std_normal(source: UniformSource) -> float:
-    # Box-Muller, cosine branch only.  Two uniforms per normal, no cached
-    # spare, so the draw sequence stays a pure function of call order.
-    while True:
-        u1 = source.next_uniform_real()
-        if u1 > 0.0:
+        u1 = uniform()
+        z = u1 * u1 * uniform()
+        if z == 0.0:
+            continue  # the logs below need u1 > 0 and z > 0
+        v = math.log(u1 / (1.0 - u1)) / lam
+        d = -a * math.expm1(v)  # a - W, W = a e^v, to relative accuracy
+        w = a - d
+        r = (a + lam) * v - _LOG4
+        t = r + d
+        if t + _BB_SQUEEZE >= 5.0 * z:
             break
-    u2 = source.next_uniform_real()
-    return math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
+        log_z = math.log(z)
+        if t > log_z or r + (a + b) * math.log1p(d / (b + w)) >= log_z:
+            break
+    y = w / b  # below e^37
+    return 1.0 / (1.0 + y) if swap else y / (1.0 + y)
 
 
 def beta_binomial(source: UniformSource, alpha: int, beta_shape: int, n: int) -> int:

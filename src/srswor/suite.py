@@ -325,7 +325,7 @@ def run_suite(suite: str = "quick", seed: int = 0,
     ks("beta-quantile-ks-a1-b4", lambda s: beta(s, 1.0, 4.0),
        lambda z: 1.0 - (1.0 - z) ** 4)
     # chance that at least 3 of 4 uniforms fall below z
-    ks("beta-gamma-ks-a3-b2", lambda s: beta(s, 3.0, 2.0),
+    ks("beta-ks-a3-b2", lambda s: beta(s, 3.0, 2.0),
        lambda z: 4.0 * z ** 3 * (1.0 - z) + z ** 4)
 
     # -- sampler laws ----------------------------------------------------------

@@ -393,6 +393,20 @@ def test_merge_deterministic(capsys, tmp_path):
     assert out1 == out2
 
 
+def test_merge_population_at_the_float_range(capsys, tmp_path):
+    # a 2^1023 population gives the threshold Beta(3, 2^1023 - 2), whose
+    # shapes are finite floats; 2^1100 is past the float range
+    for population, expected in ((2**1023, 0), (2**1100, 2)):
+        manifest = write_manifest(tmp_path, f"{population}\t2\ta,b\n5\t1\tc\n")
+        code, out, err = run_cli(capsys, "merge", "--manifest", manifest, "--seed", "4")
+        assert code == expected, err
+        if expected == 0:
+            assert out.splitlines()[-1].startswith("# effective_size=")
+        else:
+            assert err.count("\n") == 1 and "Traceback" not in err
+            assert err.startswith("merge: input too large for float arithmetic")
+
+
 def test_merge_target_downsamples(capsys, tmp_path):
     manifest = write_manifest(tmp_path, "4\t4\ta,b,c,d\n4\t4\te,f,g,h\n")
     code, out, _ = run_cli(capsys, "merge", "--manifest", manifest,

@@ -37,7 +37,7 @@ def test_beta_params_validation():
     assert 0.0 < beta(src, 2.5, 3.0) < 1.0
     for alpha, beta_shape in ((0.0, 1.0), (-1.0, 1.0), (1.0, -0.5), (math.nan, 1.0),
                               (1.0, math.nan), (math.inf, 1.0), (1.0, math.inf),
-                              (3.0, math.inf)):
+                              (3.0, math.inf), (1.0, 0.5), (3.0, 0.5), (2.0, 1e-300)):
         with pytest.raises(ValueError):
             beta(src, alpha, beta_shape)
 
@@ -119,17 +119,94 @@ def test_beta_alpha1_quantiles():
         assert abs(empirical - theoretical) < 0.01
 
 
+def _beta_cdf(alpha, b):
+    """CDF of Beta(alpha, b) for integer alpha: the chance that at least alpha
+    of N = alpha + b - 1 uniforms fall below x, with (1 - x)^m taken as
+    exp(m log1p(-x)) so that it holds at huge b."""
+    n = alpha + b - 1
+
+    def cdf(x):
+        total, coef = 0.0, 1.0
+        for j in range(alpha):
+            total += coef * x ** j * math.exp((n - j) * math.log1p(-x))
+            coef *= (n - j) / (j + 1)
+        return 1.0 - total
+    return cdf
+
+
 @pytest.mark.parametrize("b", [2.0 ** 60, 1e17])
 def test_beta_alpha1_huge_beta_law(b):
     # past b of about 2^50, 1 - U**(1/b) rounds to 0 for almost every U;
     # the draws must still follow the exact CDF 1 - (1 - x)^b
     src = RandomSource(61)
     xs = [beta(src, 1.0, b) for _ in range(20000)]
-    report = ks_gof(xs, lambda x: -math.expm1(b * math.log1p(-x)), alpha=0.001)
+    report = ks_gof(xs, _beta_cdf(1, b), alpha=0.001)
     assert report.passed, report
 
 
-def test_beta_gamma_route_moments():
+@pytest.mark.parametrize("b", [2.0 ** 60, 1e17])
+def test_beta_bb_huge_beta_law(b):
+    # Cheng's BB with its shapes 18 orders of magnitude apart
+    src = RandomSource(67)
+    xs = [beta(src, 3.0, b) for _ in range(20000)]
+    report = ks_gof(xs, _beta_cdf(3, b), alpha=0.001)
+    assert report.passed, report
+
+
+@pytest.mark.parametrize("alpha", [2, 6])
+def test_beta_b1_route_law(alpha):
+    src = RandomSource(71)
+    xs = [beta(src, float(alpha), 1.0) for _ in range(20000)]
+    report = ks_gof(xs, lambda x: x ** alpha, alpha=0.001)
+    assert report.passed, report
+    assert src.stats.uniform_real == 20000
+
+
+@pytest.mark.parametrize("alpha, b", [(5, 40), (40, 5)])
+def test_beta_bb_law_both_orientations(alpha, b):
+    # Beta(40, 5) is 1 - Beta(5, 40): the same method, the shapes swapped
+    lower = _beta_cdf(5, 40)
+    cdf = lower if alpha == 5 else lambda x: 1.0 - lower(1.0 - x)
+    src = RandomSource(73)
+    xs = [beta(src, float(alpha), float(b)) for _ in range(20000)]
+    report = ks_gof(xs, cdf, alpha=0.001)
+    assert report.passed, report
+
+
+@pytest.mark.parametrize("alpha, b", [(3.0, 2.0), (201, 10**7 - 200)])
+def test_beta_bb_uniforms_per_draw(alpha, b):
+    # BB accepts a pair of uniforms about 9 times in 10
+    src = RandomSource(79)
+    for _ in range(20000):
+        beta(src, alpha, b)
+    assert src.stats.uniform_real <= 2.5 * 20000
+
+
+def test_beta_extreme_shapes_stay_in_unit_interval():
+    # BB's constant and draw are formed so that no step overflows; the
+    # textbook B = sqrt((s - 2)/(2ab - s)) divides by zero at each of these
+    src = RandomSource(83)
+    for alpha, b in ((2.0, 1e308), (1e154, 1e155), (1e300, 1e300), (5, 2**1023),
+                     (2**1023, 5), (1e308, 1e308)):
+        for _ in range(200):
+            assert 0.0 < beta(src, alpha, b) <= 1.0
+    # integer shapes past the float range raise where a draw needs the float
+    for alpha, b in ((3, 2**1100), (2**1100, 3), (1, 2**1100), (2**1100, 1)):
+        with pytest.raises(OverflowError):
+            beta(src, alpha, b)
+    assert beta(src, 2**1100, 0) == 1.0
+
+
+def test_beta_bb_retries_zero_uniforms():
+    # u1 = 0, then u2 = 0, would each take log(0); BB draws a fresh pair.
+    # At u1 = 1/2 the proposal is the mode, W = a, accepted by the squeeze.
+    src = ScriptedSource([0.0, 0.3, 0.5, 0.0, 0.5, 0.5])
+    x = beta(src, 3.0, 2.0)
+    assert 0.0 < x <= 1.0 and math.isclose(x, 0.6)
+    assert src.stats.uniform_real == 6
+
+
+def test_beta_bb_route_moments():
     # Beta(3, 2): mean 0.6, var 0.04. Loose 4-sigma-ish bounds.
     src = RandomSource(23)
     n = 50000
