@@ -16,6 +16,12 @@ Binomial number kappa_c of its k_c items, all of them where T_c is the
 minimum, and downsample picks which, in input order.  The survivors are a
 simple random sample of the union with a random (but valid) size;
 downsample also trims them to an exact target size when one is required.
+
+downsample keeps m of n items by one of two exact routes, chosen by word
+cost with c = min(m, n - m).  If 8c < n it takes the c draws of a partial
+shuffle and picks by Floyd's set rule; otherwise it marks each position by
+an iid byte below a level near 256m/n, ceil(n / 8) words in all, and flips
+uniformly chosen marks until exactly m remain.
 """
 
 from __future__ import annotations
@@ -25,7 +31,6 @@ from typing import Sequence
 
 from .distributions import beta, binomial, hypergeometric
 from .rng import Record, UniformSource
-from .samplers import fisher_yates_sample
 
 
 class MergeInput(Record, frozen=True):
@@ -83,8 +88,8 @@ def merge_all_with_state(source: UniformSource,
 
     All thresholds are drawn first, then every shard is thinned against the
     common minimum, so the construction is symmetric in its inputs.  Shard c
-    costs a beta, a binomial and min(kappa_c, k_c - kappa_c) uniform ints;
-    its kept items follow input order, shard by shard.
+    costs a beta, a binomial and the uniform ints of downsample keeping
+    kappa_c of k_c; its kept items follow input order, shard by shard.
     """
     if not inputs:
         raise ValueError("merge requires at least one input")
@@ -106,11 +111,24 @@ def merge_all_with_state(source: UniformSource,
 def downsample(source: UniformSource, sample: Sequence, target: int) -> list:
     """Uniformly keep exactly target of the n items of sample, in input order.
 
-    fisher_yates_sample draws the positions to keep if 2 * target <= n, else
-    the uniform subset to drop: min(target, n - target) uniform ints, none
-    at target 0 or n.  Its O(n) array costs no more than the input, and it
-    makes the same draws and picks as sparse_fisher_yates.  The kept items
-    are read off a byte mask over the positions, with no sort.
+    Target 0 or n draws nothing.  Otherwise, with c = min(target, n - target)
+    the positions on the smaller side, one of two exact routes, chosen by
+    word cost, marks the kept positions in a byte mask:
+
+    - 8c < n, draws: the c draws of a partial shuffle of n (descending_ints),
+      c uniform ints.  Floyd's set rule on the reversed draws (Bentley and
+      Floyd, CACM 1987) picks the same c positions as the shuffle: the draw
+      r against bound j picks r, or j if r is already picked.
+    - 8c >= n, marks: n iid uniform bytes (uniform_bytes, ceil(n / 8)
+      words); a byte below L, 256 * target / n rounded half up, marks its
+      position.  iid marks are exchangeable, so given their count s they
+      are a uniform s-subset.  Then |s - target| flags of the surplus value
+      are flipped one at a time, each chosen uniformly by rejection on
+      uniform ints in [1, n], and a uniform flip keeps the subset uniform.
+      Since c >= n / 8, L lies in [32, 224], and a flip takes fewer than 8
+      ints on average.
+
+    The kept items are read off the mask, with no sort.
     """
     n = len(sample)
     if not 0 <= target <= n:
@@ -118,7 +136,22 @@ def downsample(source: UniformSource, sample: Sequence, target: int) -> list:
     if target == 0 or target == n:
         return list(sample) if target else []
     drop = 2 * target > n
-    mask = bytearray([drop]) * n
-    for p in fisher_yates_sample(source, n, n - target if drop else target).indices:
-        mask[p - 1] = not drop
+    c = n - target if drop else target
+    if 8 * c < n:
+        # mask[p - 1] == drop until position p is picked
+        mask = bytearray([drop]) * n
+        draws = source.descending_ints(n, c)
+        for j, r in zip(range(n - c + 1, n + 1), reversed(draws)):
+            mask[r - 1 if mask[r - 1] == drop else j - 1] = not drop
+    else:
+        level = (512 * target + n) // (2 * n)
+        mask = bytearray(source.uniform_bytes(n).translate(b"\1" * level + bytes(256 - level)))
+        surplus = mask.count(1) - target
+        flag = surplus > 0
+        draw = source.next_uniform_int
+        for _ in range(abs(surplus)):
+            r = draw(n) - 1
+            while mask[r] != flag:
+                r = draw(n) - 1
+            mask[r] = not flag
     return list(itertools.compress(sample, mask))

@@ -20,7 +20,9 @@ lane.  The stream is the same word for word as the scalar mix.
 A partial shuffle of n takes k bounded ints with bounds n, n - 1, ...,
 n - k + 1.  descending_ints(n, k) returns them in one call: the same values
 and counters as k calls of next_uniform_int, with the Python work per draw
-cut to a word read, a shift and a compare.
+cut to a word read, a shift and a compare.  uniform_bytes(n) returns n
+iid uniform bytes, the little-endian bytes of the next ceil(n / 8) words;
+RandomSource reads them off the mixed blocks, not word by word.
 """
 
 from __future__ import annotations
@@ -56,15 +58,24 @@ _LANES = {lanes: _lane_constants(lanes) for lanes in _FILLS}
 _LAST_FIRST = slice(-2, None, -2) if sys.byteorder == "little" else slice(1, None, 2)
 
 
-def _splitmix64(state: int, count: int) -> list[int]:
-    """The count splitmix64 words that follow state, last first, so that
-    list.pop() hands them out in stream order; count is a key of _LANES."""
+def _splitmix64(state: int, count: int) -> bytes:
+    """The count splitmix64 words that follow state, as a block: the
+    native-order bytes of one integer whose 128-bit lane i holds the
+    (i + 1)-th word in its low 64 bits; count is a key of _LANES."""
     ones, low, steps = _LANES[count]
     z = (state * ones + steps) & low
     z = (((z ^ (z >> 30)) & low) * _MIX1) & low
     z = (((z ^ (z >> 27)) & low) * _MIX2) & low
     z ^= z >> 31
-    return memoryview(z.to_bytes(16 * count, sys.byteorder)).cast("Q")[_LAST_FIRST].tolist()
+    return z.to_bytes(16 * count, sys.byteorder)
+
+
+def _block_bytes(block: bytes, first: int, stop: int) -> bytes:
+    """The little-endian bytes of words first to stop - 1 of a block, in
+    stream order."""
+    if sys.byteorder == "big":
+        block = block[::-1]  # the little-endian bytes of the same integer
+    return memoryview(block).cast("Q")[2 * first:2 * stop:2].tobytes()
 
 
 class ScriptExhaustedError(RuntimeError):
@@ -170,9 +181,17 @@ def _check_descending(n: int, k: int) -> None:
         raise ValueError(f"draw count {k} outside [0, {n}]")
 
 
+def _byte_words(n: int) -> int:
+    """Words that n bytes take, ceil(n / 8)."""
+    if n < 0:
+        raise ValueError(f"byte count must be >= 0, got {n}")
+    return -(-n // 8)
+
+
 class UniformSource:
     """Common interface: two uniform primitives, the partial-shuffle batch
-    of descending_ints built on them, and draw accounting.
+    of descending_ints and the byte batch of uniform_bytes built on them,
+    and draw accounting.
 
     stats holds per-family counters; the distribution layer increments the
     non-uniform families on top of the uniform ones counted here.
@@ -200,6 +219,14 @@ class UniformSource:
         draw = self.next_uniform_int
         return [draw(m) for m in range(n, n - k, -1)]
 
+    def uniform_bytes(self, n: int) -> bytes:
+        """n iid uniform bytes: the little-endian bytes of ceil(n / 8) words,
+        each next_uniform_int(2**64) - 1, in draw order, cut to n.  Same
+        accounting as those ceil(n / 8) calls."""
+        draw = self.next_uniform_int
+        return b"".join([(draw(1 << 64) - 1).to_bytes(8, "little")
+                         for _ in range(_byte_words(n))])[:n]
+
 
 class RandomSource(UniformSource):
     """Deterministic splitmix64-backed source.
@@ -223,6 +250,7 @@ class RandomSource(UniformSource):
         self._buf: list[int] = []
         self._head = seed & _MASK64   # state of the last buffered word
         self._fill = _FILLS[0]
+        self._block = b""   # the mixed block whose last words _buf holds
 
     @property
     def _state(self) -> int:
@@ -231,12 +259,17 @@ class RandomSource(UniformSource):
 
     def _refill(self) -> int:
         """Refill the empty buffer and hand out its first word."""
+        self._mix_block()
+        return self._buf.pop()
+
+    def _mix_block(self) -> None:
+        """Mix the next block into the empty buffer, without handing out a word."""
         count = self._fill
-        buf = self._buf
-        buf += _splitmix64(self._head, count)
+        self._block = _splitmix64(self._head, count)
+        # list.pop() hands the words out in stream order
+        self._buf += memoryview(self._block).cast("Q")[_LAST_FIRST].tolist()
         self._head = (self._head + count * _GOLDEN) & _MASK64
         self._fill = min(2 * count, _FILLS[-1])
-        return buf.pop()
 
     def _next_word(self) -> int:
         self.words_generated += 1
@@ -303,6 +336,26 @@ class RandomSource(UniformSource):
             top = low
         self.words_generated += words
         return out
+
+    def uniform_bytes(self, n: int) -> bytes:
+        """The bytes of UniformSource.uniform_bytes, with the same words and
+        counters, read off the mixed blocks: the buffered words are the
+        tail of the last block, so no word is turned into bytes one by one."""
+        count = _byte_words(n)
+        self.stats.uniform_int += count
+        self.words_generated += count
+        buf = self._buf
+        parts = []
+        while count:
+            if not buf:
+                self._mix_block()
+            left = len(buf)
+            take = min(count, left)
+            first = len(self._block) // 16 - left
+            parts.append(_block_bytes(self._block, first, first + take))
+            del buf[left - take:]
+            count -= take
+        return b"".join(parts)[:n]
 
     def _next_wide_int(self, m: int) -> int:
         """Uniform integer in [1, m] for m > 2^64, by rejection on candidates

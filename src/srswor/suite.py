@@ -195,8 +195,9 @@ def split_merge_law(source, k: int, reps: int, alpha: float) -> statcheck.GofRep
 def downsample_subsets_law(source, n: int, m: int, reps: int,
                            alpha: float) -> statcheck.GofReport:
     """Keep m of range(1, n + 1) with downsample, reps times, and chi-square
-    the kept sets against the uniform law on all C(n, m) subsets.  2m <= n
-    draws the positions to keep, 2m > n the positions to drop."""
+    the kept sets against the uniform law on all C(n, m) subsets.  With
+    c = min(m, n - m), 8c < n takes the draws route (the positions to keep
+    if 2m <= n, else to drop), 8c >= n the marks route."""
     return statcheck.enumerate_subset_distribution(
         lambda s: distributed.downsample(s, range(1, n + 1), m), n, m, reps, source, alpha)
 
@@ -451,8 +452,9 @@ def run_suite(suite: str = "quick", seed: int = 0,
         p = statcheck.normal_sf_two_sided(z)
         records.append(CheckRecord(name, z, p, p >= alpha))
 
-    for name, m in (("downsample-subsets-5-2", 2), ("downsample-subsets-5-3", 3)):
-        report = downsample_subsets_law(src(name), 5, m, scale["subset_reps"], alpha)
+    for n, m in ((5, 2), (5, 3), (12, 1), (12, 11)):
+        name = f"downsample-subsets-{n}-{m}"
+        report = downsample_subsets_law(src(name), n, m, scale["subset_reps"], alpha)
         records.append(_gof_record(name, report))
 
     name = "reservoir-max-position-60-3"

@@ -1,5 +1,6 @@
 """Split/merge tests: count laws, inclusion uniformity, structural guarantees."""
 
+import copy
 from collections import Counter
 
 import pytest
@@ -12,7 +13,7 @@ from srswor.distributed import (
     merge_all_with_state,
     split_sample_counts,
 )
-from srswor.rng import DrawStats, RandomSource
+from srswor.rng import DrawStats, RandomSource, ScriptedSource, ScriptExhaustedError
 from srswor.samplers import fisher_yates_sample, sparse_fisher_yates
 from srswor.statcheck import chi_square_gof, chi_square_two_sample, hypergeom_law
 from srswor.suite import downsample_subsets_law, pmf_law
@@ -296,11 +297,14 @@ def _downsample_by_sort(source, sample, target):
     return [item for p, item in enumerate(sample, 1) if p not in dropped]
 
 
-@given(st.integers(min_value=0, max_value=2**64 - 1), st.integers(min_value=0, max_value=60),
-       st.integers(min_value=0, max_value=60))
+@given(st.integers(min_value=0, max_value=2**64 - 1), st.integers(min_value=1, max_value=200),
+       st.integers(min_value=0, max_value=24), st.booleans())
 @settings(max_examples=200, deadline=None)
-def test_downsample_mask_matches_sort(seed, n, target):
-    target = min(n, target)
+def test_downsample_mask_matches_sort(seed, n, c, drop):
+    # the draws route, 8 * min(target, n - target) < n, makes the draws and
+    # picks of a partial shuffle, draw for draw
+    c = min(c, (n - 1) // 8)
+    target = n - c if drop else c
     items = [f"x{j}" for j in range(n, 0, -1)]
     src, ref = RandomSource(seed), RandomSource(seed)
     assert downsample(src, items, target) == _downsample_by_sort(ref, items, target)
@@ -320,9 +324,38 @@ def test_downsample_uniform_over_items():
 
 @pytest.mark.parametrize("m, seed", [(2, 27), (3, 28)])
 def test_downsample_subsets_law(m, seed):
-    # keep 2 of 5 draws the kept positions, keep 3 of 5 the dropped ones
+    # keep 2 or 3 of 5 takes the marks route, with fix-ups both ways
     report = downsample_subsets_law(RandomSource(seed), 5, m, 20000, 0.001)
     assert report.passed, report
+
+
+@pytest.mark.parametrize("m, seed", [(1, 31), (11, 32)])
+def test_downsample_subsets_law_draws_route(m, seed):
+    # keep 1 of 12 draws the kept position, keep 11 of 12 the dropped one
+    report = downsample_subsets_law(RandomSource(seed), 12, m, 20000, 0.001)
+    assert report.passed, report
+
+
+def _word(marks) -> int:
+    """The scripted next_uniform_int(2**64) whose word has the given bytes."""
+    return int.from_bytes(bytes(marks), "little") + 1
+
+
+# keep 4 of 8 takes the marks route with level 128: bytes below it mark
+@pytest.mark.parametrize("script, kept, ints", [
+    # s = 6: clear two marks; 7 and 8 hit unmarked positions and are drawn again
+    ([_word([0, 0, 0, 0, 0, 127, 200, 200]), 7, 2, 8, 5], "acdf", 5),
+    # s = 3: mark one more; 3 hits a marked position and is drawn again
+    ([_word([0, 200, 0, 200, 200, 200, 0, 200]), 3, 6], "acfg", 3),
+    # s = 4: no fix-up; 127 marks and 128 does not
+    ([_word([127, 128, 0, 255, 0, 200, 0, 200])], "aceg", 1),
+])
+def test_downsample_marks_route_fix_up(script, kept, ints):
+    src = ScriptedSource(script)
+    assert "".join(downsample(src, "abcdefgh", 4)) == kept
+    assert src.stats == DrawStats(uniform_int=ints)
+    with pytest.raises(ScriptExhaustedError):
+        src.next_uniform_int(1)
 
 
 def test_merge_inclusion_drop_side():
@@ -348,21 +381,40 @@ def _is_subsequence(part, whole):
     return all(item in rest for item in part)
 
 
+def _fewest_ints(n, m, twin=None) -> tuple[int, bool]:
+    """The uniform ints that downsample of m from n items takes at least,
+    and whether that count is exact: c = min(m, n - m) on the draws route
+    (8c < n); on the marks route ceil(n / 8) byte words, then at least
+    |s - m| fix-up ints when twin, a copy of the source, gives s.  Target 0
+    or n takes none."""
+    c = min(m, n - m)
+    if c == 0 or 8 * c < n:
+        return c, True
+    fix_ups = 0
+    if twin is not None:
+        level = (512 * m + n) // (2 * n)
+        fix_ups = abs(sum(b < level for b in twin.uniform_bytes(n)) - m)
+    return -(-n // 8) + fix_ups, False
+
+
 @given(
     st.lists(st.integers(min_value=0, max_value=40), min_size=1, max_size=3),
     st.integers(min_value=0, max_value=2**48),
 )
 @settings(max_examples=150, deadline=None)
 def test_keep_draw_budget_and_order(sizes, seed):
-    # downsample draws min(m, n - m) uniform ints and nothing else; merge
-    # adds one beta per shard and one binomial per non-empty shard, whose
-    # uniforms are all reals
+    # downsample draws uniform ints and nothing else, as many as its route
+    # takes (_fewest_ints); merge adds one beta per shard and one binomial
+    # per non-empty shard, whose uniforms are all reals
     src = RandomSource(seed)
     items = [f"i{src.next_uniform_int(10**6)}-{j}" for j in range(sizes[0])]
     m = src.next_uniform_int(len(items) + 1) - 1
+    fewest, exact = _fewest_ints(len(items), m, copy.deepcopy(src))
     before = src.stats.copy()
     kept = downsample(src, items, m)
-    assert src.stats - before == DrawStats(uniform_int=min(m, len(items) - m))
+    delta = src.stats - before
+    assert delta == DrawStats(uniform_int=delta.uniform_int)
+    assert delta.uniform_int == fewest if exact else delta.uniform_int >= fewest
     assert len(kept) == m and _is_subsequence(kept, items)
 
     inputs = []
@@ -372,8 +424,12 @@ def test_keep_draw_budget_and_order(sizes, seed):
     before = src.stats.copy()
     merged, state = merge_all_with_state(src, inputs)
     delta = src.stats - before
-    assert delta.uniform_int == sum(
-        min(kappa, len(inp.sample) - kappa) for kappa, inp in zip(state.kappas, inputs))
+    routes = [_fewest_ints(len(inp.sample), kappa) for kappa, inp in zip(state.kappas, inputs)]
+    fewest = sum(ints for ints, _ in routes)
+    if all(exact for _, exact in routes):
+        assert delta.uniform_int == fewest
+    else:
+        assert delta.uniform_int >= fewest
     assert delta.beta == len(inputs)
     assert delta.binomial == sum(1 for size in sizes if size)
     assert delta.bernoulli == delta.beta_binomial == delta.hypergeometric == 0

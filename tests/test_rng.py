@@ -9,7 +9,8 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from srswor import MergeInput, MergeState, SampleOrder, SampleResult
-from srswor.rng import DrawStats, RandomSource, ScriptedSource, ScriptExhaustedError
+from srswor.rng import (DrawStats, RandomSource, ScriptedSource, ScriptExhaustedError,
+                        UniformSource)
 from srswor.suite import pmf_law
 
 # First five raw 64-bit words for a handful of seeds, frozen from an
@@ -373,3 +374,51 @@ def test_descending_ints_generic_path_on_scripted_source():
         ScriptedSource([5, 5]).descending_ints(5, 2)
     with pytest.raises(ValueError):
         ScriptedSource([1]).descending_ints(1, 2)
+
+
+# --- uniform_bytes, the byte batch ---
+
+def _assert_bytes_match_generic(seed: int, calls) -> None:
+    """RandomSource.uniform_bytes on one source against the generic
+    UniformSource.uniform_bytes (next_uniform_int(2**64) per word) on a
+    twin, with a bounded int between calls, call after call."""
+    src, twin = RandomSource(seed), RandomSource(seed)
+    for n in calls:
+        got = src.uniform_bytes(n)
+        assert got == UniformSource.uniform_bytes(twin, n), (seed, n)
+        assert len(got) == n
+        assert src.next_uniform_int(7) == twin.next_uniform_int(7), (seed, n)
+        assert src.words_generated == twin.words_generated, (seed, n)
+        assert src._state == twin._state, (seed, n)
+        assert src.stats == twin.stats, (seed, n)
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**64 - 1])
+def test_uniform_bytes_matches_generic(seed):
+    # refills hand out 16, 32, 64, 128, then 256 words: 121 bytes cross the
+    # first, 2124 and 5000 bytes span several blocks, and 8 * 15 + 1 bytes
+    # use one byte of their last word
+    _assert_bytes_match_generic(seed, [0, 1, 8, 121, 129, 2124, 3, 5000, 8 * 15 + 1])
+
+
+@given(st.integers(min_value=0, max_value=2**64 - 1),
+       st.lists(st.integers(min_value=0, max_value=3000), min_size=1, max_size=8))
+@settings(max_examples=60, deadline=None)
+def test_uniform_bytes_matches_generic_any_calls(seed, calls):
+    _assert_bytes_match_generic(seed, calls)
+
+
+def test_uniform_bytes_are_little_endian_words():
+    # the bytes of RandomSource(0) are those of its first words, low byte first
+    data = RandomSource(0).uniform_bytes(8 * len(WORDS_SEED_0))
+    assert [int.from_bytes(data[i:i + 8], "little") for i in range(0, len(data), 8)] == WORDS_SEED_0
+
+
+def test_uniform_bytes_generic_path_on_scripted_source():
+    src = ScriptedSource([0x0807060504030202, 2**64])
+    assert src.uniform_bytes(11) == bytes([1, 2, 3, 4, 5, 6, 7, 8, 255, 255, 255])
+    assert src.stats == DrawStats(uniform_int=2)
+    with pytest.raises(ValueError):
+        RandomSource(1).uniform_bytes(-1)
+    with pytest.raises(ValueError):
+        ScriptedSource([]).uniform_bytes(-1)

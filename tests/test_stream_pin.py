@@ -7,7 +7,8 @@ go into one sha256.  A refactor that keeps the stream keeps the digest.  A
 change that alters the stream on purpose must say so, and replace PINNED
 with the digest that the failure message reports.  Floats are hashed by
 repr, so a libm that rounds exp, log or pow differently would change the
-digest as well.
+digest as well.  A second digest, over downsample's draws route alone,
+was taken before that function gained its marks route and still holds.
 """
 
 import hashlib
@@ -18,7 +19,7 @@ from srswor import (MergeInput, MergeState, RandomSource, SampleResult,
                     permutation_from_transpositions, preinit_fy_sample_with_undo,
                     split_sample_counts, sparse_fisher_yates)
 
-PINNED = "c6893340f2895213249fa173536ec56f28e11c930fe35839f1266960b909ef54"
+PINNED = "3d54a406c3b91b90c3aaf1739a51eafbcae8749a13411fb9e8b5e956b82d0986"
 
 SEEDS = (0, 1, 2, 3, 42, 2**63 + 7, -5)
 
@@ -58,8 +59,19 @@ PATHS = {
     "split": _each(split_sample_counts, ((3, 50, 7, 2**70), 40), ((4, 4), 3)),
     "merge": lambda s: merge_all_with_state(s, [MergeInput(*shard) for shard in (
         (range(1, 6), 20), ([], 9), (range(100, 104), 4), (range(200, 230), 10**6))]),
-    "downsample": _each(downsample, (range(50), 10), (range(50), 40)),
+    # the case above keeps all or none of each shard; here the loser is thinned
+    "merge-thinning": lambda s: merge_all_with_state(
+        s, [MergeInput(range(1, 9), 16), MergeInput(range(20, 28), 16)]),
+    # the marks route, then the draws route on both sides
+    "downsample": _each(downsample, (range(50), 10), (range(50), 40), (range(100), 5),
+                        (range(100), 95)),
 }
+
+# downsample's draws route (8 * min(t, n - t) < n) takes the draws of a
+# partial shuffle; this digest was taken before the marks route existed,
+# and pins that route to the same stream.
+DRAWS_ROUTE = {"downsample": _each(downsample, (range(100), 5), (range(100), 95))}
+PINNED_DRAWS_ROUTE = "bf16c36484db1921a89a6fbd9230c953f27d212b6c1e4cbb98293bdaf8e55ca1"
 
 
 def _plain(value):
@@ -73,12 +85,22 @@ def _plain(value):
     return value
 
 
-def test_stream_is_pinned():
+def _digest(paths) -> str:
     h = hashlib.sha256()
-    for name, path in PATHS.items():
+    for name, path in paths.items():
         for seed in SEEDS:
             s = RandomSource(seed)
             out = _plain(path(s))
             h.update(repr((name, seed, out, sorted(vars(s.stats).items()),
                            s.words_generated)).encode())
-    assert h.hexdigest() == PINNED, f"the stream changed: the sweep now hashes to {h.hexdigest()}"
+    return h.hexdigest()
+
+
+def test_stream_is_pinned():
+    digest = _digest(PATHS)
+    assert digest == PINNED, f"the stream changed: the sweep now hashes to {digest}"
+
+
+def test_downsample_draws_route_is_pinned():
+    digest = _digest(DRAWS_ROUTE)
+    assert digest == PINNED_DRAWS_ROUTE, f"the draws route changed: it now hashes to {digest}"
