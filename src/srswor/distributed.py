@@ -11,25 +11,30 @@ be read as the k smallest of n iid uniforms, and the (k+1)-th order
 statistic, distributed Beta(k+1, n-k), is the threshold below which the
 sample is a complete census of the union population.  Taking the smallest
 threshold T' across shards, every sampled item survives independently with
-probability min(1, T'/T_c) given its shard's threshold T_c: shard c keeps a
-Binomial number kappa_c of its k_c items, all of them where T_c is the
-minimum, and downsample picks which, in input order.  The survivors are a
-simple random sample of the union with a random (but valid) size;
-downsample also trims them to an exact target size when one is required.
+probability q = min(1, T'/T_c) given its shard's threshold T_c.  So shard c
+keeps all of its k_c items where T_c is the minimum, and is otherwise
+thinned by one iid Bernoulli(q) mask: kappa_c, the mask's count, is
+Binomial(k_c, q), and given kappa_c the kept items are a uniform subset,
+in input order.  The survivors are a simple random sample of the union
+with a random (but valid) size; downsample trims them to an exact target
+size when one is required.
 
-downsample keeps m of n items by one of two exact routes, chosen by word
-cost with c = min(m, n - m).  If 8c < n it takes the c draws of a partial
-shuffle and picks by Floyd's set rule; otherwise it marks each position by
-an iid byte below a level near 256m/n, ceil(n / 8) words in all, and flips
-uniformly chosen marks until exactly m remain.
+downsample keeps m of n items by one of two exact routes, chosen by
+expected word cost with c = min(m, n - m).  The draws route takes the c
+draws of a partial shuffle and picks by Floyd's set rule; the marks route
+marks each position by an iid byte below a level L near 256m/n,
+ceil(n / 8) words in all, and flips uniformly chosen marks until exactly m
+remain, about sqrt(2 n p (1 - p) / pi) flips with p = L / 256.  The draws
+route is taken when c is below the marks route's words plus flips.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from typing import Sequence
 
-from .distributions import beta, binomial, hypergeometric
+from .distributions import bernoulli, beta, hypergeometric
 from .rng import Record, UniformSource
 
 
@@ -87,9 +92,11 @@ def merge_all_with_state(source: UniformSource,
     """Merge any number of shard samples; see the module docstring for the law.
 
     All thresholds are drawn first, then every shard is thinned against the
-    common minimum, so the construction is symmetric in its inputs.  Shard c
-    costs a beta, a binomial and the uniform ints of downsample keeping
-    kappa_c of k_c; its kept items follow input order, shard by shard.
+    common minimum, so the construction is symmetric in its inputs.  Each
+    shard costs one beta.  A shard with q = T'/T_c below 1 also costs the
+    ceil(k_c / 8) words of its byte mask and about k_c / 256 Bernoullis
+    (see _thin); the others keep all their items with no draw.  The kept
+    items follow input order, shard by shard.
     """
     if not inputs:
         raise ValueError("merge requires at least one input")
@@ -101,11 +108,33 @@ def merge_all_with_state(source: UniformSource,
     merged: list = []
     kappas = []
     for inp, t_c in zip(inputs, thresholds):
-        k_c = len(inp.sample)
-        kappa = binomial(source, k_c, min(1.0, t_min / t_c)) if k_c else 0
-        kappas.append(kappa)
-        merged.extend(downsample(source, inp.sample, kappa))
+        q = t_min / t_c
+        kept = _thin(source, inp.sample, q) if q < 1.0 and inp.sample else inp.sample
+        kappas.append(len(kept))
+        merged.extend(kept)
     return merged, MergeState(tuple(thresholds), tuple(kappas))
+
+
+def _thin(source: UniformSource, sample: Sequence, q: float) -> list:
+    """The items of sample, each kept independently with probability q < 1,
+    in input order.
+
+    Byte b of uniform_bytes(len(sample)) decides its item against L =
+    floor(256 q): kept if b < L, dropped if b > L, and at b == L kept by one
+    bernoulli(256 q - L), which is drawn only when that is not 0.  256 q is
+    exact in floats, so P(kept) = L / 256 + (256 q - L) / 256 = q.
+    """
+    scaled = 256.0 * q
+    level = int(scaled)
+    data = source.uniform_bytes(len(sample))
+    mask = bytearray(data.translate(b"\1" * level + bytes(256 - level)))
+    tie = scaled - level
+    if tie:
+        i = data.find(level)
+        while i >= 0:
+            mask[i] = bernoulli(source, tie)
+            i = data.find(level, i + 1)
+    return list(itertools.compress(sample, mask))
 
 
 def downsample(source: UniformSource, sample: Sequence, target: int) -> list:
@@ -113,20 +142,23 @@ def downsample(source: UniformSource, sample: Sequence, target: int) -> list:
 
     Target 0 or n draws nothing.  Otherwise, with c = min(target, n - target)
     the positions on the smaller side, one of two exact routes, chosen by
-    word cost, marks the kept positions in a byte mask:
+    expected word cost, marks the kept positions in a byte mask.  With L,
+    256 * target / n rounded half up, and p = L / 256, the marks route
+    costs ceil(n / 8) words plus about sqrt(2 n p (1 - p) / pi) flips, the
+    mean of |s - target| below:
 
-    - 8c < n, draws: the c draws of a partial shuffle of n (descending_ints),
-      c uniform ints.  Floyd's set rule on the reversed draws (Bentley and
-      Floyd, CACM 1987) picks the same c positions as the shuffle: the draw
-      r against bound j picks r, or j if r is already picked.
-    - 8c >= n, marks: n iid uniform bytes (uniform_bytes, ceil(n / 8)
-      words); a byte below L, 256 * target / n rounded half up, marks its
-      position.  iid marks are exchangeable, so given their count s they
-      are a uniform s-subset.  Then |s - target| flags of the surplus value
-      are flipped one at a time, each chosen uniformly by rejection on
-      uniform ints in [1, n], and a uniform flip keeps the subset uniform.
-      Since c >= n / 8, L lies in [32, 224], and a flip takes fewer than 8
-      ints on average.
+    - c below that, draws: the c draws of a partial shuffle of n
+      (descending_ints), c uniform ints.  Floyd's set rule on the reversed
+      draws (Bentley and Floyd, CACM 1987) picks the same c positions as
+      the shuffle: the draw r against bound j picks r, or j if r is
+      already picked.
+    - Otherwise, marks: n iid uniform bytes (uniform_bytes, ceil(n / 8)
+      words); a byte below L marks its position.  iid marks are
+      exchangeable, so given their count s they are a uniform s-subset.
+      Then |s - target| flags of the surplus value are flipped one at a
+      time, each chosen uniformly by rejection on uniform ints in [1, n],
+      and a uniform flip keeps the subset uniform.  Since c > n / 8, L
+      lies in [32, 224], and a flip takes fewer than 8 ints on average.
 
     The kept items are read off the mask, with no sort.
     """
@@ -137,14 +169,15 @@ def downsample(source: UniformSource, sample: Sequence, target: int) -> list:
         return list(sample) if target else []
     drop = 2 * target > n
     c = n - target if drop else target
-    if 8 * c < n:
+    level = (512 * target + n) // (2 * n)
+    flips = math.sqrt(2 * n * level * (256 - level) / math.pi) / 256
+    if c < -(-n // 8) + flips:
         # mask[p - 1] == drop until position p is picked
         mask = bytearray([drop]) * n
         draws = source.descending_ints(n, c)
         for j, r in zip(range(n - c + 1, n + 1), reversed(draws)):
             mask[r - 1 if mask[r - 1] == drop else j - 1] = not drop
     else:
-        level = (512 * target + n) // (2 * n)
         mask = bytearray(source.uniform_bytes(n).translate(b"\1" * level + bytes(256 - level)))
         surplus = mask.count(1) - target
         flag = surplus > 0

@@ -7,11 +7,15 @@ used anywhere; every generator is exact up to float rounding:
   binomial        CDF inversion for n*min(p, 1-p) <= 30 (one uniform);
                   Hoermann's BTRD transformed rejection with decomposition
                   above that (1.4-1.8 uniforms in expectation, O(1)).
-  hypergeometric  CDF inversion from 0 when min(k, n-k) or min(v, n-v) is
-                  below 10 (one uniform, at most 10 steps); Stadlober's HRUA
-                  ratio of uniforms otherwise (about 3 uniforms, O(1)).
+  hypergeometric  CDF inversion from 0 for a mean of at most 30 (one uniform,
+                  P(0) in O(1), about mean + 1 steps); Stadlober's HRUA
+                  ratio of uniforms above that (about 3 uniforms, O(1)).
   beta            closed forms when a shape is 1 (one uniform); Cheng's BB
                   rejection when both exceed 1 (about 2.2 uniforms).
+
+Both discrete families switch at mean 30.  An inversion draws its uniform
+again in the rare case (about 1e-15 a draw) that it lies above the float
+sum of the pmf, rather than walk to the top of the support.
 
 These hold at every n below 2^1024 (above it, OverflowError).  BTRD and
 HRUA form each proposal as an exact integer mode plus a small float offset
@@ -19,7 +23,7 @@ and accept it on a log pmf ratio: a sum of log(a!/b!) terms, a - b = +-d,
 each about d log(b + 1), far larger than the sum once the sd is large.
 Those d log(b + 1) parts are joined into d times the log of one exact
 integer quotient; the rests come from Stirling's series with its
-correction fc (a table below 10, the series above), summed to keep
+correction fc (a table below 30, the series above), summed to keep
 relative accuracy.  Differences of lgamma values would not do: near
 n = 1e10, lgamma(n + 1) is about 2.2e11 and its ulp is about 3e-5.
 """
@@ -30,13 +34,10 @@ import math
 
 from .rng import UniformSource
 
-# Below this product of trials and min(p, 1-p), plain CDF inversion is both
-# exact and fast; above it, BTRD (valid from n*p >= 10) takes over.
-_INVERSION_LIMIT = 30.0
-
-# Below this value of min(v, k) after the symmetries, the hypergeometric
-# support has at most ten points and is inverted directly.
-_HRUA_MIN = 10
+# Up to this mean (n*min(p, 1-p), or the hypergeometric mean after its
+# symmetries), plain CDF inversion is both exact and fast; above it, BTRD
+# (valid from n*p >= 10) or HRUA takes over.
+_INVERSION_LIMIT = 30
 
 # Below this value a Beta(1, b) draw leaves 1 - U**(1/b), which is off by
 # up to 2^-53 absolute, for -expm1(log(U)/b), which keeps its relative
@@ -101,18 +102,20 @@ def binomial(source: UniformSource, n: int, p: float) -> int:
 
 def _binomial_inversion(source: UniformSource, n: int, p: float) -> int:
     # Requires p <= 0.5 and n*p bounded so (1-p)^n stays far above underflow.
-    u = source.next_uniform_real()
-    f = math.exp(n * math.log1p(-p))
+    f0 = math.exp(n * math.log1p(-p))
     ratio = p / (1.0 - p)
-    c = 0
-    cdf = f
-    while u > cdf:
-        c += 1
-        if c > n:
-            return n  # guards float shortfall of the accumulated CDF
-        f *= ratio * (n - c + 1) / c
-        cdf += f
-    return c
+    uniform = source.next_uniform_real
+    while True:
+        u = uniform()
+        c, f, cdf = 0, f0, f0
+        while u > cdf:
+            if c == n or f == 0.0:
+                break  # u lies above the float CDF's total: draw it again
+            c += 1
+            f *= ratio * (n - c + 1) / c
+            cdf += f
+        else:
+            return c
 
 
 def _binomial_btrd(source: UniformSource, n: int, p: float) -> int:
@@ -301,12 +304,13 @@ def hypergeometric(source: UniformSource, v: int, n: int, k: int) -> int:
 
     The law is unchanged by v -> n - v (the count becomes k - c) and by
     k -> n - k (it becomes v - c), so both are reduced to at most n/2 and
-    the support becomes [0, min(v, k)].  When min(v, k) < 10, CDF inversion
-    from 0 takes one uniform and at most ten steps; otherwise HRUA
-    (Stadlober 1989) takes about three uniforms in O(1) expected time, its
-    proposals bounded only by the true support.  Both hold at every n whose
-    float is finite.  Counts as one logical hypergeometric draw and draws
-    no other family.
+    the support becomes [0, min(v, k)].  The route goes by the mean v k / n,
+    compared in integers.  Up to 30, CDF inversion from 0 (Kachitvichyanukul
+    and Schmeiser 1985) takes one uniform and about mean + 1 steps, with
+    P(0) in O(1) from Stirling's series; above 30, HRUA (Stadlober 1989)
+    takes about three uniforms in O(1) expected time, its proposals bounded
+    only by the true support.  Both hold at every n whose float is finite.
+    Counts as one logical hypergeometric draw and draws no other family.
     """
     if n < 0:
         raise ValueError(f"population size must be >= 0, got {n}")
@@ -316,7 +320,7 @@ def hypergeometric(source: UniformSource, v: int, n: int, k: int) -> int:
         raise ValueError(f"sample size {k} outside [0, {n}]")
     source.stats.hypergeometric += 1
     vs, ks = min(v, n - v), min(k, n - k)
-    if min(vs, ks) < _HRUA_MIN:
+    if vs * ks <= _INVERSION_LIMIT * n:
         c = _hypergeometric_inversion(source, vs, n, ks)
     else:
         c = _hypergeometric_hrua(source, vs, n, ks)
@@ -328,25 +332,31 @@ def hypergeometric(source: UniformSource, v: int, n: int, k: int) -> int:
 
 
 def _hypergeometric_inversion(source: UniformSource, v: int, n: int, k: int) -> int:
-    # v, k <= n/2 and s = min(v, k) < 10: the support is [0, s].  The law is
-    # symmetric in v and k, so P(0) is a product of s factors.
+    # v, k <= n/2 and v k <= 30 n: the support is [0, s], s = min(v, k), and
+    # P(0) = (n - s)! (n - t)! / (n! rest!), at least 1/C(120, 60) > e^-81.
+    # Its log takes the module's Stirling terms, the s log(b + 1) parts
+    # joined in one exact quotient as in HRUA.
     s, t = min(v, k), max(v, k)
     if s == 0:
         return 0
     rest = n - s - t
-    f = 1.0
-    for i in range(s):
-        f *= (n - t - i) / (n - i)
-    u = source.next_uniform_real()
-    c = 0
-    cdf = f
-    while u > cdf:
-        if c == s:
-            return s  # guards float shortfall of the accumulated CDF
-        f *= (s - c) * (t - c) / ((c + 1) * (rest + c + 1))
-        c += 1
-        cdf += f
-    return c
+    f0 = math.exp(s * _log_quotient(rest + 1, n + 1)
+                  + _log_fact_core(n - s, n) + _log_fact_core(n - t, rest)
+                  + _fc(n - s) - _fc(n) + _fc(n - t) - _fc(rest))
+    # the steps f(c + 1)/f(c) = (s - c)(t - c) / ((c + 1)(rest + c + 1)) in floats
+    s_f, t_f, r_f = float(s), float(t), float(rest) + 1.0
+    uniform = source.next_uniform_real
+    while True:
+        u = uniform()
+        c, f, cdf = 0, f0, f0
+        while u > cdf:
+            if c == s or f == 0.0:
+                break  # u lies above the float CDF's total: draw it again
+            f *= (s_f - c) * (t_f - c) / ((c + 1) * (r_f + c))
+            c += 1
+            cdf += f
+        else:
+            return c
 
 
 def _hypergeometric_hrua(source: UniformSource, v: int, n: int, k: int) -> int:

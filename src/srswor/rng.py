@@ -259,17 +259,22 @@ class RandomSource(UniformSource):
 
     def _refill(self) -> int:
         """Refill the empty buffer and hand out its first word."""
-        self._mix_block()
+        self._buffer(self._mix_block())
         return self._buf.pop()
 
-    def _mix_block(self) -> None:
-        """Mix the next block into the empty buffer, without handing out a word."""
+    def _mix_block(self) -> bytes:
+        """Mix the next block and return it, without buffering or handing
+        out a word."""
         count = self._fill
         self._block = _splitmix64(self._head, count)
-        # list.pop() hands the words out in stream order
-        self._buf += memoryview(self._block).cast("Q")[_LAST_FIRST].tolist()
         self._head = (self._head + count * _GOLDEN) & _MASK64
         self._fill = min(2 * count, _FILLS[-1])
+        return self._block
+
+    def _buffer(self, block: bytes) -> None:
+        """Put the words of block into the empty buffer."""
+        # list.pop() hands the words out in stream order
+        self._buf += memoryview(block).cast("Q")[_LAST_FIRST].tolist()
 
     def _next_word(self) -> int:
         self.words_generated += 1
@@ -340,7 +345,8 @@ class RandomSource(UniformSource):
     def uniform_bytes(self, n: int) -> bytes:
         """The bytes of UniformSource.uniform_bytes, with the same words and
         counters, read off the mixed blocks: the buffered words are the
-        tail of the last block, so no word is turned into bytes one by one."""
+        tail of the last block, so no word is turned into bytes one by one.
+        A block that the call uses up whole is never buffered."""
         count = _byte_words(n)
         self.stats.uniform_int += count
         self.words_generated += count
@@ -348,7 +354,13 @@ class RandomSource(UniformSource):
         parts = []
         while count:
             if not buf:
-                self._mix_block()
+                block = self._mix_block()
+                size = len(block) // 16
+                if count >= size:
+                    parts.append(_block_bytes(block, 0, size))
+                    count -= size
+                    continue
+                self._buffer(block)
             left = len(buf)
             take = min(count, left)
             first = len(self._block) // 16 - left

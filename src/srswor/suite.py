@@ -196,8 +196,9 @@ def downsample_subsets_law(source, n: int, m: int, reps: int,
                            alpha: float) -> statcheck.GofReport:
     """Keep m of range(1, n + 1) with downsample, reps times, and chi-square
     the kept sets against the uniform law on all C(n, m) subsets.  With
-    c = min(m, n - m), 8c < n takes the draws route (the positions to keep
-    if 2m <= n, else to drop), 8c >= n the marks route."""
+    c = min(m, n - m), a small c takes the draws route (the positions to
+    keep if 2m <= n, else to drop), a large one the marks route; see
+    distributed.downsample for the rule."""
     return statcheck.enumerate_subset_distribution(
         lambda s: distributed.downsample(s, range(1, n + 1), m), n, m, reps, source, alpha)
 
@@ -318,8 +319,9 @@ def run_suite(suite: str = "quick", seed: int = 0,
                           ("beta-binomial-pmf-2-2-6", 2, 2, 6)):
         law(name, lambda s: beta_binomial(s, a, b, m),
             statcheck.beta_binomial_law(a, b, m), reps)
-    # (20, 60, 25) keeps min(v, k) = 20 after the symmetries: the HRUA path
-    for v, n, k in ((2, 4, 2), (5, 12, 7), (20, 60, 25)):
+    # (20, 60, 25) takes inversion at mean 8.3 with min(v, k) = 20 after the
+    # symmetries; (70, 150, 75), mean 35, takes HRUA
+    for v, n, k in ((2, 4, 2), (5, 12, 7), (20, 60, 25), (70, 150, 75)):
         law(f"hypergeometric-pmf-{v}-{n}-{k}", lambda s: hypergeometric(s, v, n, k),
             statcheck.hypergeom_law(v, n, k), reps)
 

@@ -1,21 +1,25 @@
 """Split/merge tests: count laws, inclusion uniformity, structural guarantees."""
 
 import copy
+import itertools
+import math
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 import hypothesis.strategies as st
 
 from srswor.distributed import (
     MergeInput,
+    _thin,
     downsample,
     merge_all_with_state,
     split_sample_counts,
 )
+from srswor.distributions import beta
 from srswor.rng import DrawStats, RandomSource, ScriptedSource, ScriptExhaustedError
 from srswor.samplers import fisher_yates_sample, sparse_fisher_yates
-from srswor.statcheck import chi_square_gof, chi_square_two_sample, hypergeom_law
+from srswor.statcheck import binomial_law, chi_square_gof, chi_square_two_sample, hypergeom_law
 from srswor.suite import downsample_subsets_law, pmf_law
 
 
@@ -301,10 +305,12 @@ def _downsample_by_sort(source, sample, target):
        st.integers(min_value=0, max_value=24), st.booleans())
 @settings(max_examples=200, deadline=None)
 def test_downsample_mask_matches_sort(seed, n, c, drop):
-    # the draws route, 8 * min(target, n - target) < n, makes the draws and
-    # picks of a partial shuffle, draw for draw
-    c = min(c, (n - 1) // 8)
+    # the draws route, taken while min(target, n - target) is below the
+    # marks route's cost (_fewest_ints), makes the draws and picks of a
+    # partial shuffle, draw for draw
+    c = min(c, (n - 1) // 8 + 3, n)
     target = n - c if drop else c
+    assume(_fewest_ints(n, target)[1])
     items = [f"x{j}" for j in range(n, 0, -1)]
     src, ref = RandomSource(seed), RandomSource(seed)
     assert downsample(src, items, target) == _downsample_by_sort(ref, items, target)
@@ -358,6 +364,48 @@ def test_downsample_marks_route_fix_up(script, kept, ints):
         src.next_uniform_int(1)
 
 
+# an empty shard of population 1 draws its threshold 1 - u (beta(1, 1)), and
+# a full shard of 8 has threshold 1 with no draw, so it is thinned with
+# q = 1 - u by the bytes of one word; 128 is the tie byte L = floor(256 q)
+@pytest.mark.parametrize("script, kept, reals", [
+    # 256 q = 128.5: each tie byte draws bernoulli(0.5), kept at 0.25 and
+    # 0.4, dropped at 0.75
+    ([0.5 - 2**-9, _word([0, 128, 127, 200, 128, 255, 128, 5]), 0.25, 0.75, 0.4], "abcgh", 4),
+    # 256 q = 128: a tie byte drops its item with no draw
+    ([0.5, _word([0, 128, 127, 200, 128, 255, 128, 5])], "ach", 1),
+])
+def test_merge_thinning_tie_byte(script, kept, reals):
+    src = ScriptedSource(script)
+    merged, state = merge_all_with_state(src, [MergeInput([], 1), MergeInput("abcdefgh", 8)])
+    assert "".join(merged) == kept
+    assert state.kappas == (0, len(kept))
+    assert src.stats == DrawStats(uniform_int=1, uniform_real=reals, beta=2,
+                                  bernoulli=reals - 1)
+    with pytest.raises(ScriptExhaustedError):
+        src.next_uniform_real()
+
+
+@pytest.mark.parametrize("q, seed", [(0.3, 211), (0.625, 223)])
+def test_thinning_law(q, seed):
+    # 256 * 0.3 = 76.8 draws a Bernoulli at each tie byte; 256 * 0.625 = 160
+    # draws none.  The count is Binomial(5, q), and the subsets of each
+    # size are uniform.
+    items = range(5)
+    reps = 60000
+    src = RandomSource(seed)
+    kept = [tuple(_thin(src, items, q)) for _ in range(reps)]
+    sizes = Counter(len(subset) for subset in kept)
+    lo, probs = binomial_law(5, q)
+    report = chi_square_gof([sizes[lo + i] for i in range(len(probs))], probs)
+    assert report.passed, report
+    by_subset = Counter(kept)
+    for m in range(1, 5):
+        subsets = list(itertools.combinations(items, m))
+        report = chi_square_gof([by_subset[sub] for sub in subsets],
+                                [1 / len(subsets)] * len(subsets))
+        assert report.passed, (m, report)
+
+
 def test_merge_inclusion_drop_side():
     # shards of 4 sorted items from 8: kappa = 3 drops one position, and a
     # bias toward either end of a shard would show in the inclusion counts
@@ -384,17 +432,44 @@ def _is_subsequence(part, whole):
 def _fewest_ints(n, m, twin=None) -> tuple[int, bool]:
     """The uniform ints that downsample of m from n items takes at least,
     and whether that count is exact: c = min(m, n - m) on the draws route
-    (8c < n); on the marks route ceil(n / 8) byte words, then at least
-    |s - m| fix-up ints when twin, a copy of the source, gives s.  Target 0
-    or n takes none."""
+    (c below ceil(n / 8) plus the expected flips, sqrt(2 n p (1 - p) / pi)
+    with p = L / 256); on the marks route ceil(n / 8) byte words, then at
+    least |s - m| fix-up ints when twin, a copy of the source, gives s.
+    Target 0 or n takes none."""
     c = min(m, n - m)
-    if c == 0 or 8 * c < n:
+    level = (512 * m + n) // (2 * n) if n else 0
+    flips = math.sqrt(2 * n * (level / 256) * (1 - level / 256) / math.pi)
+    if c == 0 or c < -(-n // 8) + flips:
         return c, True
     fix_ups = 0
     if twin is not None:
-        level = (512 * m + n) // (2 * n)
         fix_ups = abs(sum(b < level for b in twin.uniform_bytes(n)) - m)
     return -(-n // 8) + fix_ups, False
+
+
+def _replay_thinning(twin, inputs, state) -> tuple[int, int]:
+    """The byte words and tie Bernoullis of merge's thinning, replayed on
+    twin, a copy of the source from before the merge, and checked against
+    the thresholds and kappas of state."""
+    thresholds = tuple(beta(twin, len(inp.sample) + 1, inp.population_size - len(inp.sample))
+                       for inp in inputs)
+    assert thresholds == state.thresholds
+    words = ties = 0
+    for inp, t_c, kappa in zip(inputs, thresholds, state.kappas):
+        k_c, q = len(inp.sample), min(thresholds) / t_c
+        if q == 1.0 or k_c == 0:
+            assert kappa == k_c  # kept whole, with no draw
+            continue
+        words += -(-k_c // 8)
+        level = int(256 * q)
+        data = twin.uniform_bytes(k_c)
+        kept = sum(b < level for b in data)
+        if 256 * q > level:
+            hits = data.count(level)
+            ties += hits
+            kept += sum(twin.next_uniform_real() < 256 * q - level for _ in range(hits))
+        assert kappa == kept
+    return words, ties
 
 
 @given(
@@ -404,8 +479,8 @@ def _fewest_ints(n, m, twin=None) -> tuple[int, bool]:
 @settings(max_examples=150, deadline=None)
 def test_keep_draw_budget_and_order(sizes, seed):
     # downsample draws uniform ints and nothing else, as many as its route
-    # takes (_fewest_ints); merge adds one beta per shard and one binomial
-    # per non-empty shard, whose uniforms are all reals
+    # takes (_fewest_ints); merge draws one beta per shard, then the byte
+    # words of each thinned shard and one Bernoulli per tie byte
     src = RandomSource(seed)
     items = [f"i{src.next_uniform_int(10**6)}-{j}" for j in range(sizes[0])]
     m = src.next_uniform_int(len(items) + 1) - 1
@@ -421,18 +496,16 @@ def test_keep_draw_budget_and_order(sizes, seed):
     for c, size in enumerate(sizes):
         sample = [(c, i) for i in sparse_fisher_yates(src, size + 9, size).indices]
         inputs.append(MergeInput(sample, size + 9))
+    twin = copy.deepcopy(src)
     before = src.stats.copy()
     merged, state = merge_all_with_state(src, inputs)
     delta = src.stats - before
-    routes = [_fewest_ints(len(inp.sample), kappa) for kappa, inp in zip(state.kappas, inputs)]
-    fewest = sum(ints for ints, _ in routes)
-    if all(exact for _, exact in routes):
-        assert delta.uniform_int == fewest
-    else:
-        assert delta.uniform_int >= fewest
+    words, ties = _replay_thinning(twin, inputs, state)
+    assert delta.uniform_int == words
     assert delta.beta == len(inputs)
-    assert delta.binomial == sum(1 for size in sizes if size)
-    assert delta.bernoulli == delta.beta_binomial == delta.hypergeometric == 0
+    assert delta.bernoulli == ties
+    assert delta.binomial == delta.beta_binomial == delta.hypergeometric == 0
+    assert src.words_generated == twin.words_generated
     assert _is_subsequence(merged, [x for inp in inputs for x in inp.sample])
 
 

@@ -410,16 +410,29 @@ def test_binomial_branch_boundaries(n, p):
         assert binomial(RandomSource(seed), n, p) == c
 
 
-# min(v, k) at 9 and 10 around the inversion/HRUA switch, directly and
-# through both symmetries; n at 2^53 - 1 and 2^53, either side of the
-# largest n whose integers are all floats.
+# v k at 30 n and 30 n + 1 after the symmetries, around the inversion/HRUA
+# switch at mean 30, directly and through both symmetries; min(v, k) at 9
+# and 10, means near 5, on the inversion route either side of ten steps;
+# n at 2^53 - 1 and 2^53, either side of the largest n whose integers are
+# all floats.
 HYPERGEOMETRIC_BOUNDARY_CASES = [
+    (60, 900, 450), (840, 900, 450), (450, 900, 60), (450, 900, 840),
+    (67, 900, 403), (833, 900, 403), (67, 900, 497), (403, 900, 67),
     (9, 1000, 500), (10, 1000, 500), (500, 1000, 9), (500, 1000, 10),
     (991, 1000, 500), (990, 1000, 500), (500, 1000, 991), (500, 1000, 990),
     (9, 20, 10), (10, 20, 10),
     (2**52, 2**53 - 1, 3000), (9, 2**53 - 1, 2**52), (2**53 - 11, 2**53 - 1, 2**52),
     (2**52, 2**53, 3000), (9, 2**53, 2**52), (2**53 - 10, 2**53, 2**52),
 ]
+
+
+def test_hypergeometric_switches_at_mean_30():
+    # inversion takes one uniform a draw, HRUA at least two
+    for i, (v, n, k) in enumerate(HYPERGEOMETRIC_BOUNDARY_CASES[:8]):
+        assert min(v, n - v) * min(k, n - k) == 30 * n + (i >= 4)
+        src = RandomSource(i)
+        hypergeometric(src, v, n, k)
+        assert (src.stats.uniform_real > 1) == (i >= 4), (v, n, k)
 
 
 @pytest.mark.parametrize("v, n, k", HYPERGEOMETRIC_BOUNDARY_CASES)
@@ -551,6 +564,29 @@ def test_hypergeometric_support_property(v, n, k, seed):
     k = min(k, n)
     c = hypergeometric(RandomSource(seed), v, n, k)
     assert max(0, k - (n - v)) <= c <= min(v, k)
+
+
+@pytest.mark.parametrize("v, n, k, seed", [(40, 1000, 300, 59), (300, 1000, 960, 61)])
+def test_hypergeometric_inversion_law_past_ten(v, n, k, seed):
+    # min(v, k) = 40 after the symmetries, mean 12: the inversion route
+    # with a support of 41 points, directly and through k -> n - k
+    report = pmf_law(lambda s: hypergeometric(s, v, n, k), hypergeom_law(v, n, k),
+                     RandomSource(seed), 60000, 0.001)
+    assert report.passed, report
+
+
+# u = 1 - 2^-53 lies above the float CDF's total at these shapes; the
+# inversion draws again, and the second uniform, 0.5, gives the median
+@pytest.mark.parametrize("draw, args", [
+    (binomial, (1000, 0.01)),
+    (binomial, (10**6, 1e-5)),
+    (hypergeometric, (9, 20, 10)),
+    (hypergeometric, (10**5, 10**12, 3 * 10**8)),
+])
+def test_inversion_shortfall_draws_again(draw, args):
+    src = ScriptedSource([1 - 2**-53, 0.5])
+    assert draw(src, *args) == draw(ScriptedSource([0.5]), *args)
+    assert src.stats.uniform_real == 2
 
 
 def test_hypergeometric_counts_stats_once():

@@ -5,7 +5,9 @@ on a fresh RandomSource per seed; its output, the vars(draw_stats) of any
 SampleResult in it, and the source's vars(stats) and words_generated all
 go into one sha256.  A refactor that keeps the stream keeps the digest.  A
 change that alters the stream on purpose must say so, and replace PINNED
-with the digest that the failure message reports.  Floats are hashed by
+with the digest that the failure message reports.  That message also
+lists a short digest for each path, so a run at the parent and one at the
+change name the paths that moved.  Floats are hashed by
 repr, so a libm that rounds exp, log or pow differently would change the
 digest as well.  A second digest, over downsample's draws route alone,
 was taken before that function gained its marks route and still holds.
@@ -19,7 +21,7 @@ from srswor import (MergeInput, MergeState, RandomSource, SampleResult,
                     permutation_from_transpositions, preinit_fy_sample_with_undo,
                     split_sample_counts, sparse_fisher_yates)
 
-PINNED = "3d54a406c3b91b90c3aaf1739a51eafbcae8749a13411fb9e8b5e956b82d0986"
+PINNED = "2187ebb996e28ffc51eb96dd982f002c874863519d086206a75c7df8803b94af"
 
 SEEDS = (0, 1, 2, 3, 42, 2**63 + 7, -5)
 
@@ -47,9 +49,9 @@ PATHS = {
     "beta": _each(beta, (1.0, 4.0), (1.0, 2.0**60), (3.0, 2.0), (40.0, 5.0), (3.0, 2.0**60),
                   (6.0, 1.0), (2.0, 0.0)),
     "beta_binomial": _each(beta_binomial, (1, 1, 5), (1, 3, 80), (2, 2, 6), (1, 7, 10**20)),
-    # inversion, HRUA, both symmetries and huge n
+    # inversion (mean 1, 4.5, 4.5 and 12), HRUA, both symmetries and huge n
     "hypergeometric": _each(hypergeometric, (2, 4, 2), (991, 1000, 500), (9, 20, 10),
-                            (500, 2000, 300), (10**29, 10**30, 4000)),
+                            (40, 1000, 300), (500, 2000, 300), (10**29, 10**30, 4000)),
     **{f"sampler-{name}": _each(sampler, (40, 7), (6, 6), (9, 0))
        for name, sampler in default_samplers().items()},
     "sparse-huge-n": lambda s: sparse_fisher_yates(s, 2**80, 5),
@@ -67,9 +69,9 @@ PATHS = {
                         (range(100), 95)),
 }
 
-# downsample's draws route (8 * min(t, n - t) < n) takes the draws of a
-# partial shuffle; this digest was taken before the marks route existed,
-# and pins that route to the same stream.
+# downsample's draws route (min(t, n - t) small: 5 of 100 here) takes the
+# draws of a partial shuffle; this digest was taken before the marks route
+# existed, and pins that route to the same stream.
 DRAWS_ROUTE = {"downsample": _each(downsample, (range(100), 5), (range(100), 95))}
 PINNED_DRAWS_ROUTE = "bf16c36484db1921a89a6fbd9230c953f27d212b6c1e4cbb98293bdaf8e55ca1"
 
@@ -96,9 +98,15 @@ def _digest(paths) -> str:
     return h.hexdigest()
 
 
+def _per_path(digest: str) -> str:
+    lines = [f"the stream changed: the sweep now hashes to {digest}; per path:"]
+    lines += [f"  {name} {_digest({name: path})[:16]}" for name, path in PATHS.items()]
+    return "\n".join(lines)
+
+
 def test_stream_is_pinned():
     digest = _digest(PATHS)
-    assert digest == PINNED, f"the stream changed: the sweep now hashes to {digest}"
+    assert digest == PINNED, _per_path(digest)
 
 
 def test_downsample_draws_route_is_pinned():
