@@ -193,6 +193,9 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if not 0 < args.alpha <= 1:
+        print("verify: --alpha must be in (0, 1]", file=sys.stderr)
+        return 2
     # the harness is imported only here, so sample and merge do not load it
     from .suite import format_report, run_suite
 

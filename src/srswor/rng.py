@@ -200,11 +200,6 @@ class UniformSource:
     def __init__(self) -> None:
         self.stats = DrawStats()
 
-    @property
-    def draw_count(self) -> int:
-        """Logical uniform draws so far, one per next_uniform_* call."""
-        return self.stats.uniform_int + self.stats.uniform_real
-
     def next_uniform_real(self) -> float:
         raise NotImplementedError
 
@@ -233,8 +228,8 @@ class RandomSource(UniformSource):
 
     The seed is taken modulo 2**64, so any Python integer (including
     negative ones) is accepted.  words_generated counts raw 64-bit outputs,
-    which can exceed draw_count because bounded-integer rejection may burn
-    more than one word per logical draw.
+    which can exceed the logical draws in stats because bounded-integer
+    rejection may burn more than one word per logical draw.
 
     Words come from a buffer of upcoming outputs that _splitmix64 fills a
     block at a time: 16 words at the first refill, twice as many at each

@@ -3,11 +3,11 @@
 Each law that `srswor verify` and the acceptance criteria both measure has
 one function here: it takes its sources, scale and alpha, returns the raw
 measurement or a chi-square report, and leaves the verdict to its caller.
-run_suite is deterministic given (suite, seed): each check derives its own
-source seed from the run seed and its name, so adding or reordering checks
-does not disturb the others.  A check passes when its p-value (or exactness
-flag, for structural checks) clears the configured alpha; structural checks
-report p 1.0 or 0.0.
+run_suite runs one table of rows (name, scale key, check), deterministic
+given (suite, seed): each row's source is seeded from the run seed and its
+name, so adding or reordering rows does not disturb the others.  A check
+passes when its p-value (or exactness flag, for structural checks) clears
+the configured alpha; structural checks report p 1.0 or 0.0.
 """
 
 from __future__ import annotations
@@ -228,17 +228,10 @@ def merge_two_shards(source, reps: int) -> tuple[list[int], Counter, int]:
     return inclusion, merged_sets, winner_violations
 
 
-def median_wall_ns_by_n(records) -> dict[int, int]:
-    """Median wall_time_ns of run_bench records per n (the upper median)."""
-    by_n: dict[int, list[int]] = {}
-    for rec in records:
-        by_n.setdefault(rec.n, []).append(rec.wall_time_ns)
-    return {n: sorted(v)[len(v) // 2] for n, v in by_n.items()}
-
-
 # --- the verify suite ---------------------------------------------------------
 
-# per-check scale as (quick, full); full also runs the last three checks
+# per-check scale as (quick, full); a quick scale of 0 marks a check that only
+# the full suite runs
 _SCALES = dict(
     uniform_draws=(60_000, 600_000),
     ks_n=(20_000, 100_000),
@@ -251,6 +244,9 @@ _SCALES = dict(
     split_reps=(30_000, 100_000),
     perm_reps=(24_000, 120_000),
     structural_cases=(60, 200),
+    sweep_reps=(0, 10_000),   # per value of each bound m
+    duality_reps=(0, 20_000),
+    calibration_reps=(0, 100_000),
 )
 _SUITES = ("quick", "full")
 
@@ -263,21 +259,166 @@ def _derive(seed: int, name: str) -> int:
     return mixed ^ (mixed >> 29)
 
 
-def _seeded_cells(seed: int, name: str, count: int, n_hi: int):
+def _seeded_cells(seed_of, count: int, n_hi: int):
     # one derived seed per case, which both picks the cell and drives the run
     for case in range(count):
-        run_seed = _derive(seed, f"{name}-{case}")
+        run_seed = seed_of(case)
         n, k = next(random_cells(RandomSource(run_seed), 1, 2, n_hi))
         yield run_seed, n, k
 
 
-def _gof_record(name: str, report) -> CheckRecord:
-    return CheckRecord(name, report.statistic, report.p_value, report.passed)
-
-
-def _structural(name: str, violations: int) -> CheckRecord:
+def _exact(violations: int) -> tuple[float, float, bool]:
     ok = violations == 0
-    return CheckRecord(name, float(violations), 1.0 if ok else 0.0, ok)
+    return float(violations), 1.0 if ok else 0.0, ok
+
+
+def _z_test(z: float, alpha: float, ok: bool = True) -> tuple[float, float, bool]:
+    p = statcheck.normal_sf_two_sided(z) if ok else 0.0
+    return z, p, ok and p >= alpha
+
+
+# A check is called as check(source, size, alpha, seed_of): source is seeded
+# from the run seed and the row's name, size is the row's scale, and
+# seed_of(tag) derives a seed from the run seed and f"{name}-{tag}".
+
+def _law(draw, law):
+    return lambda source, size, alpha, _: pmf_law(draw, law, source, size, alpha)
+
+
+def _family(draw, law, *params):
+    return _law(lambda s: draw(s, *params), law(*params))
+
+
+def _ks(draw, cdf):
+    return lambda source, size, alpha, _: statcheck.ks_gof(
+        [draw(source) for _ in range(size)], cdf, alpha)
+
+
+def _membership_mean(source, reps, alpha, _):
+    draws = membership_draws(source, 100, 50, reps)
+    mean = math.fsum(draws) / reps
+    var = math.fsum((d - mean) ** 2 for d in draws) / (reps - 1)
+    return _z_test((mean - statcheck.expected_membership_draws(100, 50))
+                   / math.sqrt(var / reps), alpha)
+
+
+def _occupancy(source, runs, alpha, _):
+    checkpoints = (100, 250, 500, 750, 900)
+    sums, sumsq = occupancy_sums(1000, checkpoints, itertools.repeat(source, runs))
+    means = {c: sums[c] / runs for c in checkpoints}
+    var_mid = (sumsq[500] - runs * means[500] ** 2) / (runs - 1)
+    z = (means[500] - statcheck.expected_hash_occupancy(1000, 500)) / math.sqrt(var_mid / runs)
+    return _z_test(z, alpha, all(means[c] <= means[500] for c in checkpoints))
+
+
+def _draw_budget(source, cases, alpha, seed_of):
+    return _exact(draw_budget_violations(
+        (RandomSource(seed_of(case)), n, k)
+        for case, (n, k) in enumerate(random_cells(source, cases, 2, 61))))
+
+
+def _sorted_outputs(source, cases, alpha, _):
+    violations = 0
+    for n, k in random_cells(source, cases, 2, 41):
+        for res in (selection_sample(source, n, k), inorder_sample(source, n, k)):
+            violations += any(a >= b for a, b in zip(res.indices, res.indices[1:]))
+            violations += bool(res.indices) and not (1 <= res.indices[0] and res.indices[-1] <= n)
+    return _exact(violations)
+
+
+def _prefix_consistency(source, cases, alpha, seed_of):
+    return _exact(sum(
+        list(itertools.islice(SparseFisherYatesIterator(n, RandomSource(run_seed)), k))
+        != sparse_fisher_yates(RandomSource(run_seed), n, k).indices
+        for run_seed, n, k in _seeded_cells(seed_of, cases, 81)))
+
+
+def _merge(source, reps, alpha, _):
+    inclusion, _, winner_violations = merge_two_shards(source, reps)
+    return {"merge-item-inclusion-4-4": statcheck.chi_square_gof(inclusion, [1 / 8] * 8, alpha),
+            "merge-winner-keeps-all": _exact(winner_violations)}
+
+
+def _uniform_sweep(source, reps, alpha, seed_of):
+    reports = [pmf_law(lambda s: s.next_uniform_int(m), (1, [1.0 / m] * m),
+                       RandomSource(seed_of(m)), reps * m, alpha)
+               for m in range(2, 65)]
+    worst = min(r.p_value for r in reports)
+    return worst, worst, all(r.passed for r in reports)
+
+
+def _calibration(source, reps, alpha, _):
+    # 100 uniform draws over 20 cells per rep: the share of reps that a fixed
+    # internal level of 0.01 rejects measures the p-value machinery
+    cal_alpha = 0.01
+    rejected = sum(
+        not pmf_law(lambda s: s.next_uniform_int(20), (1, [1.0 / 20] * 20), source, 100,
+                    cal_alpha).passed
+        for _ in range(reps)
+    )
+    return _z_test((rejected - reps * cal_alpha)
+                   / math.sqrt(reps * cal_alpha * (1.0 - cal_alpha)), alpha)
+
+
+def _checks() -> list[tuple]:
+    """The suite's rows (name, scale key, check), in report order."""
+    perm_index = {p: i for i, p in enumerate(itertools.permutations(range(1, 5)))}
+    return [
+        ("uniform-int-equidist-m6", "uniform_draws",
+         _law(lambda s: s.next_uniform_int(6), (1, [1 / 6] * 6))),
+        ("uniform-real-ks", "ks_n", _ks(lambda s: s.next_uniform_real(), lambda z: z)),
+        ("binomial-pmf-n10-p0.5", "dist_reps", _family(binomial, statcheck.binomial_law, 10, 0.5)),
+        # np = 40 exercises the BTRD path
+        ("binomial-pmf-n100-p0.4", "dist_reps",
+         _family(binomial, statcheck.binomial_law, 100, 0.4)),
+        *[(name, "dist_reps", _family(beta_binomial, statcheck.beta_binomial_law, a, b, m))
+          for name, a, b, m in (("beta-binomial-uniform-1-1-5", 1, 1, 5),
+                                ("beta-binomial-pmf-1-2-3", 1, 2, 3),
+                                ("beta-binomial-pmf-2-2-6", 2, 2, 6))],
+        # (20, 60, 25) takes inversion at mean 8.3 with min(v, k) = 20 after the
+        # symmetries; (70, 150, 75), mean 35, takes HRUA
+        *[(f"hypergeometric-pmf-{v}-{n}-{k}", "dist_reps",
+           _family(hypergeometric, statcheck.hypergeom_law, v, n, k))
+          for v, n, k in ((2, 4, 2), (5, 12, 7), (20, 60, 25), (70, 150, 75))],
+        ("beta-quantile-ks-a1-b4", "ks_n",
+         _ks(lambda s: beta(s, 1.0, 4.0), lambda z: 1.0 - (1.0 - z) ** 4)),
+        # chance that at least 3 of 4 uniforms fall below z
+        ("beta-ks-a3-b2", "ks_n",
+         _ks(lambda s: beta(s, 3.0, 2.0), lambda z: 4.0 * z ** 3 * (1.0 - z) + z ** 4)),
+        *[(f"subset-uniformity-{algo}", "subset_reps",
+           lambda source, reps, alpha, _, sampler=sampler: statcheck.enumerate_subset_distribution(
+               lambda s: sampler(s, 6, 3).indices, 6, 3, reps, source, alpha))
+          for algo, sampler in default_samplers().items()],
+        *[(name, "fp_reps", lambda source, reps, alpha, _, sampler=sampler:
+           first_position_law(sampler, source, 5, 2, reps, alpha))
+          for name, sampler in (("first-position-inorder-5-2", inorder_sample),
+                                ("first-position-sparse-min-5-2", sparse_fisher_yates))],
+        ("membership-mean-draws-100-50", "member_reps", _membership_mean),
+        ("hash-occupancy-n1000", "occupancy_runs", _occupancy),
+        ("draw-budget-exact", "structural_cases", _draw_budget),
+        ("sorted-order-outputs", "structural_cases", _sorted_outputs),
+        ("sparse-classical-bitexact", "structural_cases", lambda source, cases, alpha, seed_of:
+         _exact(bitexact_mismatches(_seeded_cells(seed_of, cases, 81)))),
+        ("iterator-prefix-consistency", "structural_cases", _prefix_consistency),
+        ("preinit-restoration", "structural_cases", lambda source, cases, alpha, _:
+         _exact(restoration_violations(source, random_cells(source, cases, 2, 101), 10 ** 6))),
+        ("split-counts-2-2-k2", "split_reps",
+         _law(lambda s: distributed.split_sample_counts(s, (2, 2), 2)[0],
+              statcheck.hypergeom_law(2, 4, 2))),
+        ("merge-item-inclusion-4-4", "merge_reps", _merge),
+        ("permutation-uniformity-n4", "perm_reps",
+         _law(lambda s: perm_index[tuple(permutation_from_transpositions(s, 4))],
+              (0, [1 / 24] * 24))),
+        ("uniform-int-sweep-m1-64", "sweep_reps", _uniform_sweep),
+        ("split-merge-duality-4-4-k3", "duality_reps",
+         lambda source, reps, alpha, _: split_merge_law(source, 3, reps, alpha)),
+        ("chi-square-calibration-ncat20", "calibration_reps", _calibration),
+        *[(f"downsample-subsets-{n}-{m}", "subset_reps", lambda source, reps, alpha, _, n=n, m=m:
+           downsample_subsets_law(source, n, m, reps, alpha))
+          for n, m in ((5, 2), (5, 3), (12, 1), (12, 11))],
+        ("reservoir-max-position-60-3", "fp_reps",
+         lambda source, reps, alpha, _: reservoir_max_law(source, 60, 3, reps, alpha)),
+    ]
 
 
 def run_suite(suite: str = "quick", seed: int = 0,
@@ -285,183 +426,18 @@ def run_suite(suite: str = "quick", seed: int = 0,
     if suite not in _SUITES:
         raise ValueError(f"unknown suite {suite!r}, expected 'quick' or 'full'")
     column = _SUITES.index(suite)
-    scale = {key: sizes[column] for key, sizes in _SCALES.items()}
-    cases = scale["structural_cases"]
-    records: list[CheckRecord] = []
-
-    def src(name: str) -> RandomSource:
-        return RandomSource(_derive(seed, name))
-
-    def law(name, draw, expected, reps):
-        records.append(_gof_record(name, pmf_law(draw, expected, src(name), reps, alpha)))
-
-    def ks(name, draw, cdf):
-        s = src(name)
-        values = [draw(s) for _ in range(scale["ks_n"])]
-        records.append(_gof_record(name, statcheck.ks_gof(values, cdf, alpha)))
-
-    # -- uniform primitives ---------------------------------------------------
-
-    law("uniform-int-equidist-m6", lambda s: s.next_uniform_int(6),
-        (1, [1 / 6] * 6), scale["uniform_draws"])
-    ks("uniform-real-ks", lambda s: s.next_uniform_real(), lambda z: z)
-
-    # -- distribution laws ----------------------------------------------------
-
-    reps = scale["dist_reps"]
-    law("binomial-pmf-n10-p0.5", lambda s: binomial(s, 10, 0.5),
-        statcheck.binomial_law(10, 0.5), reps)
-    # np = 40 exercises the BTRD path
-    law("binomial-pmf-n100-p0.4", lambda s: binomial(s, 100, 0.4),
-        statcheck.binomial_law(100, 0.4), reps)
-    for name, a, b, m in (("beta-binomial-uniform-1-1-5", 1, 1, 5),
-                          ("beta-binomial-pmf-1-2-3", 1, 2, 3),
-                          ("beta-binomial-pmf-2-2-6", 2, 2, 6)):
-        law(name, lambda s: beta_binomial(s, a, b, m),
-            statcheck.beta_binomial_law(a, b, m), reps)
-    # (20, 60, 25) takes inversion at mean 8.3 with min(v, k) = 20 after the
-    # symmetries; (70, 150, 75), mean 35, takes HRUA
-    for v, n, k in ((2, 4, 2), (5, 12, 7), (20, 60, 25), (70, 150, 75)):
-        law(f"hypergeometric-pmf-{v}-{n}-{k}", lambda s: hypergeometric(s, v, n, k),
-            statcheck.hypergeom_law(v, n, k), reps)
-
-    ks("beta-quantile-ks-a1-b4", lambda s: beta(s, 1.0, 4.0),
-       lambda z: 1.0 - (1.0 - z) ** 4)
-    # chance that at least 3 of 4 uniforms fall below z
-    ks("beta-ks-a3-b2", lambda s: beta(s, 3.0, 2.0),
-       lambda z: 4.0 * z ** 3 * (1.0 - z) + z ** 4)
-
-    # -- sampler laws ----------------------------------------------------------
-
-    for algo_name, sampler in default_samplers().items():
-        name = f"subset-uniformity-{algo_name}"
-        report = statcheck.enumerate_subset_distribution(
-            lambda s: sampler(s, 6, 3).indices, 6, 3, scale["subset_reps"], src(name), alpha
-        )
-        records.append(_gof_record(name, report))
-
-    for name, sampler in (("first-position-inorder-5-2", inorder_sample),
-                          ("first-position-sparse-min-5-2", sparse_fisher_yates)):
-        report = first_position_law(sampler, src(name), 5, 2, scale["fp_reps"], alpha)
-        records.append(_gof_record(name, report))
-
-    # -- cost laws -------------------------------------------------------------
-
-    name = "membership-mean-draws-100-50"
-    reps = scale["member_reps"]
-    draws = membership_draws(src(name), 100, 50, reps)
-    mean = math.fsum(draws) / reps
-    expect = statcheck.expected_membership_draws(100, 50)
-    var = math.fsum((d - mean) ** 2 for d in draws) / (reps - 1)
-    z = (mean - expect) / math.sqrt(var / reps)
-    p = statcheck.normal_sf_two_sided(z)
-    records.append(CheckRecord(name, z, p, p >= alpha))
-
-    name = "hash-occupancy-n1000"
-    checkpoints = (100, 250, 500, 750, 900)
-    runs = scale["occupancy_runs"]
-    sums, sumsq = occupancy_sums(1000, checkpoints, itertools.repeat(src(name), runs))
-    means = {c: sums[c] / runs for c in checkpoints}
-    expect_mid = statcheck.expected_hash_occupancy(1000, 500)
-    var_mid = (sumsq[500] - runs * means[500] ** 2) / (runs - 1)
-    z = (means[500] - expect_mid) / math.sqrt(var_mid / runs)
-    dominated = all(means[c] <= means[500] for c in checkpoints)
-    p = statcheck.normal_sf_two_sided(z) if dominated else 0.0
-    records.append(CheckRecord(name, z, p, p >= alpha and dominated))
-
-    name = "draw-budget-exact"
-    cells = (
-        (RandomSource(_derive(seed, f"{name}-{case}")), n, k)
-        for case, (n, k) in enumerate(random_cells(src(name), cases, 2, 61))
-    )
-    records.append(_structural(name, draw_budget_violations(cells)))
-
-    name = "sorted-order-outputs"
-    violations = 0
-    s = src(name)
-    for n, k in random_cells(s, cases, 2, 41):
-        for res in (selection_sample(s, n, k), inorder_sample(s, n, k)):
-            if any(a >= b for a, b in zip(res.indices, res.indices[1:])):
-                violations += 1
-            if res.indices and not (1 <= res.indices[0] and res.indices[-1] <= n):
-                violations += 1
-    records.append(_structural(name, violations))
-
-    name = "sparse-classical-bitexact"
-    records.append(
-        _structural(name, bitexact_mismatches(_seeded_cells(seed, name, cases, 81)))
-    )
-
-    name = "iterator-prefix-consistency"
-    violations = sum(
-        list(itertools.islice(SparseFisherYatesIterator(n, RandomSource(run_seed)), k))
-        != sparse_fisher_yates(RandomSource(run_seed), n, k).indices
-        for run_seed, n, k in _seeded_cells(seed, name, cases, 81)
-    )
-    records.append(_structural(name, violations))
-
-    name = "preinit-restoration"
-    s = src(name)
-    violations = restoration_violations(s, random_cells(s, cases, 2, 101), 10 ** 6)
-    records.append(_structural(name, violations))
-
-    # -- distributed -----------------------------------------------------------
-
-    law("split-counts-2-2-k2",
-        lambda s: distributed.split_sample_counts(s, (2, 2), 2)[0],
-        statcheck.hypergeom_law(2, 4, 2), scale["split_reps"])
-
-    inclusion, _, winner_violations = merge_two_shards(
-        src("merge-item-inclusion-4-4"), scale["merge_reps"]
-    )
-    report = statcheck.chi_square_gof(inclusion, [1 / 8] * 8, alpha)
-    records.append(_gof_record("merge-item-inclusion-4-4", report))
-    records.append(_structural("merge-winner-keeps-all", winner_violations))
-
-    # -- permutations ----------------------------------------------------------
-
-    perm_index = {p: i for i, p in enumerate(itertools.permutations(range(1, 5)))}
-    law("permutation-uniformity-n4",
-        lambda s: perm_index[tuple(permutation_from_transpositions(s, 4))],
-        (0, [1 / 24] * 24), scale["perm_reps"])
-
-    if suite == "full":
-        name = "uniform-int-sweep-m1-64"
-        reports = [
-            pmf_law(lambda s: s.next_uniform_int(m), (1, [1.0 / m] * m),
-                    src(f"{name}-{m}"), 10_000 * m, alpha)
-            for m in range(2, 65)
-        ]
-        worst = min(r.p_value for r in reports)
-        records.append(CheckRecord(name, worst, worst, all(r.passed for r in reports)))
-
-        name = "split-merge-duality-4-4-k3"
-        records.append(_gof_record(name, split_merge_law(src(name), 3, 20_000, alpha)))
-
-        # 100 uniform draws over 20 cells per rep: the share of reps that a fixed
-        # internal level of 0.01 rejects measures the p-value machinery
-        name = "chi-square-calibration-ncat20"
-        s = src(name)
-        reps = 100_000
-        cal_alpha = 0.01
-        rejected = sum(
-            not pmf_law(lambda s: s.next_uniform_int(20), (1, [1.0 / 20] * 20), s, 100,
-                        cal_alpha).passed
-            for _ in range(reps)
-        )
-        expect = reps * cal_alpha
-        z = (rejected - expect) / math.sqrt(reps * cal_alpha * (1.0 - cal_alpha))
-        p = statcheck.normal_sf_two_sided(z)
-        records.append(CheckRecord(name, z, p, p >= alpha))
-
-    for n, m in ((5, 2), (5, 3), (12, 1), (12, 11)):
-        name = f"downsample-subsets-{n}-{m}"
-        report = downsample_subsets_law(src(name), n, m, scale["subset_reps"], alpha)
-        records.append(_gof_record(name, report))
-
-    name = "reservoir-max-position-60-3"
-    records.append(_gof_record(name, reservoir_max_law(src(name), 60, 3, scale["fp_reps"],
-                                                       alpha)))
+    records = []
+    for name, key, check in _checks():
+        size = _SCALES[key][column]
+        if size == 0:
+            continue
+        results = check(RandomSource(_derive(seed, name)), size, alpha,
+                        lambda tag: _derive(seed, f"{name}-{tag}"))
+        # the merge row reports two records from one run
+        for label, result in (results.items() if isinstance(results, dict) else [(name, results)]):
+            if not isinstance(result, tuple):
+                result = result.statistic, result.p_value, result.passed
+            records.append(CheckRecord(label, *result))
     return records
 
 

@@ -10,6 +10,7 @@ at each criterion's own seed, scale, alpha and threshold.
 import math
 import time
 from collections import Counter
+from statistics import median_high
 
 from srswor import statcheck, suite
 from srswor.cli import run_bench
@@ -187,13 +188,13 @@ def test_criterion_10_scaling_trends():
     reps = 7
     run_bench([(10000, 1000)], ["sparse"], 2, 7)  # warm up allocators
 
-    sparse_medians = suite.median_wall_ns_by_n(run_bench(
-        [(10000, 1000), (100000, 1000), (1000000, 1000)], ["sparse"], reps, 10))
-    sparse_ratio = max(sparse_medians.values()) / min(sparse_medians.values())
+    def median_ns(algo, n, k, seed):  # the upper median of one cell's wall times
+        return median_high(r.wall_time_ns for r in run_bench([(n, k)], [algo], reps, seed))
 
-    fy_medians = suite.median_wall_ns_by_n(
-        run_bench([(10000, 10), (100000, 10)], ["fy"], reps, 11))
-    fy_growth = fy_medians[100000] / fy_medians[10000]
+    sparse_medians = [median_ns("sparse", n, 1000, 10) for n in (10000, 100000, 1000000)]
+    sparse_ratio = max(sparse_medians) / min(sparse_medians)
+    fy_small, fy_large = [median_ns("fy", n, 10, 11) for n in (10000, 100000)]
+    fy_growth = fy_large / fy_small
 
     elapsed = time.perf_counter() - t0
     ok = sparse_ratio < 3.0 and fy_growth >= 5.0 and elapsed < 60.0

@@ -1,6 +1,7 @@
 """End-to-end CLI tests through main(argv): exit codes, formats, determinism."""
 
 import csv
+import hashlib
 import io
 import json
 import os
@@ -15,6 +16,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 import srswor
+from srswor import suite
 from srswor.cli import BENCH_HEADER, main
 from srswor.samplers import default_samplers
 
@@ -322,6 +324,9 @@ def test_bench_bad_reps(capsys):
 
 # --- verify ---
 
+QUICK_SEED1_SHA256 = "915e789941b87bf88f33d7f469e39eeef47dd5e3905537decaf475b639788b14"
+
+
 @pytest.fixture(scope="module")
 def quick_verify_seed1(tmp_path_factory):
     # one quick-suite run, shared by the tests of its text and its JSON report
@@ -339,6 +344,9 @@ def test_verify_quick_seed1_passes(quick_verify_seed1):
     lines = out.splitlines()
     assert lines
     assert all(line.endswith("PASS") for line in lines)
+    # the text is pinned: a change that moves the stream on purpose updates
+    # this digest and says so
+    assert hashlib.sha256(out.encode()).hexdigest() == QUICK_SEED1_SHA256, out
 
 
 def test_verify_json_report(quick_verify_seed1):
@@ -357,6 +365,24 @@ def test_verify_alpha_one_fails_stochastic_checks(capsys):
                            "--alpha", "1.0")
     assert code == 3
     assert "failed" in err
+
+
+@pytest.mark.parametrize("alpha", ["0", "-1", "1.5", "nan"])
+def test_verify_refuses_alpha_outside_unit_interval(capsys, alpha):
+    expected = (2, "", "verify: --alpha must be in (0, 1]\n")  # before any check runs
+    assert run_cli(capsys, "verify", f"--alpha={alpha}") == expected
+
+
+def test_verify_table_rows():
+    rows = suite._checks()
+    names = [name for name, _, _ in rows]
+    assert len(set(names)) == len(names)
+    assert {key for _, key, _ in rows} <= set(suite._SCALES)
+    assert [name for name, key, _ in rows if suite._SCALES[key][0] == 0] == [
+        "uniform-int-sweep-m1-64", "split-merge-duality-4-4-k3",
+        "chi-square-calibration-ncat20"]
+    with pytest.raises(ValueError):
+        suite.run_suite("medium")
 
 
 # --- merge ---

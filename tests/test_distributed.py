@@ -103,7 +103,7 @@ def test_merge_full_shards_returns_union():
     merged, state = merge_all_with_state(src, (a, b))
     assert sorted(merged) == [1, 2, 3, 4, 5]
     assert state.kappas == (3, 2)
-    assert src.draw_count == 0  # fully deterministic merge
+    assert src.stats == DrawStats(beta=2)  # two degenerate betas, no uniform
 
 
 def test_merge_winner_keeps_all():
@@ -265,7 +265,7 @@ def test_downsample_validation():
 def test_downsample_zero_consumes_nothing():
     src = RandomSource(25)
     assert downsample(src, [1, 2, 3], 0) == []
-    assert src.draw_count == 0
+    assert src.stats.total() == 0
 
 
 def test_downsample_full_consumes_nothing():

@@ -18,7 +18,7 @@ from srswor.distributions import (
     _fc,
     _log_fact_core,
 )
-from srswor.rng import RandomSource, ScriptedSource
+from srswor.rng import DrawStats, RandomSource, ScriptedSource
 from srswor.statcheck import (
     beta_binomial_law,
     binomial_law,
@@ -91,7 +91,7 @@ def test_beta_degenerate_beta0_is_exactly_one():
     for a in (1.0, 2.0, 5.0):
         assert beta(src, a, 0.0) == 1.0
     # no uniforms consumed on the degenerate branch
-    assert src.draw_count == 0
+    assert src.stats == DrawStats(beta=3)
 
 
 def test_beta_alpha_below_one_rejected():
@@ -221,12 +221,11 @@ def test_beta_bb_route_moments():
 
 def test_binomial_edge_cases():
     src = RandomSource(6)
-    before = src.draw_count
     assert binomial(src, 0, 0.5) == 0
     assert binomial(src, 10, 0.0) == 0
     assert binomial(src, 10, 1.0) == 10
     # degenerate branches consume no uniforms
-    assert src.draw_count == before
+    assert src.stats == DrawStats(binomial=3)
 
 
 def test_binomial_validation():

@@ -67,8 +67,7 @@ def test_uniform_real_range_and_count():
     for _ in range(1000):
         u = src.next_uniform_real()
         assert 0.0 <= u < 1.0
-    assert src.draw_count == 1000
-    assert src.stats.uniform_real == 1000
+    assert src.stats == DrawStats(uniform_real=1000)
 
 
 def test_uniform_int_range():
@@ -86,7 +85,7 @@ def test_uniform_int_m1_consumes_a_word():
     before = src.words_generated
     assert src.next_uniform_int(1) == 1
     assert src.words_generated == before + 1
-    assert src.draw_count == 1
+    assert src.stats == DrawStats(1)
 
 
 def test_uniform_int_rejects_bad_bound():
@@ -136,7 +135,7 @@ def test_uniform_int_beyond_one_word(m):
     assert draws == [b.next_uniform_int(m) for _ in range(200)]
     assert all(1 <= r <= m for r in draws)
     assert len(set(draws)) == 200
-    assert a.draw_count == 200
+    assert a.stats == DrawStats(200)
     per_candidate = -(-(m - 1).bit_length() // 64)
     assert a.words_generated % per_candidate == 0
     assert a.words_generated >= 200 * per_candidate
@@ -157,8 +156,8 @@ def test_draw_count_counts_logical_draws_not_words():
     src = RandomSource(11)
     for i in range(1, 401):
         src.next_uniform_int(3)
-        assert src.draw_count == i
-    assert src.words_generated >= src.draw_count
+        assert src.stats == DrawStats(i)
+    assert src.words_generated >= i
 
 
 def test_scripted_int_replay():

@@ -373,7 +373,7 @@ def test_reservoir_requires_positive_capacity():
     src = RandomSource(0)
     res = reservoir_sample(src, [1, 2], 0)
     assert res.indices == [] and res.n == 0
-    assert src.draw_count == 0
+    assert src.stats.total() == 0
     with pytest.raises(ValueError):
         reservoir_sample(src, [1, 2], -1)
 
