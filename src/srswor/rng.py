@@ -10,24 +10,27 @@ usual statistical batteries, and has a published reference sequence that the
 test suite pins down, so any refactor that changes the stream is caught.
 
 The j-th word is a pure function of seed + j * golden, so words are mixed
-many at a time (SWAR, one Python integer as a vector): lane i of one big
+256 at a time (SWAR, one Python integer as a vector): lane i of one big
 integer, 128 bits wide, holds the i-th state, and each xor-shift and
 multiply of the mix acts on every lane in one pass.  A lane is masked back
 to its low 64 bits before each multiply, which clears the bits a right
 shift carries in from the lane above, so every product stays inside its
 lane.  The stream is the same word for word as the scalar mix.
 
-A partial shuffle of n takes k bounded ints with bounds n, n - 1, ...,
-n - k + 1.  descending_ints(n, k) returns them in one call: the same values
-and counters as k calls of next_uniform_int, with the Python work per draw
-cut to a word read, a shift and a compare.  uniform_bytes(n) returns n
-iid uniform bytes, the little-endian bytes of the next ceil(n / 8) words;
-RandomSource reads them off the mixed blocks, not word by word.
+RandomSource keeps one buffer, the last mixed block as an array of words
+in stream order, and reads it by position.  A partial shuffle of n takes k
+bounded ints with bounds n, n - 1, ..., n - k + 1.  descending_ints(n, k)
+returns them in one call: the same values and counters as k calls of
+next_uniform_int, with the Python work per draw cut to a word read, a shift
+and a compare.  uniform_bytes(n) returns n iid uniform bytes, the
+little-endian bytes of the next ceil(n / 8) words, cut from the block as
+slices of the array.
 """
 
 from __future__ import annotations
 
 import sys
+from array import array
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -47,35 +50,24 @@ def _lane_constants(lanes: int) -> tuple[int, int, int]:
     return ones, low, steps
 
 
-# Words per refill: a source's first refill mixes 16 lanes, and each later
-# one twice as many, up to 256.
-_FILLS = (16, 32, 64, 128, 256)
-_LANES = {lanes: _lane_constants(lanes) for lanes in _FILLS}
-
-# Lane i's low word sits at 64-bit position 2i of the little-endian bytes
-# and 2 * lanes - 1 - 2i of the big-endian ones; either slice reads the
-# lanes last first.
-_LAST_FIRST = slice(-2, None, -2) if sys.byteorder == "little" else slice(1, None, 2)
+_BLOCK = 256  # words per mixed block
+_ONES, _LOW, _STEPS = _lane_constants(_BLOCK)
 
 
-def _splitmix64(state: int, count: int) -> bytes:
-    """The count splitmix64 words that follow state, as a block: the
-    native-order bytes of one integer whose 128-bit lane i holds the
-    (i + 1)-th word in its low 64 bits; count is a key of _LANES."""
-    ones, low, steps = _LANES[count]
-    z = (state * ones + steps) & low
-    z = (((z ^ (z >> 30)) & low) * _MIX1) & low
-    z = (((z ^ (z >> 27)) & low) * _MIX2) & low
+def _splitmix64(state: int) -> array:
+    """The _BLOCK splitmix64 words that follow state, in stream order.
+
+    Lane i of the mixed integer holds the (i + 1)-th word in its low 64
+    bits, which are 64-bit position 2i of the integer's little-endian bytes.
+    """
+    z = (state * _ONES + _STEPS) & _LOW
+    z = (((z ^ (z >> 30)) & _LOW) * _MIX1) & _LOW
+    z = (((z ^ (z >> 27)) & _LOW) * _MIX2) & _LOW
     z ^= z >> 31
-    return z.to_bytes(16 * count, sys.byteorder)
-
-
-def _block_bytes(block: bytes, first: int, stop: int) -> bytes:
-    """The little-endian bytes of words first to stop - 1 of a block, in
-    stream order."""
+    words = array("Q", z.to_bytes(16 * _BLOCK, "little"))[::2]
     if sys.byteorder == "big":
-        block = block[::-1]  # the little-endian bytes of the same integer
-    return memoryview(block).cast("Q")[2 * first:2 * stop:2].tobytes()
+        words.byteswap()
+    return words
 
 
 class ScriptExhaustedError(RuntimeError):
@@ -231,57 +223,52 @@ class RandomSource(UniformSource):
     which can exceed the logical draws in stats because bounded-integer
     rejection may burn more than one word per logical draw.
 
-    Words come from a buffer of upcoming outputs that _splitmix64 fills a
-    block at a time: 16 words at the first refill, twice as many at each
-    later one, up to 256.  A short-lived source thus mixes few words it
-    never uses, and a long-lived one mixes 256 per pass.  words_generated
-    and _state count only the words handed out, never the buffered ones.
+    The one buffer is the last mixed block: _words holds its _BLOCK words
+    in stream order and _pos the next one to hand out.  Every draw reads
+    there, and a block is mixed when its first word is needed, so a source
+    that draws nothing mixes nothing.  words_generated and _state count
+    only the words handed out; they follow from _blocks, the number of
+    blocks mixed, and _pos.
     """
 
     def __init__(self, seed: int) -> None:
         super().__init__()
         self.seed = seed
-        self.words_generated = 0
-        self._buf: list[int] = []
-        self._head = seed & _MASK64   # state of the last buffered word
-        self._fill = _FILLS[0]
-        self._block = b""   # the mixed block whose last words _buf holds
+        self._blocks = 0
+        self._words = array("Q")
+        self._pos = _BLOCK  # at the end, so the first draw mixes a block
+
+    @property
+    def words_generated(self) -> int:
+        return (self._blocks - 1) * _BLOCK + self._pos
 
     @property
     def _state(self) -> int:
         """splitmix64 state after the last word handed out."""
         return (self.seed + self.words_generated * _GOLDEN) & _MASK64
 
-    def _refill(self) -> int:
-        """Refill the empty buffer and hand out its first word."""
-        self._buffer(self._mix_block())
-        return self._buf.pop()
-
-    def _mix_block(self) -> bytes:
-        """Mix the next block and return it, without buffering or handing
-        out a word."""
-        count = self._fill
-        self._block = _splitmix64(self._head, count)
-        self._head = (self._head + count * _GOLDEN) & _MASK64
-        self._fill = min(2 * count, _FILLS[-1])
-        return self._block
-
-    def _buffer(self, block: bytes) -> None:
-        """Put the words of block into the empty buffer."""
-        # list.pop() hands the words out in stream order
-        self._buf += memoryview(block).cast("Q")[_LAST_FIRST].tolist()
+    def _refill(self) -> array:
+        """Mix the next block and buffer it; the caller reads it from 0."""
+        head = (self.seed + self._blocks * _BLOCK * _GOLDEN) & _MASK64
+        self._words = words = _splitmix64(head)
+        self._blocks += 1
+        return words
 
     def _next_word(self) -> int:
-        self.words_generated += 1
-        buf = self._buf
-        return buf.pop() if buf else self._refill()
+        words, pos = self._words, self._pos
+        if pos == _BLOCK:
+            words, pos = self._refill(), 0
+        self._pos = pos + 1
+        return words[pos]
 
     def next_uniform_real(self) -> float:
         """Uniform float in [0, 1), 53-bit resolution."""
         self.stats.uniform_real += 1
-        self.words_generated += 1
-        buf = self._buf
-        return ((buf.pop() if buf else self._refill()) >> 11) * (2.0 ** -53)
+        words, pos = self._words, self._pos
+        if pos == _BLOCK:
+            words, pos = self._refill(), 0
+        self._pos = pos + 1
+        return (words[pos] >> 11) * (2.0 ** -53)
 
     def next_uniform_int(self, m: int) -> int:
         """Uniform integer in [1, m].
@@ -297,11 +284,14 @@ class RandomSource(UniformSource):
         shift = 64 - (m - 1).bit_length()
         if shift < 0:
             return self._next_wide_int(m)
-        buf = self._buf
+        words, pos = self._words, self._pos
         while True:
-            self.words_generated += 1
-            r = (buf.pop() if buf else self._refill()) >> shift
+            if pos == _BLOCK:
+                words, pos = self._refill(), 0
+            r = words[pos] >> shift
+            pos += 1
             if r < m:
+                self._pos = pos
                 return r + 1
 
     def descending_ints(self, n: int, k: int) -> list[int]:
@@ -310,7 +300,7 @@ class RandomSource(UniformSource):
 
         Bounds above 2^64 go through _next_wide_int one at a time.  The
         others run in stretches of equal bit_length(m - 1), which share one
-        shift, and the words are counted once per call.
+        shift.
         """
         _check_descending(n, k)
         self.stats.uniform_int += k
@@ -320,48 +310,42 @@ class RandomSource(UniformSource):
         while top > stop and top > 1 << 64:
             append(self._next_wide_int(top))
             top -= 1
-        buf, refill = self._buf, self._refill
-        words = top - stop
+        words, pos, refill = self._words, self._pos, self._refill
         while top > stop:
             bits = (top - 1).bit_length()
             shift = 64 - bits
             # bounds in (2^(bits-1), 2^bits] share the shift; m = 1 has bits 0
             low = max(stop, (1 << bits) >> 1)
             for m in range(top, low, -1):
-                r = (buf.pop() if buf else refill()) >> shift
+                r = m
                 while r >= m:
-                    words += 1
-                    r = (buf.pop() if buf else refill()) >> shift
+                    if pos == _BLOCK:
+                        words, pos = refill(), 0
+                    r = words[pos] >> shift
+                    pos += 1
                 append(r + 1)
             top = low
-        self.words_generated += words
+        self._pos = pos
         return out
 
     def uniform_bytes(self, n: int) -> bytes:
         """The bytes of UniformSource.uniform_bytes, with the same words and
-        counters, read off the mixed blocks: the buffered words are the
-        tail of the last block, so no word is turned into bytes one by one.
-        A block that the call uses up whole is never buffered."""
+        counters, cut from the buffer as slices of words."""
         count = _byte_words(n)
         self.stats.uniform_int += count
-        self.words_generated += count
-        buf = self._buf
+        words, pos = self._words, self._pos
         parts = []
         while count:
-            if not buf:
-                block = self._mix_block()
-                size = len(block) // 16
-                if count >= size:
-                    parts.append(_block_bytes(block, 0, size))
-                    count -= size
-                    continue
-                self._buffer(block)
-            left = len(buf)
-            take = min(count, left)
-            first = len(self._block) // 16 - left
-            parts.append(_block_bytes(self._block, first, first + take))
-            del buf[left - take:]
+            if pos == _BLOCK:
+                words, pos = self._refill(), 0
+            take = min(count, _BLOCK - pos)
+            part = words[pos:pos + take]
+            if sys.byteorder == "big":
+                part.byteswap()
+            parts.append(part)
+            pos += take
             count -= take
+        self._pos = pos
         return b"".join(parts)[:n]
 
     def _next_wide_int(self, m: int) -> int:

@@ -15,34 +15,31 @@ import bisect
 import itertools
 import math
 import sys
-from dataclasses import dataclass
 
-from .rng import UniformSource
+from .rng import Record, UniformSource
 
 # Minimum expected count per cell after pooling, the usual chi-square rule.
 POOL_THRESHOLD = 5.0
 
 
-@dataclass(frozen=True)
-class GofReport:
+class GofReport(Record, frozen=True):
     """Chi-square goodness-of-fit outcome; passed means p_value >= alpha."""
 
-    statistic: float
-    dof: int
-    p_value: float
-    passed: bool
-    alpha: float
+    __slots__ = _fields = ("statistic", "dof", "p_value", "passed", "alpha")
+
+    def __init__(self, statistic: float, dof: int, p_value: float, passed: bool,
+                 alpha: float) -> None:
+        self._init(statistic, dof, p_value, passed, alpha)
 
 
-@dataclass(frozen=True)
-class KsReport:
+class KsReport(Record, frozen=True):
     """Kolmogorov-Smirnov outcome for a one-sample CDF comparison."""
 
-    statistic: float
-    n: int
-    p_value: float
-    passed: bool
-    alpha: float
+    __slots__ = _fields = ("statistic", "n", "p_value", "passed", "alpha")
+
+    def __init__(self, statistic: float, n: int, p_value: float, passed: bool,
+                 alpha: float) -> None:
+        self._init(statistic, n, p_value, passed, alpha)
 
 
 # --- regularized incomplete gamma, local implementation ---------------------

@@ -16,11 +16,10 @@ import itertools
 import math
 import zlib
 from collections import Counter
-from dataclasses import dataclass
 
 from . import distributed, statcheck
 from .distributions import beta, beta_binomial, binomial, hypergeometric
-from .rng import DrawStats, RandomSource
+from .rng import DrawStats, RandomSource, Record
 from .samplers import (
     SparseFisherYatesIterator,
     default_samplers,
@@ -42,12 +41,11 @@ from .samplers import (
 RESERVOIR_DRAW_FACTOR = 12
 
 
-@dataclass(frozen=True)
-class CheckRecord:
-    name: str
-    statistic: float
-    p_value: float
-    passed: bool
+class CheckRecord(Record, frozen=True):
+    __slots__ = _fields = ("name", "statistic", "p_value", "passed")
+
+    def __init__(self, name: str, statistic: float, p_value: float, passed: bool) -> None:
+        self._init(name, statistic, p_value, passed)
 
 
 # --- the shared checks -------------------------------------------------------

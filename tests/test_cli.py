@@ -93,12 +93,15 @@ def _run_module(argv, **kwargs):
 
 def test_cli_import_stays_lean():
     # every CLI process pays for what `import srswor.cli` loads; bench and
-    # verify import what only they need when they run
+    # verify import what only they need when they run, and verify's modules
+    # keep to the package's records, not dataclasses
     probe = ("import sys, srswor.cli; print(*(m for m in ('dataclasses', 'inspect', 'csv', "
-             "'json', 'srswor.suite', 'srswor.statcheck') if m in sys.modules))")
+             "'json', 'srswor.suite', 'srswor.statcheck') if m in sys.modules)); "
+             "import srswor.suite; print(*(m for m in ('dataclasses', 'inspect') "
+             "if m in sys.modules))")
     proc = _run_python(["-c", probe])
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == []
+    assert proc.stdout.splitlines() == ["", ""]
 
 
 @pytest.mark.parametrize("argv", [

@@ -248,6 +248,21 @@ def test_records_survive_copy_and_pickle():
             assert clone == record and clone is not record
 
 
+@pytest.mark.parametrize("words", [0, 100, 256])
+def test_random_source_survives_copy_and_pickle(words):
+    # cloned before its first word, mid-block and exactly on a block
+    # boundary, a source and its clones go on word for word
+    src, twin = RandomSource(11), RandomSource(11)
+    src.uniform_bytes(8 * words)
+    twin.uniform_bytes(8 * words)
+    want = [twin._next_word() for _ in range(300)]
+    for clone in (copy.deepcopy(src), pickle.loads(pickle.dumps(src)), src):
+        assert (clone.words_generated, clone._state, clone.stats) == (
+            words, (11 + words * _GOLDEN) % 2**64, DrawStats(uniform_int=words))
+        assert [clone._next_word() for _ in range(300)] == want
+        assert clone.words_generated == twin.words_generated
+
+
 # --- the lane kernel against the generator's scalar definition ---
 
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -305,8 +320,8 @@ def _assert_same_stream(seed: int, script, min_words: int) -> None:
 
 @pytest.mark.parametrize("seed", [0, 2**64 - 1, -8 * _GOLDEN % 2**64])
 def test_lane_kernel_matches_scalar_reference(seed):
-    # refills of 16, 32, 64, 128, 256 and 256 words end at word 752; the
-    # third seed's 8th state is 0, so its first refill wraps mid-batch
+    # blocks of 256 words end at words 256, 512, 768 and 1024; the third
+    # seed's 8th state is 0, so its first block wraps mid-batch
     _assert_same_stream(seed, _MIXED_SCRIPT, 1100)
 
 
@@ -342,8 +357,8 @@ def test_descending_ints_matches_scalar_reference(seed):
 
 
 def test_descending_ints_spans_the_first_refill():
-    # a fresh source buffers 16 words, so the first call reads past them
-    _assert_kernel_matches_scalar(3, [(1000, 40), (2**33 + 1, 30), (17, 17)])
+    # a fresh source mixes a block of 256 words, so the first call reads past it
+    _assert_kernel_matches_scalar(3, [(1000, 300), (2**33 + 1, 30), (17, 17)])
 
 
 @given(st.integers(min_value=0, max_value=2**64 - 1),
@@ -394,10 +409,11 @@ def _assert_bytes_match_generic(seed: int, calls) -> None:
 
 @pytest.mark.parametrize("seed", [0, 7, 2**64 - 1])
 def test_uniform_bytes_matches_generic(seed):
-    # refills hand out 16, 32, 64, 128, then 256 words: 121 bytes cross the
-    # first, 2124 and 5000 bytes span several blocks, and 8 * 15 + 1 bytes
-    # use one byte of their last word
-    _assert_bytes_match_generic(seed, [0, 1, 8, 121, 129, 2124, 3, 5000, 8 * 15 + 1])
+    # blocks hold 256 words: 8 * 256 - 1 and 8 * 256 + 1 bytes cross one
+    # block boundary each, 2124 and 5000 bytes span several blocks, and
+    # 8 * 15 + 1 bytes use one byte of their last word
+    _assert_bytes_match_generic(seed, [0, 1, 8, 8 * 256 - 1, 8 * 256 + 1, 2124, 3, 5000,
+                                       8 * 15 + 1])
 
 
 @given(st.integers(min_value=0, max_value=2**64 - 1),
