@@ -1,15 +1,18 @@
 """Command line front end: sample, bench, verify, merge.
 
-Exit codes: 0 success, 1 input/format failure, 2 argument failure
-(including inputs too large for the memory this process may use, or for
-float arithmetic), 3 verification failure.  All randomness flows from
---seed, so identical invocations reproduce identical output (bench wall
-times excepted).
+Exit codes: 0 success, 1 input/format failure (an unreadable or unwritable
+path, input that stdin's error handler refuses, or a reader that closes the
+output early), 2 argument failure (including inputs too large for the memory
+this process may use, or for float arithmetic), 3 verification failure.
+main alone maps an exception to its code and one stderr line; a closed
+output exits 1 with none.  All randomness flows from --seed, so identical
+invocations reproduce identical output (bench wall times excepted).
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 
@@ -105,11 +108,9 @@ def _cmd_sample(args) -> int:
         if args.n is None:
             print("sample: --indices-only requires --n", file=sys.stderr)
             return 2
-        sampler = default_samplers()[args.algo]
-        result = sampler(source, args.n, args.k) if args.k else None
-        if result is not None:
-            for idx in result.indices:
-                print(idx)
+        if args.k:
+            result = default_samplers()[args.algo](source, args.n, args.k)
+            sys.stdout.writelines(f"{idx}\n" for idx in result.indices)
         return 0
 
     return _sample_lines(args, source)
@@ -120,17 +121,17 @@ def _sample_lines(args, source: RandomSource) -> int:
 
     With --n the sorted positions come from inorder; without it the
     reservoir keeps k lines, which it returns in stream order.  A file
-    shorter than k is refused; a shorter stdin yields all of its lines."""
+    shorter than k is refused; a shorter stdin yields all of its lines.  A
+    file decodes with stdin's encoding and error handler, so the same bytes
+    give the same lines by either route."""
     path = args.input
     use_stdin = path is None or path == "-"
     if args.k == 0:
         return 0
 
-    try:
-        handle = sys.stdin if use_stdin else open(path, "r")
-    except OSError as exc:
-        print(f"sample: cannot read {path}: {exc}", file=sys.stderr)
-        return 1
+    stdin = sys.stdin
+    handle = stdin if use_stdin else open(path, encoding=getattr(stdin, "encoding", None),
+                                          errors=getattr(stdin, "errors", None))
     try:
         n = args.n
         if n is None:
@@ -141,20 +142,15 @@ def _sample_lines(args, source: RandomSource) -> int:
             sys.stdout.writelines(result.indices)
             return 0
         positions = inorder_sample(source, n, args.k).indices
-        emitted = 0
-        want = positions[0]
+        kept, want = [], positions[0]
         for lineno, line in enumerate(handle, 1):
             if lineno == want:
-                sys.stdout.write(line)
-                emitted += 1
-                if emitted == len(positions):
+                kept.append(line)
+                if len(kept) == len(positions):
+                    sys.stdout.writelines(kept)
                     return 0
-                want = positions[emitted]
-        print(
-            f"sample: input ended before position {want} "
-            f"(expected {n} lines)",
-            file=sys.stderr,
-        )
+                want = positions[len(kept)]
+        print(f"sample: input ended before position {want} (expected {n} lines)", file=sys.stderr)
         return 1
     finally:
         if not use_stdin:
@@ -185,10 +181,8 @@ def _cmd_bench(args) -> int:
         return 2
     import csv
 
-    writer = csv.writer(sys.stdout, lineterminator="\n")
-    writer.writerow(BENCH_HEADER)
-    for rec in run_bench(grid, algos, args.reps, args.seed):
-        writer.writerow(rec._astuple())
+    rows = [rec._astuple() for rec in run_bench(grid, algos, args.reps, args.seed)]
+    csv.writer(sys.stdout, lineterminator="\n").writerows([BENCH_HEADER, *rows])
     return 0
 
 
@@ -196,32 +190,23 @@ def _cmd_verify(args) -> int:
     if not 0 < args.alpha <= 1:
         print("verify: --alpha must be in (0, 1]", file=sys.stderr)
         return 2
+    # opened first, so a bad --json path fails before any check runs
+    report = None if args.json is None else open(args.json, "w")
     # the harness is imported only here, so sample and merge do not load it
     from .suite import format_report, run_suite
 
     records = run_suite(args.suite, args.seed, args.alpha)
-    for line in format_report(records):
-        print(line)
-    if args.json is not None:
+    sys.stdout.write(format_report(records))
+    if report is not None:
         import json
 
-        payload = [
-            {
-                "name": r.name,
-                "statistic": r.statistic,
-                "p_value": r.p_value,
-                "pass": r.passed,
-            }
-            for r in records
-        ]
-        with open(args.json, "w") as handle:
-            json.dump(payload, handle, indent=2)
-            handle.write("\n")
+        payload = [{"name": r.name, "statistic": r.statistic, "p_value": r.p_value,
+                    "pass": r.passed} for r in records]
+        with report:
+            report.write(json.dumps(payload, indent=2) + "\n")
     failures = [r.name for r in records if not r.passed]
     if failures:
-        print(f"verify: {len(failures)} check(s) failed:", file=sys.stderr)
-        for name in failures:
-            print(f"  {name}", file=sys.stderr)
+        print(f"verify: {len(failures)} check(s) failed:", *failures, sep="\n  ", file=sys.stderr)
         return 3
     return 0
 
@@ -242,12 +227,8 @@ def _parse_shard(line: str) -> MergeInput:
 
 
 def _cmd_merge(args) -> int:
-    try:
-        with open(args.manifest, "r") as handle:
-            raw_lines = handle.readlines()
-    except OSError as exc:
-        print(f"merge: cannot read {args.manifest}: {exc}", file=sys.stderr)
-        return 1
+    with open(args.manifest) as handle:
+        raw_lines = handle.readlines()
 
     inputs = []
     for lineno, raw in enumerate(raw_lines, 1):
@@ -267,15 +248,10 @@ def _cmd_merge(args) -> int:
     merged, _ = merge_all_with_state(source, inputs)
     if args.target is not None:
         if not 0 <= args.target <= len(merged):
-            print(
-                f"merge: --target {args.target} outside [0, {len(merged)}]",
-                file=sys.stderr,
-            )
+            print(f"merge: --target {args.target} outside [0, {len(merged)}]", file=sys.stderr)
             return 2
         merged = downsample(source, merged, args.target)
-    for item in merged:
-        print(item)
-    print(f"# effective_size={len(merged)}")
+    sys.stdout.writelines([*(f"{item}\n" for item in merged), f"# effective_size={len(merged)}\n"])
     return 0
 
 
@@ -330,7 +306,18 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # so a closed reader shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader left early; stdout goes to devnull so that the flush at
+        # exit stays quiet (the recipe in the docs of Python's signal module)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    except (OSError, UnicodeError) as exc:
+        # an unreadable or unwritable path, or input stdin's decoder refuses
+        print(f"{args.command}: {exc}", file=sys.stderr)
+        return 1
     except MemoryError:
         # e.g. fy or preinit, which build an n-element array, at huge --n
         print(f"{args.command}: out of memory; the input is too large for the "

@@ -439,11 +439,6 @@ def run_suite(suite: str = "quick", seed: int = 0,
     return records
 
 
-def format_report(records: list[CheckRecord]) -> list[str]:
-    lines = []
-    for r in records:
-        status = "PASS" if r.passed else "FAIL"
-        lines.append(
-            f"{r.name:<36s} stat={r.statistic:>12.6g}  p={r.p_value:<12.6g} {status}"
-        )
-    return lines
+def format_report(records: list[CheckRecord]) -> str:
+    return "".join(f"{r.name:<36s} stat={r.statistic:>12.6g}  p={r.p_value:<12.6g} "
+                   f"{'PASS' if r.passed else 'FAIL'}\n" for r in records)

@@ -79,11 +79,15 @@ def _limit_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (600 * 2**20, 600 * 2**20))
 
 
-def _run_python(args, **kwargs):
+def _env():
     env = dict(os.environ)
     src = str(pathlib.Path(srswor.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, *args], env=env,
+    return env
+
+
+def _run_python(args, **kwargs):
+    return subprocess.run([sys.executable, *args], env=_env(),
                           capture_output=True, text=True, timeout=60, **kwargs)
 
 
@@ -114,6 +118,50 @@ def test_out_of_memory_exits_2_without_traceback(argv):
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith(f"{argv[0]}: out of memory")
+
+
+@pytest.mark.parametrize("argv", [
+    ["sample", "--indices-only", "--algo", "fy", "--n", "100000", "--k", "50000"],
+    ["sample", "--k", "100000", "{lines}"],
+    ["merge", "--manifest", "{manifest}"],
+    ["bench", "--grid", "10:1", "--algos", "fy", "--reps", "20000"],
+])
+def test_closed_reader_exits_1_without_traceback(tmp_path, argv):
+    # each command writes far more than a pipe holds, to a reader that takes
+    # one line and closes
+    lines, manifest = tmp_path / "lines.txt", tmp_path / "manifest.tsv"
+    lines.write_text("".join(f"line-{i}\n" for i in range(1, 200_001)))
+    manifest.write_text(f"100000\t100000\t{','.join(map(str, range(100_000)))}\n")
+    argv = [arg.format(lines=lines, manifest=manifest) for arg in argv]
+    proc = subprocess.Popen([sys.executable, "-m", "srswor", *argv], env=_env(),
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    assert proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == 1
+    assert "Traceback" not in err and "Exception ignored" not in err
+
+
+@pytest.mark.parametrize("errors,code", [("surrogateescape", 0), ("strict", 1)])
+def test_sample_file_decodes_as_stdin(tmp_path, monkeypatch, errors, code):
+    # the same lines that are not UTF-8, from a file and from stdin: passed
+    # through verbatim where stdin escapes them, one line and exit 1 where
+    # it is strict
+    data = b"".join(b"line-%d \xff\xfe\n" % i for i in range(1, 11))
+    path = tmp_path / "bad.txt"
+    path.write_bytes(data)
+    monkeypatch.setenv("PYTHONIOENCODING", f"utf-8:{errors}")
+    argv = ["sample", "--k", "4", "--seed", "3"]
+    codec = {"encoding": "utf-8", "errors": "surrogateescape"}
+    by_file = _run_module([*argv, str(path)], **codec)
+    by_stdin = _run_module([*argv, "-"], input=data.decode(**codec), **codec)
+    assert (by_file.returncode, by_file.stdout) == (by_stdin.returncode, by_stdin.stdout)
+    assert by_file.returncode == code
+    for proc in (by_file, by_stdin):
+        assert proc.stderr.count("\n") == code and "Traceback" not in proc.stderr
+    picked = by_file.stdout.encode(**codec).splitlines(keepends=True)
+    assert len(picked) == 4 * (1 - code)
+    assert set(picked) <= set(data.splitlines(keepends=True))
 
 
 def test_float_overflow_exits_2_without_traceback(tmp_path):
@@ -209,9 +257,10 @@ def test_sample_lines_k_exceeds_inferred_n(capsys, lines_file):
 
 
 def test_sample_lines_missing_file(capsys, tmp_path):
-    code, _, err = run_cli(capsys, "sample", "--k", "2", str(tmp_path / "nope.txt"))
+    path = tmp_path / "nope.txt"
+    code, _, err = run_cli(capsys, "sample", "--k", "2", str(path))
     assert code == 1
-    assert "cannot read" in err
+    assert err.startswith("sample: ") and err.count("\n") == 1 and str(path) in err
 
 
 def test_sample_lines_short_input_with_declared_n(capsys, lines_file):
@@ -376,6 +425,14 @@ def test_verify_refuses_alpha_outside_unit_interval(capsys, alpha):
     assert run_cli(capsys, "verify", f"--alpha={alpha}") == expected
 
 
+def test_verify_unwritable_json_exits_1_before_any_check(capsys, monkeypatch, tmp_path):
+    monkeypatch.setattr(suite, "run_suite", lambda *args: pytest.fail("the suite ran"))
+    path = tmp_path / "absent" / "report.json"
+    code, out, err = run_cli(capsys, "verify", "--json", str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith("verify: ") and err.count("\n") == 1 and str(path) in err
+
+
 def test_verify_table_rows():
     rows = suite._checks()
     names = [name for name, _, _ in rows]
@@ -454,9 +511,10 @@ def test_merge_target_out_of_range(capsys, tmp_path):
 
 
 def test_merge_missing_manifest(capsys, tmp_path):
-    code, _, err = run_cli(capsys, "merge", "--manifest", str(tmp_path / "no.tsv"))
+    path = tmp_path / "no.tsv"
+    code, _, err = run_cli(capsys, "merge", "--manifest", str(path))
     assert code == 1
-    assert "cannot read" in err
+    assert err.startswith("merge: ") and err.count("\n") == 1 and str(path) in err
 
 
 @pytest.mark.parametrize("bad_line,phrase", [
