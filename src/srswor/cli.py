@@ -122,8 +122,9 @@ def _sample_lines(args, source: RandomSource) -> int:
     With --n the sorted positions come from inorder; without it the
     reservoir keeps k lines, which it returns in stream order.  A file
     shorter than k is refused; a shorter stdin yields all of its lines.  A
-    file decodes with stdin's encoding and error handler, so the same bytes
-    give the same lines by either route."""
+    file decodes with stdin's encoding and error handler and splits lines at
+    "\n" alone, as stdin does, so the same bytes give the same lines by
+    either route."""
     path = args.input
     use_stdin = path is None or path == "-"
     if args.k == 0:
@@ -131,7 +132,7 @@ def _sample_lines(args, source: RandomSource) -> int:
 
     stdin = sys.stdin
     handle = stdin if use_stdin else open(path, encoding=getattr(stdin, "encoding", None),
-                                          errors=getattr(stdin, "errors", None))
+                                          errors=getattr(stdin, "errors", None), newline="\n")
     try:
         n = args.n
         if n is None:
@@ -309,14 +310,18 @@ def main(argv=None) -> int:
         code = args.func(args)
         sys.stdout.flush()  # so a closed reader shows here, not at exit
         return code
-    except BrokenPipeError:
-        # the reader left early; stdout goes to devnull so that the flush at
-        # exit stays quiet (the recipe in the docs of Python's signal module)
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return 1
     except (OSError, UnicodeError) as exc:
-        # an unreadable or unwritable path, or input stdin's decoder refuses
-        print(f"{args.command}: {exc}", file=sys.stderr)
+        # an unreadable or unwritable path, input stdin's decoder refuses, or
+        # a failed write to stdout; a reader that left early is not reported
+        if not isinstance(exc, BrokenPipeError):
+            print(f"{args.command}: {exc}", file=sys.stderr)
+        try:
+            sys.stdout.flush()
+        except OSError:
+            # stdout still holds bytes it cannot write, which would fail again
+            # in the flush at exit; it goes to devnull so that exit stays quiet
+            # (the recipe in the docs of Python's signal module)
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
     except MemoryError:
         # e.g. fy or preinit, which build an n-element array, at huge --n

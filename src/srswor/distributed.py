@@ -79,7 +79,7 @@ def split_sample_counts(source: UniformSource, block_sizes: Sequence[int],
     n_rem = total
     k_rem = k
     for size in sizes[:-1]:
-        c = hypergeometric(source, size, n_rem, k_rem)
+        c = hypergeometric(source, size, n_rem, k_rem)  # route: split chain
         counts.append(c)
         n_rem -= size
         k_rem -= c
@@ -103,7 +103,7 @@ def merge_all_with_state(source: UniformSource,
     thresholds = []
     for inp in inputs:
         k_c = len(inp.sample)
-        thresholds.append(beta(source, k_c + 1, inp.population_size - k_c))
+        thresholds.append(beta(source, k_c + 1, inp.population_size - k_c))  # route: merge
     t_min = min(thresholds)
     merged: list = []
     kappas = []
@@ -124,13 +124,13 @@ def _thin(source: UniformSource, sample: Sequence, q: float) -> list:
     bernoulli(256 q - L), which is drawn only when that is not 0.  256 q is
     exact in floats, so P(kept) = L / 256 + (256 q - L) / 256 = q.
     """
-    scaled = 256.0 * q
+    scaled = 256.0 * q  # route: thinning byte mask
     level = int(scaled)
     data = source.uniform_bytes(len(sample))
     mask = bytearray(data.translate(b"\1" * level + bytes(256 - level)))
     tie = scaled - level
     if tie:
-        i = data.find(level)
+        i = data.find(level)  # route: thinning tie byte
         while i >= 0:
             mask[i] = bernoulli(source, tie)
             i = data.find(level, i + 1)
@@ -173,13 +173,13 @@ def downsample(source: UniformSource, sample: Sequence, target: int) -> list:
     flips = math.sqrt(2 * n * level * (256 - level) / math.pi) / 256
     if c < -(-n // 8) + flips:
         # mask[p - 1] == drop until position p is picked
-        mask = bytearray([drop]) * n
+        mask = bytearray([drop]) * n  # route: downsample draws
         draws = source.descending_ints(n, c)
         for j, r in zip(range(n - c + 1, n + 1), reversed(draws)):
             mask[r - 1 if mask[r - 1] == drop else j - 1] = not drop
     else:
         mask = bytearray(source.uniform_bytes(n).translate(b"\1" * level + bytes(256 - level)))
-        surplus = mask.count(1) - target
+        surplus = mask.count(1) - target  # route: downsample marks
         flag = surplus > 0
         draw = source.next_uniform_int
         for _ in range(abs(surplus)):

@@ -68,7 +68,7 @@ def bernoulli(source: UniformSource, p: float) -> int:
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"bernoulli p={p} outside [0, 1]")
     source.stats.bernoulli += 1
-    return 1 if source.next_uniform_real() < p else 0
+    return 1 if source.next_uniform_real() < p else 0  # route: bernoulli
 
 
 def binomial(source: UniformSource, n: int, p: float) -> int:
@@ -92,11 +92,11 @@ def binomial(source: UniformSource, n: int, p: float) -> int:
         return n
     flip = p > 0.5
     if flip:
-        p = 1.0 - p
+        p = 1.0 - p  # route: binomial p > 1/2 reflection
     if n * p <= _INVERSION_LIMIT:
-        c = _binomial_inversion(source, n, p)
+        c = _binomial_inversion(source, n, p)  # route: binomial inversion
     else:
-        c = _binomial_btrd(source, n, p)
+        c = _binomial_btrd(source, n, p)  # route: binomial BTRD
     return n - c if flip else c
 
 
@@ -246,17 +246,17 @@ def beta(source: UniformSource, alpha: float, beta_shape: float) -> float:
     if beta_shape == 0.0:
         return 1.0
     if alpha == 1.0:
-        u = source.next_uniform_real()
+        u = source.next_uniform_real()  # route: beta(1, b) quantile
         x = 1.0 - u ** (1.0 / beta_shape)
         return x if x >= _BETA_EXPM1_BELOW else -math.expm1(math.log(u) / beta_shape)
     if beta_shape == 1.0:
-        return (1.0 - source.next_uniform_real()) ** (1.0 / alpha)
+        return (1.0 - source.next_uniform_real()) ** (1.0 / alpha)  # route: beta(a, 1) quantile
     # BB (Cheng 1978, "Generating beta variates with nonintegral shape
     # parameters"), exact for min(alpha, b) > 1, its hat driven by the
     # smaller shape a.  lam = 1/B = sqrt((2ab - s)/(s - 2)), s = a + b, is
     # formed as sqrt(1 + 2p/(1 + p/q)), p = a - 1 <= q = b - 1, and the draw
     # W/(b + W) from the odds W/b, so that neither overflows.
-    swap = alpha > beta_shape
+    swap = alpha > beta_shape  # route: beta by Cheng's BB
     a, b = float(min(alpha, beta_shape)), float(max(alpha, beta_shape))
     p = a - 1.0
     lam = math.sqrt(1.0 + p * (2.0 / (1.0 + p / (b - 1.0))))
@@ -293,9 +293,9 @@ def beta_binomial(source: UniformSource, alpha: int, beta_shape: int, n: int) ->
         raise ValueError(f"beta-binomial trial count must be >= 0, got {n}")
     source.stats.beta_binomial += 1
     if alpha == 1:
-        p = 1.0 - source.next_uniform_real() ** (1.0 / beta_shape)
+        p = 1.0 - source.next_uniform_real() ** (1.0 / beta_shape)  # route: beta-binomial alpha 1
     else:
-        p = beta(source, alpha, beta_shape)
+        p = beta(source, alpha, beta_shape)  # route: beta-binomial through beta
     return binomial(source, n, p)
 
 
@@ -321,13 +321,13 @@ def hypergeometric(source: UniformSource, v: int, n: int, k: int) -> int:
     source.stats.hypergeometric += 1
     vs, ks = min(v, n - v), min(k, n - k)
     if vs * ks <= _INVERSION_LIMIT * n:
-        c = _hypergeometric_inversion(source, vs, n, ks)
+        c = _hypergeometric_inversion(source, vs, n, ks)  # route: hypergeometric inversion
     else:
-        c = _hypergeometric_hrua(source, vs, n, ks)
+        c = _hypergeometric_hrua(source, vs, n, ks)  # route: hypergeometric HRUA
     if ks != k:
-        c = vs - c
+        c = vs - c  # route: hypergeometric k -> n - k
     if vs != v:
-        c = k - c
+        c = k - c  # route: hypergeometric v -> n - v
     return c
 
 

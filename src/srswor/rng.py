@@ -263,7 +263,7 @@ class RandomSource(UniformSource):
 
     def next_uniform_real(self) -> float:
         """Uniform float in [0, 1), 53-bit resolution."""
-        self.stats.uniform_real += 1
+        self.stats.uniform_real += 1  # route: uniform real
         words, pos = self._words, self._pos
         if pos == _BLOCK:
             words, pos = self._refill(), 0
@@ -283,8 +283,8 @@ class RandomSource(UniformSource):
         self.stats.uniform_int += 1
         shift = 64 - (m - 1).bit_length()
         if shift < 0:
-            return self._next_wide_int(m)
-        words, pos = self._words, self._pos
+            return self._next_wide_int(m)  # route: bounded int above 2^64
+        words, pos = self._words, self._pos  # route: bounded int up to 2^64
         while True:
             if pos == _BLOCK:
                 words, pos = self._refill(), 0
@@ -308,11 +308,11 @@ class RandomSource(UniformSource):
         append = out.append
         top, stop = n, n - k
         while top > stop and top > 1 << 64:
-            append(self._next_wide_int(top))
+            append(self._next_wide_int(top))  # route: descending bounds above 2^64
             top -= 1
         words, pos, refill = self._words, self._pos, self._refill
         while top > stop:
-            bits = (top - 1).bit_length()
+            bits = (top - 1).bit_length()  # route: descending bounds up to 2^64
             shift = 64 - bits
             # bounds in (2^(bits-1), 2^bits] share the shift; m = 1 has bits 0
             low = max(stop, (1 << bits) >> 1)
@@ -331,7 +331,7 @@ class RandomSource(UniformSource):
     def uniform_bytes(self, n: int) -> bytes:
         """The bytes of UniformSource.uniform_bytes, with the same words and
         counters, cut from the buffer as slices of words."""
-        count = _byte_words(n)
+        count = _byte_words(n)  # route: byte batch
         self.stats.uniform_int += count
         words, pos = self._words, self._pos
         parts = []

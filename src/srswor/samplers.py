@@ -70,7 +70,7 @@ def fisher_yates_sample(source: UniformSource, n: int, k: int) -> SampleResult:
     """
     _check_nk(n, k)
     x = list(range(n + 1))  # slot i holds item i; slot 0 is never drawn
-    for top, r in zip(range(n, n - k, -1), source.descending_ints(n, k)):
+    for top, r in zip(range(n, n - k, -1), source.descending_ints(n, k)):  # route: fisher-yates
         x[top], x[r] = x[r], x[top]
     # later swaps never reach a filled slot, so slots n, n-1, ... hold the picks
     return SampleResult(x[n:n - k:-1], SampleOrder.SELECTION, n, DrawStats(k))
@@ -100,7 +100,7 @@ class SparseFisherYatesIterator:
     def __next__(self) -> int:
         if self.i >= self.n:
             raise StopIteration
-        top = self.n - self.i
+        top = self.n - self.i  # route: sparse iterator step
         entries = self._entries
         r = self._source.next_uniform_int(top)
         picked = entries.get(r, r)
@@ -124,9 +124,9 @@ def sparse_fisher_yates(source: UniformSource, n: int, k: int) -> SampleResult:
     one repeats.
     """
     _check_nk(n, k)
-    draws = source.descending_ints(n, k)
+    draws = source.descending_ints(n, k)  # route: sparse distinct draws
     if len(set(draws)) < k:
-        entries: dict = {}
+        entries: dict = {}  # route: sparse map, when a draw repeats
         get, pop = entries.get, entries.pop
         out = []
         append = out.append
@@ -150,7 +150,7 @@ def membership_checking_sample(source: UniformSource, n: int, k: int) -> SampleR
     seen = set()
     out = []
     while len(out) < k:
-        r = source.next_uniform_int(n)
+        r = source.next_uniform_int(n)  # route: membership checking
         if r not in seen:
             seen.add(r)
             out.append(r)
@@ -170,7 +170,7 @@ def preinit_fy_sample_with_undo(source: UniformSource, x: list,
     """
     n = len(x)
     _check_nk(n, k)
-    swaps = list(zip(range(n, n - k, -1), source.descending_ints(n, k)))
+    swaps = list(zip(range(n, n - k, -1), source.descending_ints(n, k)))  # route: preinit
     for a, b in swaps:
         x[a - 1], x[b - 1] = x[b - 1], x[a - 1]
     out = [x[top - 1] for top in range(n, n - k, -1)]
@@ -192,7 +192,7 @@ def selection_sample(source: UniformSource, n: int, k: int) -> SampleResult:
     for i in range(1, n + 1):
         if k_left == 0:
             break
-        if bernoulli(source, k_left / (n - i + 1)):
+        if bernoulli(source, k_left / (n - i + 1)):  # route: selection scan
             out.append(i)
             k_left -= 1
     return SampleResult(out, SampleOrder.SORTED, n, source.stats - before)
@@ -213,7 +213,7 @@ def inorder_sample(source: UniformSource, n: int, k: int) -> SampleResult:
     n_rem = n
     k_rem = k
     for _ in range(k):
-        gap = beta_binomial(source, 1, k_rem, n_rem - k_rem)
+        gap = beta_binomial(source, 1, k_rem, n_rem - k_rem)  # route: in-order gaps
         pos += gap + 1
         out.append(pos)
         n_rem -= gap + 1
@@ -246,7 +246,7 @@ def reservoir_sample(source: UniformSource, stream: Iterable[Any], k: int) -> Sa
     res = list(itertools.islice(items, k))
     n = len(res)
     if n == k:
-        positions = list(range(1, k + 1))
+        positions = list(range(1, k + 1))  # route: reservoir Algorithm L
         real, log, log1p, exp = source.next_uniform_real, math.log, math.log1p, math.exp
         w = exp(log(1.0 - real()) / k)
         while True:
@@ -255,7 +255,7 @@ def reservoir_sample(source: UniformSource, stream: Iterable[Any], k: int) -> Sa
             n += read
             if read <= skip:
                 break
-            slot = source.next_uniform_int(k) - 1
+            slot = source.next_uniform_int(k) - 1  # route: reservoir replacement
             res[slot] = chunk[-1]
             positions[slot] = n
             w *= exp(log(1.0 - real()) / k)

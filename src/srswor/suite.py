@@ -1,13 +1,15 @@
 """The one catalogue of law checks, and the runnable verification suite.
 
-Each law that `srswor verify` and the acceptance criteria both measure has
-one function here: it takes its sources, scale and alpha, returns the raw
-measurement or a chi-square report, and leaves the verdict to its caller.
-run_suite runs one table of rows (name, scale key, check), deterministic
-given (suite, seed): each row's source is seeded from the run seed and its
-name, so adding or reordering rows does not disturb the others.  A check
-passes when its p-value (or exactness flag, for structural checks) clears
-the configured alpha; structural checks report p 1.0 or 0.0.
+Every law check of the package is a row of _checks(): `srswor verify` runs
+the table, and the tests run it once at the quick scale.  Each law that the
+acceptance criteria measure too has one function here: it takes its
+sources, scale and alpha, returns the raw measurement or a chi-square
+report, and leaves the verdict to its caller.  run_suite runs the rows
+(name, (quick, full) scale, check), deterministic given (suite, seed): each
+row's source is seeded from the run seed and its name, so adding or
+reordering rows does not disturb the others.  A check passes when its
+p-value (or exactness flag, for structural checks) clears the configured
+alpha; structural checks report p 1.0 or 0.0.
 """
 
 from __future__ import annotations
@@ -62,9 +64,11 @@ def random_cells(source, count: int, n_lo: int, n_hi: int):
         yield n, source.next_uniform_int(n)
 
 
-def pmf_law(draw, law, source, reps: int, alpha: float) -> statcheck.GofReport:
+def pmf_law(draw, law, source, reps: int, alpha: float,
+            edges=None) -> statcheck.GofReport:
     """Chi-square of reps values draw(source) against law = (lo, probs),
-    where probs[i] is the probability of lo + i.
+    where probs[i] is the probability of lo + i: one cell per value, or the
+    cells [lo + a, lo + b) of each pair (a, b) of consecutive edges.
 
     A value outside [lo, lo + len(probs)) raises ValueError.
     """
@@ -76,7 +80,40 @@ def pmf_law(draw, law, source, reps: int, alpha: float) -> statcheck.GofReport:
         if not 0 <= i < size:
             raise ValueError(f"value {lo + i} outside [{lo}, {lo + size - 1}]")
         counts[i] += 1
-    return statcheck.chi_square_gof(counts, probs, alpha)
+    if edges is None:
+        return statcheck.chi_square_gof(counts, probs, alpha)
+    cells = list(zip(edges, edges[1:]))
+    return statcheck.chi_square_gof([sum(counts[a:b]) for a, b in cells],
+                                    [math.fsum(probs[a:b]) for a, b in cells], alpha)
+
+
+def _wide_edges(probs) -> list[int]:
+    """pmf_law's edges for a law too wide for one cell per value: about 60
+    cells of equal width over its mean +- 4 sd, and each tail beyond them
+    one cell.  They are offsets, so a float keeps them exact to a fraction
+    of a cell however large the law's lo is."""
+    size = len(probs)
+    mean = sum([i * q for i, q in enumerate(probs)])
+    sd = math.sqrt(sum([(i - mean) ** 2 * q for i, q in enumerate(probs)]))
+    left, right = math.floor(mean - 4 * sd), math.ceil(mean + 4 * sd)
+    width = max(1, math.ceil((right - left + 1) / 60))
+    return sorted({min(max(e, 0), size)
+                   for e in (0, *range(left, right + 1, width), right + 1, size)})
+
+
+def _beta_cdf(alpha: int, b: float):
+    """CDF of Beta(alpha, b) for integer alpha: the chance that at least alpha
+    of N = alpha + b - 1 uniforms fall below x, with (1 - x)^m taken as
+    exp(m log1p(-x)) so that it holds at huge b."""
+    n = alpha + b - 1
+
+    def cdf(x):
+        total, coef = 0.0, 1.0
+        for j in range(alpha):
+            total += coef * x ** j * math.exp((n - j) * math.log1p(-x))
+            coef *= (n - j) / (j + 1)
+        return 1.0 - total
+    return cdf
 
 
 def first_position_law(sampler, source, n: int, k: int, reps: int,
@@ -86,21 +123,6 @@ def first_position_law(sampler, source, n: int, k: int, reps: int,
     lo, probs = statcheck.beta_binomial_law(1, k, n - k)
     return pmf_law(lambda s: min(sampler(s, n, k).indices), (1 + lo, probs),
                    source, reps, alpha)
-
-
-def reservoir_max_law(source, n: int, k: int, reps: int,
-                      alpha: float) -> statcheck.GofReport:
-    """The largest item that reservoir_sample keeps of range(1, n + 1), reps
-    times, against its law P(max = m) = C(m - 1, k - 1) / C(n, k).
-
-    Items arrive in increasing order, so the largest kept one is the last
-    replacement: the law reads the whole chain of skips, the longest ones
-    included.
-    """
-    total = math.comb(n, k)
-    law = (k, [math.comb(m - 1, k - 1) / total for m in range(k, n + 1)])
-    return pmf_law(lambda s: max(reservoir_sample(s, range(1, n + 1), k).indices),
-                   law, source, reps, alpha)
 
 
 def bitexact_mismatches(cells) -> int:
@@ -190,19 +212,10 @@ def split_merge_law(source, k: int, reps: int, alpha: float) -> statcheck.GofRep
     return statcheck.enumerate_subset_distribution(draw, 8, k, reps, source, alpha)
 
 
-def downsample_subsets_law(source, n: int, m: int, reps: int,
-                           alpha: float) -> statcheck.GofReport:
-    """Keep m of range(1, n + 1) with downsample, reps times, and chi-square
-    the kept sets against the uniform law on all C(n, m) subsets.  With
-    c = min(m, n - m), a small c takes the draws route (the positions to
-    keep if 2m <= n, else to drop), a large one the marks route; see
-    distributed.downsample for the rule."""
-    return statcheck.enumerate_subset_distribution(
-        lambda s: distributed.downsample(s, range(1, n + 1), m), n, m, reps, source, alpha)
-
-
-def merge_two_shards(source, reps: int) -> tuple[list[int], Counter, int]:
-    """Merge sparse samples of 2 from shards [1, 4] and [5, 8], reps times.
+def merge_two_shards(source, reps: int,
+                     sampler=sparse_fisher_yates) -> tuple[list[int], Counter, int]:
+    """Merge samples of 2 from shards [1, 4] and [5, 8], each drawn by
+    sampler(source, 4, 2), reps times.
 
     Returns the inclusion count of each item 1..8, the count of each merged
     set, and the number of runs in which the shard with the smaller
@@ -212,8 +225,8 @@ def merge_two_shards(source, reps: int) -> tuple[list[int], Counter, int]:
     merged_sets: Counter = Counter()
     winner_violations = 0
     for _ in range(reps):
-        sample_a = sparse_fisher_yates(source, 4, 2).indices
-        sample_b = [i + 4 for i in sparse_fisher_yates(source, 4, 2).indices]
+        sample_a = sampler(source, 4, 2).indices
+        sample_b = [i + 4 for i in sampler(source, 4, 2).indices]
         merged, state = distributed.merge_all_with_state(
             source,
             (distributed.MergeInput(sample_a, 4), distributed.MergeInput(sample_b, 4)),
@@ -228,24 +241,13 @@ def merge_two_shards(source, reps: int) -> tuple[list[int], Counter, int]:
 
 # --- the verify suite ---------------------------------------------------------
 
-# per-check scale as (quick, full); a quick scale of 0 marks a check that only
-# the full suite runs
-_SCALES = dict(
-    uniform_draws=(60_000, 600_000),
-    ks_n=(20_000, 100_000),
-    dist_reps=(30_000, 200_000),
-    subset_reps=(4_000, 100_000),
-    fp_reps=(30_000, 100_000),
-    member_reps=(20_000, 100_000),
-    occupancy_runs=(1_500, 10_000),
-    merge_reps=(20_000, 200_000),
-    split_reps=(30_000, 100_000),
-    perm_reps=(24_000, 120_000),
-    structural_cases=(60, 200),
-    sweep_reps=(0, 10_000),   # per value of each bound m
-    duality_reps=(0, 20_000),
-    calibration_reps=(0, 100_000),
-)
+# Scales shared by several rows, as (quick, full); a row may give its own
+# pair.  A quick scale of 0 marks a check that only the full suite runs.
+_DIST_REPS = (30_000, 200_000)
+_LAW_REPS = (60_000, 200_000)
+_KS_N = (20_000, 100_000)
+_SUBSET_REPS = (4_000, 100_000)
+_STRUCTURAL_CASES = (60, 200)
 _SUITES = ("quick", "full")
 
 _MASK64 = (1 << 64) - 1
@@ -275,6 +277,18 @@ def _z_test(z: float, alpha: float, ok: bool = True) -> tuple[float, float, bool
     return z, p, ok and p >= alpha
 
 
+def _verdict(report, ok: bool) -> tuple[float, float, bool]:
+    """report's statistic and p-value, passed only if report passed and ok."""
+    return report.statistic, report.p_value, report.passed and ok
+
+
+def _worst(reports) -> tuple[float, float, bool]:
+    """One verdict over the reports of one run: the statistic and p-value of
+    the smallest p, passed only if every report passed."""
+    worst = min(reports, key=lambda r: r.p_value)
+    return _verdict(worst, all(r.passed for r in reports))
+
+
 # A check is called as check(source, size, alpha, seed_of): source is seeded
 # from the run seed and the row's name, size is the row's scale, and
 # seed_of(tag) derives a seed from the run seed and f"{name}-{tag}".
@@ -290,6 +304,57 @@ def _family(draw, law, *params):
 def _ks(draw, cdf):
     return lambda source, size, alpha, _: statcheck.ks_gof(
         [draw(source) for _ in range(size)], cdf, alpha)
+
+
+def _wide_family(draw, law, uniforms_per_draw, *params):
+    # the law is walked when the row runs, not when the table is built
+    def check(source, reps, alpha, _):
+        lo, probs = law(*params)
+        report = pmf_law(lambda s: draw(s, *params), (lo, probs), source, reps, alpha,
+                         _wide_edges(probs))
+        return _verdict(report, source.stats.uniform_real < uniforms_per_draw * reps)
+    return check
+
+
+def _subsets(draw, n: int, k: int):
+    return lambda source, reps, alpha, _: statcheck.enumerate_subset_distribution(
+        draw, n, k, reps, source, alpha)
+
+
+def _normal_ks(draw, num: int, den: int, sd: float):
+    # z = (c - num / den) / sd, with c - num / den formed exactly
+    return _ks(lambda s: (draw(s) * den - num) / den / sd,
+               lambda z: 0.5 * math.erfc(-z / math.sqrt(2.0)))
+
+
+def _binomial_normal(n: int, p: float):
+    num, den = p.as_integer_ratio()
+    return _normal_ks(lambda s: binomial(s, n, p), n * num, den, math.sqrt(n * p * (1 - p)))
+
+
+def _hypergeometric_normal(v: int, n: int, k: int):
+    sd = math.sqrt(k * (v / n) * (1 - v / n) * ((n - k) / (n - 1)))
+    return _normal_ks(lambda s: hypergeometric(s, v, n, k), k * v, n, sd)
+
+
+def _beta_b1(a: int):
+    # the b = 1 route takes one uniform a draw
+    def check(source, size, alpha, _):
+        report = statcheck.ks_gof([beta(source, float(a), 1.0) for _ in range(size)],
+                                  lambda x: x ** a, alpha)
+        return _verdict(report, source.stats.uniform_real == size)
+    return check
+
+
+def _pair_thirds(source):
+    # the thirds of [1, 3 * 2^64] that sparse's first and second picks fall in
+    a, b = sparse_fisher_yates(source, 3 << 64, 2).indices
+    return 3 * ((a - 1) >> 64) + ((b - 1) >> 64)
+
+
+# P(thirds i, j) = (t^2 - [i = j] t) / (m (m - 1)), t = 2^64, m = 3t
+_PAIR_THIRDS_LAW = (0, [((1 << 128) - (i == j) * (1 << 64)) / ((3 << 64) * ((3 << 64) - 1))
+                        for i in range(3) for j in range(3)])
 
 
 def _membership_mean(source, reps, alpha, _):
@@ -331,10 +396,110 @@ def _prefix_consistency(source, cases, alpha, seed_of):
         for run_seed, n, k in _seeded_cells(seed_of, cases, 81)))
 
 
+def _split_marginals(source, reps, alpha, _):
+    # each block's count of a (3, 4, 5) split of 4 is Hypergeom(block, 12, 4)
+    sizes = (3, 4, 5)
+    tallies = [[0] * 5 for _ in sizes]
+    for _ in range(reps):
+        for tally, c in zip(tallies, distributed.split_sample_counts(source, sizes, 4)):
+            tally[c] += 1
+    laws = [statcheck.hypergeom_law(size, 12, 4) for size in sizes]
+    return _worst([statcheck.chi_square_gof(tally[lo:lo + len(probs)], probs, alpha)
+                   for tally, (lo, probs) in zip(tallies, laws)])
+
+
 def _merge(source, reps, alpha, _):
     inclusion, _, winner_violations = merge_two_shards(source, reps)
     return {"merge-item-inclusion-4-4": statcheck.chi_square_gof(inclusion, [1 / 8] * 8, alpha),
             "merge-winner-keeps-all": _exact(winner_violations)}
+
+
+def _merge_fy(source, reps, alpha, _):
+    # fisher_yates shards; given the merged size s, each of the 8 items is
+    # kept with chance s / 8 (sizes seen in under a twentieth of the runs,
+    # and s = 0, are left out)
+    inclusion, merged_sets, _ = merge_two_shards(source, reps, fisher_yates_sample)
+    given_size = []
+    for s in range(1, 5):
+        sets = {merged: count for merged, count in merged_sets.items() if len(merged) == s}
+        if sum(sets.values()) >= reps / 20:
+            given_size.append(statcheck.chi_square_gof(
+                [sum(count for merged, count in sets.items() if item in merged)
+                 for item in range(1, 9)], [1 / 8] * 8, alpha))
+    return {"merge-item-inclusion-fy-4-4": statcheck.chi_square_gof(inclusion, [1 / 8] * 8, alpha),
+            "merge-inclusion-given-size-4-4": _worst(given_size)}
+
+
+def _merge_drop_side(source, reps, alpha, _):
+    # shards of 4 sorted items from 8: kappa = 3 drops one position, and a
+    # bias toward either end of a shard would show in the inclusion counts
+    inclusion = [0] * 16
+    drop_side = 0
+    for _ in range(reps):
+        sample_a = sorted(sparse_fisher_yates(source, 8, 4).indices)
+        sample_b = sorted(i + 8 for i in sparse_fisher_yates(source, 8, 4).indices)
+        merged, state = distributed.merge_all_with_state(
+            source, (distributed.MergeInput(sample_a, 8), distributed.MergeInput(sample_b, 8)))
+        drop_side += state.kappas.count(3)
+        for item in merged:
+            inclusion[item - 1] += 1
+    return _verdict(statcheck.chi_square_gof(inclusion, [1 / 16] * 16, alpha),
+                    drop_side > reps // 4)
+
+
+def _merge_symmetric(source, reps, alpha, _):
+    # swapping the two shards must not change the law of the merged set
+    tallies = []
+    for swap in (False, True):
+        tally: Counter = Counter()
+        for _ in range(reps):
+            a = distributed.MergeInput(fisher_yates_sample(source, 3, 1).indices, 3)
+            b = distributed.MergeInput([3 + fisher_yates_sample(source, 3, 1).indices[0]], 3)
+            merged, _ = distributed.merge_all_with_state(source, (b, a) if swap else (a, b))
+            tally[frozenset(merged)] += 1
+        tallies.append(tally)
+    keys = sorted(set(tallies[0]) | set(tallies[1]), key=sorted)
+    return statcheck.chi_square_two_sample(*([t[s] for s in keys] for t in tallies), alpha)
+
+
+def _merge_beside_empty(source, reps, alpha, _):
+    # an empty shard's threshold is Beta(1, N); beside it, the kept count of
+    # a 10-item shard has nearly the same law at N = 10^5 and 10^17 (Exp(1)
+    # against Gamma(11) after scaling by N)
+    tallies = []
+    for n in (10**5, 10**17):
+        inputs = (distributed.MergeInput([], n), distributed.MergeInput(range(10), n))
+        tally = [0] * 11
+        for _ in range(reps):
+            tally[distributed.merge_all_with_state(source, inputs)[1].kappas[1]] += 1
+        tallies.append(tally)
+    return statcheck.chi_square_two_sample(*tallies, alpha)
+
+
+def _thinning(q: float):
+    # the kept count of 5 items is Binomial(5, q), and the kept subsets of
+    # each size are uniform
+    def check(source, reps, alpha, _):
+        kept = Counter(tuple(distributed._thin(source, range(5), q)) for _ in range(reps))
+        sizes = [0] * 6
+        for subset, count in kept.items():
+            sizes[len(subset)] += count
+        lo, probs = statcheck.binomial_law(5, q)
+        reports = [statcheck.chi_square_gof(sizes[lo:lo + len(probs)], probs, alpha)]
+        for m in range(1, 5):
+            subsets = list(itertools.combinations(range(5), m))
+            reports.append(statcheck.chi_square_gof(
+                [kept[subset] for subset in subsets], [1 / len(subsets)] * len(subsets), alpha))
+        return _worst(reports)
+    return check
+
+
+def _downsample_items(source, reps, alpha, _):
+    inclusion = [0] * 5
+    for _ in range(reps):
+        for item in distributed.downsample(source, [1, 2, 3, 4, 5], 2):
+            inclusion[item - 1] += 1
+    return statcheck.chi_square_gof(inclusion, [1 / 5] * 5, alpha)
 
 
 def _uniform_sweep(source, reps, alpha, seed_of):
@@ -359,64 +524,142 @@ def _calibration(source, reps, alpha, _):
 
 
 def _checks() -> list[tuple]:
-    """The suite's rows (name, scale key, check), in report order."""
+    """The suite's rows (name, (quick, full) scale, check), in report order."""
     perm_index = {p: i for i, p in enumerate(itertools.permutations(range(1, 5)))}
     return [
-        ("uniform-int-equidist-m6", "uniform_draws",
+        ("uniform-int-equidist-m6", (60_000, 600_000),
          _law(lambda s: s.next_uniform_int(6), (1, [1 / 6] * 6))),
-        ("uniform-real-ks", "ks_n", _ks(lambda s: s.next_uniform_real(), lambda z: z)),
-        ("binomial-pmf-n10-p0.5", "dist_reps", _family(binomial, statcheck.binomial_law, 10, 0.5)),
+        # bounds above 2^64 join words: next_uniform_int, then the run of
+        # bounds in descending_ints
+        ("uniform-int-thirds-m3x2^64", (30_000, 300_000),
+         _law(lambda s: (s.next_uniform_int(3 << 64) - 1) >> 64, (0, [1 / 3] * 3))),
+        ("sparse-pair-thirds-n3x2^64", (30_000, 300_000), _law(_pair_thirds, _PAIR_THIRDS_LAW)),
+        ("uniform-real-ks", _KS_N, _ks(lambda s: s.next_uniform_real(), lambda z: z)),
+        ("binomial-pmf-n10-p0.5", _DIST_REPS, _family(binomial, statcheck.binomial_law, 10, 0.5)),
         # np = 40 exercises the BTRD path
-        ("binomial-pmf-n100-p0.4", "dist_reps",
+        ("binomial-pmf-n100-p0.4", _DIST_REPS,
          _family(binomial, statcheck.binomial_law, 100, 0.4)),
-        *[(name, "dist_reps", _family(beta_binomial, statcheck.beta_binomial_law, a, b, m))
-          for name, a, b, m in (("beta-binomial-uniform-1-1-5", 1, 1, 5),
-                                ("beta-binomial-pmf-1-2-3", 1, 2, 3),
-                                ("beta-binomial-pmf-2-2-6", 2, 2, 6))],
+        ("binomial-pmf-n10-p0.3", _LAW_REPS, _family(binomial, statcheck.binomial_law, 10, 0.3)),
+        # BTRD up to n = 10^30, the p > 1/2 reflection included; it takes
+        # 1.4-1.8 uniforms a draw, and the row fails at 2
+        *[(f"binomial-btrd-{name}", (40_000, 100_000),
+           _wide_family(binomial, statcheck.binomial_law, 2, n, p))
+          for name, n, p in (("n1000-p0.3", 1000, 0.3), ("n5000-p0.9", 5000, 0.9),
+                             ("n1e9-p0.4", 10**9, 0.4), ("n2^53+1-p2^-45", 2**53 + 1, 2.0**-45),
+                             ("n2^64+1-p1-2^-50", 2**64 + 1, 1 - 2.0**-50),
+                             ("n1e30-p1e-27", 10**30, 1e-27))],
+        # sd from 1e5 to 3e149: too wide for the oracle's pmf walk, and normal to
+        # within O(1/sd)
+        *[(f"binomial-z-{name}", _KS_N, _binomial_normal(n, p))
+          for name, n, p in (("n1e300-p1e-290", 10**300, 1e-290), ("n2^1023-p0.5", 2**1023, 0.5),
+                             ("n2^1023+2^1000-p0.3", 2**1023 + 2**1000, 0.3))],
+        *[(name, scale, _family(beta_binomial, statcheck.beta_binomial_law, a, b, m))
+          for name, scale, a, b, m in (("beta-binomial-uniform-1-1-5", _LAW_REPS, 1, 1, 5),
+                                       ("beta-binomial-pmf-1-2-3", _DIST_REPS, 1, 2, 3),
+                                       ("beta-binomial-pmf-2-2-6", _LAW_REPS, 2, 2, 6),
+                                       ("beta-binomial-pmf-1-3-5", _LAW_REPS, 1, 3, 5))],
         # (20, 60, 25) takes inversion at mean 8.3 with min(v, k) = 20 after the
-        # symmetries; (70, 150, 75), mean 35, takes HRUA
-        *[(f"hypergeometric-pmf-{v}-{n}-{k}", "dist_reps",
+        # symmetries; (70, 150, 75), mean 35, takes HRUA; (40, 1000, 300) and
+        # (300, 1000, 960) take inversion over 41 points, directly and through
+        # k -> n - k; (9, 12, 5) goes through v -> n - v
+        *[(f"hypergeometric-pmf-{v}-{n}-{k}", scale,
            _family(hypergeometric, statcheck.hypergeom_law, v, n, k))
-          for v, n, k in ((2, 4, 2), (5, 12, 7), (20, 60, 25), (70, 150, 75))],
-        ("beta-quantile-ks-a1-b4", "ks_n",
+          for scale, v, n, k in ((_LAW_REPS, 2, 4, 2), (_DIST_REPS, 5, 12, 7),
+                                 (_DIST_REPS, 20, 60, 25), (_DIST_REPS, 70, 150, 75),
+                                 (_LAW_REPS, 40, 1000, 300), (_LAW_REPS, 300, 1000, 960),
+                                 (_DIST_REPS, 9, 12, 5))],
+        # HRUA takes about 3 uniforms a draw, and the row fails at 4
+        *[(f"hypergeometric-hrua-{name}", (40_000, 100_000),
+           _wide_family(hypergeometric, statcheck.hypergeom_law, 4, v, n, k))
+          for name, v, n, k in (("500-2000-300", 500, 2000, 300),
+                                ("1e9-3e9-1500", 10**9, 3 * 10**9, 1500),
+                                ("2^62-2^64+1-1500", 2**62, 2**64 + 1, 1500),
+                                ("1e29-1e30-4000", 10**29, 10**30, 4000))],
+        *[(f"hypergeometric-z-{name}", _KS_N, _hypergeometric_normal(v, n, k))
+          for name, v, n, k in (("1e40-3e40-1e39", 10**40, 3 * 10**40, 10**39),
+                                ("1e200-3e200-1e150", 10**200, 3 * 10**200, 10**150),
+                                ("1e300-1e307-1e306", 10**300, 10**307, 10**306))],
+        ("beta-quantile-ks-a1-b4", _KS_N,
          _ks(lambda s: beta(s, 1.0, 4.0), lambda z: 1.0 - (1.0 - z) ** 4)),
         # chance that at least 3 of 4 uniforms fall below z
-        ("beta-ks-a3-b2", "ks_n",
+        ("beta-ks-a3-b2", _KS_N,
          _ks(lambda s: beta(s, 3.0, 2.0), lambda z: 4.0 * z ** 3 * (1.0 - z) + z ** 4)),
-        *[(f"subset-uniformity-{algo}", "subset_reps",
-           lambda source, reps, alpha, _, sampler=sampler: statcheck.enumerate_subset_distribution(
-               lambda s: sampler(s, 6, 3).indices, 6, 3, reps, source, alpha))
+        # past b of about 2^50, 1 - U**(1/b) rounds to 0 for almost every U;
+        # alpha = 3 runs BB with its shapes 18 orders of magnitude apart
+        *[(f"beta-ks-a{a}-b{name}", _KS_N, _ks(lambda s, a=a, b=b: beta(s, float(a), b),
+                                               _beta_cdf(a, b)))
+          for a in (1, 3) for name, b in (("2^60", 2.0**60), ("1e17", 1e17))],
+        ("beta-ks-a2-b1", _KS_N, _beta_b1(2)),
+        ("beta-ks-a6-b1", _KS_N, _beta_b1(6)),
+        # Beta(40, 5) is 1 - Beta(5, 40): BB with the shapes swapped
+        ("beta-ks-a5-b40", _KS_N, _ks(lambda s: beta(s, 5.0, 40.0), _beta_cdf(5, 40))),
+        ("beta-ks-a40-b5", _KS_N, _ks(lambda s: beta(s, 40.0, 5.0),
+                                      lambda x, low=_beta_cdf(5, 40): 1.0 - low(1.0 - x))),
+        *[(f"subset-uniformity-{algo}", _SUBSET_REPS,
+           _subsets(lambda s, sampler=sampler: sampler(s, 6, 3).indices, 6, 3))
           for algo, sampler in default_samplers().items()],
-        *[(name, "fp_reps", lambda source, reps, alpha, _, sampler=sampler:
+        *[(name, scale, lambda source, reps, alpha, _, sampler=sampler:
            first_position_law(sampler, source, 5, 2, reps, alpha))
-          for name, sampler in (("first-position-inorder-5-2", inorder_sample),
-                                ("first-position-sparse-min-5-2", sparse_fisher_yates))],
-        ("membership-mean-draws-100-50", "member_reps", _membership_mean),
-        ("hash-occupancy-n1000", "occupancy_runs", _occupancy),
-        ("draw-budget-exact", "structural_cases", _draw_budget),
-        ("sorted-order-outputs", "structural_cases", _sorted_outputs),
-        ("sparse-classical-bitexact", "structural_cases", lambda source, cases, alpha, seed_of:
+          for name, scale, sampler in (
+              ("first-position-inorder-5-2", (40_000, 100_000), inorder_sample),
+              ("first-position-sparse-min-5-2", (30_000, 100_000), sparse_fisher_yates))],
+        ("membership-mean-draws-100-50", (20_000, 100_000), _membership_mean),
+        ("hash-occupancy-n1000", (1_500, 10_000), _occupancy),
+        ("draw-budget-exact", _STRUCTURAL_CASES, _draw_budget),
+        ("sorted-order-outputs", _STRUCTURAL_CASES, _sorted_outputs),
+        ("sparse-classical-bitexact", _STRUCTURAL_CASES, lambda source, cases, alpha, seed_of:
          _exact(bitexact_mismatches(_seeded_cells(seed_of, cases, 81)))),
-        ("iterator-prefix-consistency", "structural_cases", _prefix_consistency),
-        ("preinit-restoration", "structural_cases", lambda source, cases, alpha, _:
+        ("iterator-prefix-consistency", _STRUCTURAL_CASES, _prefix_consistency),
+        ("preinit-restoration", _STRUCTURAL_CASES, lambda source, cases, alpha, _:
          _exact(restoration_violations(source, random_cells(source, cases, 2, 101), 10 ** 6))),
-        ("split-counts-2-2-k2", "split_reps",
+        ("split-counts-2-2-k2", (60_000, 100_000),
          _law(lambda s: distributed.split_sample_counts(s, (2, 2), 2)[0],
               statcheck.hypergeom_law(2, 4, 2))),
-        ("merge-item-inclusion-4-4", "merge_reps", _merge),
-        ("permutation-uniformity-n4", "perm_reps",
+        ("split-counts-3-4-5-k4", (40_000, 100_000), _split_marginals),
+        ("merge-item-inclusion-4-4", (20_000, 200_000), _merge),
+        ("merge-item-inclusion-fy-4-4", _LAW_REPS, _merge_fy),
+        ("merge-inclusion-drop-side-8-8", (40_000, 100_000), _merge_drop_side),
+        ("merge-symmetric-3-3", (30_000, 100_000), _merge_symmetric),
+        ("merge-beside-empty-1e5-1e17", (20_000, 100_000), _merge_beside_empty),
+        # 256 q = 76.8 draws a Bernoulli at each tie byte; 256 q = 160 draws none
+        ("thinning-q0.3", _LAW_REPS, _thinning(0.3)),
+        ("thinning-q0.625", _LAW_REPS, _thinning(0.625)),
+        ("permutation-uniformity-n4", (24_000, 120_000),
          _law(lambda s: perm_index[tuple(permutation_from_transpositions(s, 4))],
               (0, [1 / 24] * 24))),
-        ("uniform-int-sweep-m1-64", "sweep_reps", _uniform_sweep),
-        ("split-merge-duality-4-4-k3", "duality_reps",
+        # per value of each bound m
+        ("uniform-int-sweep-m1-64", (0, 10_000), _uniform_sweep),
+        ("split-merge-duality-4-4-k3", (0, 20_000),
          lambda source, reps, alpha, _: split_merge_law(source, 3, reps, alpha)),
-        ("chi-square-calibration-ncat20", "calibration_reps", _calibration),
-        *[(f"downsample-subsets-{n}-{m}", "subset_reps", lambda source, reps, alpha, _, n=n, m=m:
-           downsample_subsets_law(source, n, m, reps, alpha))
+        ("chi-square-calibration-ncat20", (0, 100_000), _calibration),
+        # keep m of n: a small min(m, n - m) takes the draws route (the
+        # positions to keep if 2m <= n, else to drop), a large one the marks
+        # route, with fix-ups both ways; see distributed.downsample
+        *[(f"downsample-subsets-{n}-{m}", (20_000, 100_000),
+           _subsets(lambda s, n=n, m=m: distributed.downsample(s, range(1, n + 1), m), n, m))
           for n, m in ((5, 2), (5, 3), (12, 1), (12, 11))],
-        ("reservoir-max-position-60-3", "fp_reps",
-         lambda source, reps, alpha, _: reservoir_max_law(source, 60, 3, reps, alpha)),
+        ("downsample-items-5-2", (30_000, 100_000), _downsample_items),
+        # items arrive in increasing order, so the largest kept one is the last
+        # replacement: its law, P(max = m) = C(m - 1, 2) / C(60, 3), reads the
+        # whole chain of skips, the longest ones included
+        ("reservoir-max-position-60-3", (40_000, 100_000),
+         _law(lambda s: max(reservoir_sample(s, range(1, 61), 3).indices),
+              (3, [math.comb(m - 1, 2) / math.comb(60, 3) for m in range(3, 61)]))),
     ]
+
+
+def run_row(name: str, check, size: int, seed: int, alpha: float) -> list[CheckRecord]:
+    """The records of one row's check at size, run on the source and seeds
+    that the run seed and the row's name derive."""
+    results = check(RandomSource(_derive(seed, name)), size, alpha,
+                    lambda tag: _derive(seed, f"{name}-{tag}"))
+    records = []
+    # a merge row reports two records from one run
+    for label, result in (results.items() if isinstance(results, dict) else [(name, results)]):
+        if not isinstance(result, tuple):
+            result = result.statistic, result.p_value, result.passed
+        records.append(CheckRecord(label, *result))
+    return records
 
 
 def run_suite(suite: str = "quick", seed: int = 0,
@@ -424,19 +667,8 @@ def run_suite(suite: str = "quick", seed: int = 0,
     if suite not in _SUITES:
         raise ValueError(f"unknown suite {suite!r}, expected 'quick' or 'full'")
     column = _SUITES.index(suite)
-    records = []
-    for name, key, check in _checks():
-        size = _SCALES[key][column]
-        if size == 0:
-            continue
-        results = check(RandomSource(_derive(seed, name)), size, alpha,
-                        lambda tag: _derive(seed, f"{name}-{tag}"))
-        # the merge row reports two records from one run
-        for label, result in (results.items() if isinstance(results, dict) else [(name, results)]):
-            if not isinstance(result, tuple):
-                result = result.statistic, result.p_value, result.passed
-            records.append(CheckRecord(label, *result))
-    return records
+    return [record for name, scale, check in _checks() if scale[column]
+            for record in run_row(name, check, scale[column], seed, alpha)]
 
 
 def format_report(records: list[CheckRecord]) -> str:

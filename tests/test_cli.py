@@ -1,7 +1,6 @@
 """End-to-end CLI tests through main(argv): exit codes, formats, determinism."""
 
 import csv
-import hashlib
 import io
 import json
 import os
@@ -162,6 +161,38 @@ def test_sample_file_decodes_as_stdin(tmp_path, monkeypatch, errors, code):
     picked = by_file.stdout.encode(**codec).splitlines(keepends=True)
     assert len(picked) == 4 * (1 - code)
     assert set(picked) <= set(data.splitlines(keepends=True))
+
+
+@pytest.mark.parametrize("route", ["file", "stdin"])
+def test_sample_file_splits_lines_as_stdin(tmp_path, route):
+    # lines end at "\n" alone by either route, so "\r" stays inside a line
+    # and "\r\n" keeps its "\r"; all three lines are printed verbatim
+    data = b"a\rb\nc\r\nd\n"
+    path = tmp_path / "cr.txt"
+    path.write_bytes(data)
+    for options in (["--k", "3"], ["--n", "3", "--k", "3"]):
+        argv = ["sample", *options, str(path) if route == "file" else "-"]
+        proc = subprocess.run([sys.executable, "-m", "srswor", *argv], env=_env(), input=data,
+                              capture_output=True, timeout=60)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, data, b"")
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+@pytest.mark.parametrize("argv", [
+    ["sample", "--indices-only", "--n", "10", "--k", "5"],
+    ["bench", "--grid", "10:1", "--algos", "fy", "--reps", "3"],
+])
+def test_full_disk_exits_1_with_one_line(argv, unbuffered):
+    # buffered, stdout still holds the bytes /dev/full refused, which would
+    # fail again in the flush at exit
+    env = _env()
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([sys.executable, "-m", "srswor", *argv], env=env, stdout=full,
+                              stderr=subprocess.PIPE, text=True, timeout=60)
+    assert (proc.returncode, proc.stderr) == (1, f"{argv[0]}: [Errno 28] No space left on device\n")
 
 
 def test_float_overflow_exits_2_without_traceback(tmp_path):
@@ -376,47 +407,40 @@ def test_bench_bad_reps(capsys):
 
 # --- verify ---
 
-QUICK_SEED1_SHA256 = "915e789941b87bf88f33d7f469e39eeef47dd5e3905537decaf475b639788b14"
+@pytest.fixture
+def two_rows(monkeypatch):
+    # verify's own behaviour over a stochastic row and an exact one that
+    # reports its scale; the real table's rows run in tests/test_suite.py
+    monkeypatch.setattr(suite, "_checks", lambda: [
+        ("coin", (2_000, 20_000), suite._law(lambda s: s.next_uniform_int(2), (1, [0.5, 0.5]))),
+        ("scale", (3, 7), lambda source, size, alpha, _: (float(size), 1.0, True))])
 
 
-@pytest.fixture(scope="module")
-def quick_verify_seed1(tmp_path_factory):
-    # one quick-suite run, shared by the tests of its text and its JSON report
-    path = tmp_path_factory.mktemp("verify") / "report.json"
-    out, err = io.StringIO(), io.StringIO()
-    with redirect_stdout(out), redirect_stderr(err):
-        code = main(["verify", "--suite", "quick", "--seed", "1", "--json", str(path)])
-    return code, out.getvalue(), err.getvalue(), path
+def test_verify_quick_seed1_passes(capsys, two_rows):
+    for name, stat in (("quick", "3"), ("full", "7")):
+        code, out, err = run_cli(capsys, "verify", "--suite", name, "--seed", "1")
+        assert (code, err) == (0, "")
+        assert out == suite.format_report(suite.run_suite(name, 1))
+        assert [line.split()[0] for line in out.splitlines()] == ["coin", "scale"]
+        assert all(line.endswith("PASS") for line in out.splitlines())
+        assert f"stat={stat:>12s}" in out.splitlines()[1]
 
 
-def test_verify_quick_seed1_passes(quick_verify_seed1):
-    code, out, err, _ = quick_verify_seed1
+def test_verify_json_report(capsys, two_rows, tmp_path):
+    path = tmp_path / "report.json"
+    code, out, _ = run_cli(capsys, "verify", "--seed", "1", "--json", str(path))
     assert code == 0
-    assert err == ""
-    lines = out.splitlines()
-    assert lines
-    assert all(line.endswith("PASS") for line in lines)
-    # the text is pinned: a change that moves the stream on purpose updates
-    # this digest and says so
-    assert hashlib.sha256(out.encode()).hexdigest() == QUICK_SEED1_SHA256, out
+    assert json.loads(path.read_text()) == [
+        {"name": r.name, "statistic": r.statistic, "p_value": r.p_value, "pass": r.passed}
+        for r in suite.run_suite("quick", 1)]
 
 
-def test_verify_json_report(quick_verify_seed1):
-    code, out, _, path = quick_verify_seed1
-    assert code == 0
-    payload = json.loads(path.read_text())
-    assert len(payload) == len(out.splitlines())
-    for record in payload:
-        assert set(record) == {"name", "statistic", "p_value", "pass"}
-        assert record["pass"] is True
-
-
-def test_verify_alpha_one_fails_stochastic_checks(capsys):
+def test_verify_alpha_one_fails_stochastic_checks(capsys, two_rows):
     # alpha=1.0 makes every check with p < 1 fail by construction
-    code, _, err = run_cli(capsys, "verify", "--suite", "quick", "--seed", "1",
-                           "--alpha", "1.0")
+    code, out, err = run_cli(capsys, "verify", "--seed", "1", "--alpha", "1.0")
     assert code == 3
-    assert "failed" in err
+    assert [line.split()[-1] for line in out.splitlines()] == ["FAIL", "PASS"]
+    assert err == "verify: 1 check(s) failed:\n  coin\n"
 
 
 @pytest.mark.parametrize("alpha", ["0", "-1", "1.5", "nan"])
@@ -437,8 +461,8 @@ def test_verify_table_rows():
     rows = suite._checks()
     names = [name for name, _, _ in rows]
     assert len(set(names)) == len(names)
-    assert {key for _, key, _ in rows} <= set(suite._SCALES)
-    assert [name for name, key, _ in rows if suite._SCALES[key][0] == 0] == [
+    assert all(0 <= quick <= full for _, (quick, full), _ in rows)
+    assert [name for name, (quick, _), _ in rows if quick == 0] == [
         "uniform-int-sweep-m1-64", "split-merge-duality-4-4-k3",
         "chi-square-calibration-ncat20"]
     with pytest.raises(ValueError):

@@ -1,9 +1,8 @@
-"""Split/merge tests: count laws, inclusion uniformity, structural guarantees."""
+"""Split/merge tests: structural guarantees, draw budgets, scripted traces.
+Their laws are rows of the verify table (srswor.suite)."""
 
 import copy
-import itertools
 import math
-from collections import Counter
 
 import pytest
 from hypothesis import assume, given, settings
@@ -11,7 +10,6 @@ import hypothesis.strategies as st
 
 from srswor.distributed import (
     MergeInput,
-    _thin,
     downsample,
     merge_all_with_state,
     split_sample_counts,
@@ -19,8 +17,6 @@ from srswor.distributed import (
 from srswor.distributions import beta
 from srswor.rng import DrawStats, RandomSource, ScriptedSource, ScriptExhaustedError
 from srswor.samplers import fisher_yates_sample, sparse_fisher_yates
-from srswor.statcheck import binomial_law, chi_square_gof, chi_square_two_sample, hypergeom_law
-from srswor.suite import downsample_subsets_law, pmf_law
 
 
 def test_merge_input_validation():
@@ -67,29 +63,6 @@ def test_split_counts_validation():
         split_sample_counts(src, [3, 0], 1)
     with pytest.raises(ValueError):
         split_sample_counts(src, [3, 3], 7)
-
-
-def test_split_counts_marginal_law():
-    # first-block count of a (2, 2) split of k=2 is Hypergeom(2, 4, 2)
-    report = pmf_law(lambda s: split_sample_counts(s, [2, 2], 2)[0],
-                     hypergeom_law(2, 4, 2), RandomSource(13), 60000,
-                     0.001)
-    assert report.passed, report
-
-
-def test_split_counts_three_block_marginals():
-    # each block's count is marginally Hypergeom(block, total, k)
-    src = RandomSource(14)
-    reps = 40000
-    sizes = [3, 4, 5]
-    tallies = [Counter() for _ in sizes]
-    for _ in range(reps):
-        for t, c in zip(tallies, split_sample_counts(src, sizes, 4)):
-            t[c] += 1
-    for size, tally in zip(sizes, tallies):
-        lo, probs = hypergeom_law(size, 12, 4)
-        report = chi_square_gof([tally[lo + i] for i in range(len(probs))], probs)
-        assert report.passed and sum(tally.values()) == reps, report
 
 
 # --- merging ---
@@ -146,22 +119,6 @@ def test_merge_single_input_is_identity_set():
     assert state.kappas == (3,)
 
 
-def test_merge_inclusion_probabilities_equalize():
-    # two shards sampled at equal rates k/n: every union item should end
-    # up included equally often
-    src = RandomSource(20)
-    reps = 40000
-    inc = Counter()
-    for _ in range(reps):
-        sa = fisher_yates_sample(src, 4, 2).indices
-        sb = [x + 4 for x in fisher_yates_sample(src, 4, 2).indices]
-        merged, _ = merge_all_with_state(src, (MergeInput(sa, 4), MergeInput(sb, 4)))
-        for item in merged:
-            inc[item] += 1
-    report = chi_square_gof([inc[i] for i in range(1, 9)], [1 / 8] * 8)
-    assert report.passed, report
-
-
 def test_merge_three_shards_structure():
     src = RandomSource(21)
     for _ in range(1000):
@@ -176,70 +133,6 @@ def test_merge_three_shards_structure():
         win = state.thresholds.index(min(state.thresholds))
         assert state.kappas[win] == len(inputs[win].sample)
         assert len(set(merged)) == len(merged)
-
-
-def test_merge_conditional_inclusion_is_size_over_union():
-    # Conditioned on the merged size s, each of the 8 union items is
-    # included with probability s/8.
-    src = RandomSource(22)
-    reps = 60000
-    inc_by_size: dict[int, Counter] = {}
-    runs_by_size: Counter = Counter()
-    for _ in range(reps):
-        sa = fisher_yates_sample(src, 4, 2).indices
-        sb = [x + 4 for x in fisher_yates_sample(src, 4, 2).indices]
-        merged, _ = merge_all_with_state(src, (MergeInput(sa, 4), MergeInput(sb, 4)))
-        s = len(merged)
-        runs_by_size[s] += 1
-        tally = inc_by_size.setdefault(s, Counter())
-        for item in merged:
-            tally[item] += 1
-    for s, tally in inc_by_size.items():
-        if s == 0 or runs_by_size[s] < 3000:
-            continue
-        report = chi_square_gof([tally[i] for i in range(1, 9)], [1 / 8] * 8)
-        assert report.passed, f"size {s}: {report}"
-
-
-def test_merge_symmetric_in_inputs():
-    # swapping the argument order must not change the distribution of the
-    # merged set; compare subset frequencies with a two-sample chi-square
-    reps = 30000
-    tallies = []
-    for swap in (False, True):
-        src = RandomSource(1000 + swap)
-        tally: Counter = Counter()
-        for _ in range(reps):
-            sa = fisher_yates_sample(src, 3, 1).indices
-            sb = [x + 3 for x in fisher_yates_sample(src, 3, 1).indices]
-            a, b = MergeInput(sa, 3), MergeInput(sb, 3)
-            merged, _ = merge_all_with_state(src, (b, a) if swap else (a, b))
-            tally[frozenset(merged)] += 1
-        tallies.append(tally)
-    keys = sorted(set(tallies[0]) | set(tallies[1]), key=sorted)
-    report = chi_square_two_sample(
-        [tallies[0].get(s, 0) for s in keys],
-        [tallies[1].get(s, 0) for s in keys],
-        alpha=0.001,
-    )
-    assert report.passed, f"p={report.p_value}"
-
-
-def test_merge_beside_empty_shard_flat_in_n():
-    # an empty shard's threshold is Beta(1, N); beside it, the kept count
-    # of a 10-item shard has nearly the same law at N = 10^5 and 10^17
-    # (Exp(1) against Gamma(11) after scaling by N)
-    reps = 20000
-    tallies = []
-    for n in (10**5, 10**17):
-        src = RandomSource(n % 1009)
-        inputs = (MergeInput([], n), MergeInput(range(10), n))
-        tally = [0] * 11
-        for _ in range(reps):
-            tally[merge_all_with_state(src, inputs)[1].kappas[1]] += 1
-        tallies.append(tally)
-    report = chi_square_two_sample(*tallies, alpha=0.001)
-    assert report.passed, report
 
 
 # --- downsampling ---
@@ -317,31 +210,6 @@ def test_downsample_mask_matches_sort(seed, n, c, drop):
     assert src.stats == ref.stats and src.words_generated == ref.words_generated
 
 
-def test_downsample_uniform_over_items():
-    src = RandomSource(26)
-    reps = 30000
-    inc = Counter()
-    for _ in range(reps):
-        for item in downsample(src, [1, 2, 3, 4, 5], 2):
-            inc[item] += 1
-    report = chi_square_gof([inc[i] for i in range(1, 6)], [1 / 5] * 5)
-    assert report.passed, report
-
-
-@pytest.mark.parametrize("m, seed", [(2, 27), (3, 28)])
-def test_downsample_subsets_law(m, seed):
-    # keep 2 or 3 of 5 takes the marks route, with fix-ups both ways
-    report = downsample_subsets_law(RandomSource(seed), 5, m, 20000, 0.001)
-    assert report.passed, report
-
-
-@pytest.mark.parametrize("m, seed", [(1, 31), (11, 32)])
-def test_downsample_subsets_law_draws_route(m, seed):
-    # keep 1 of 12 draws the kept position, keep 11 of 12 the dropped one
-    report = downsample_subsets_law(RandomSource(seed), 12, m, 20000, 0.001)
-    assert report.passed, report
-
-
 def _word(marks) -> int:
     """The scripted next_uniform_int(2**64) whose word has the given bytes."""
     return int.from_bytes(bytes(marks), "little") + 1
@@ -383,45 +251,6 @@ def test_merge_thinning_tie_byte(script, kept, reals):
                                   bernoulli=reals - 1)
     with pytest.raises(ScriptExhaustedError):
         src.next_uniform_real()
-
-
-@pytest.mark.parametrize("q, seed", [(0.3, 211), (0.625, 223)])
-def test_thinning_law(q, seed):
-    # 256 * 0.3 = 76.8 draws a Bernoulli at each tie byte; 256 * 0.625 = 160
-    # draws none.  The count is Binomial(5, q), and the subsets of each
-    # size are uniform.
-    items = range(5)
-    reps = 60000
-    src = RandomSource(seed)
-    kept = [tuple(_thin(src, items, q)) for _ in range(reps)]
-    sizes = Counter(len(subset) for subset in kept)
-    lo, probs = binomial_law(5, q)
-    report = chi_square_gof([sizes[lo + i] for i in range(len(probs))], probs)
-    assert report.passed, report
-    by_subset = Counter(kept)
-    for m in range(1, 5):
-        subsets = list(itertools.combinations(items, m))
-        report = chi_square_gof([by_subset[sub] for sub in subsets],
-                                [1 / len(subsets)] * len(subsets))
-        assert report.passed, (m, report)
-
-
-def test_merge_inclusion_drop_side():
-    # shards of 4 sorted items from 8: kappa = 3 drops one position, and a
-    # bias toward either end of a shard would show in the inclusion counts
-    src = RandomSource(29)
-    reps = 40000
-    inc = Counter()
-    drop_side = 0
-    for _ in range(reps):
-        sa = sorted(sparse_fisher_yates(src, 8, 4).indices)
-        sb = sorted(x + 8 for x in sparse_fisher_yates(src, 8, 4).indices)
-        merged, state = merge_all_with_state(src, (MergeInput(sa, 8), MergeInput(sb, 8)))
-        drop_side += state.kappas.count(3)
-        inc.update(merged)
-    assert drop_side > reps // 4
-    report = chi_square_gof([inc[i] for i in range(1, 17)], [1 / 16] * 16)
-    assert report.passed, report
 
 
 def _is_subsequence(part, whole):

@@ -1,7 +1,6 @@
-"""Distribution sampler tests: exactness properties, edge cases, laws against
-the statcheck oracle."""
+"""Distribution sampler tests: exactness properties, edge cases and draw
+counts.  Their laws are rows of the verify table (srswor.suite)."""
 
-import bisect
 import math
 from decimal import Decimal, localcontext
 
@@ -19,14 +18,7 @@ from srswor.distributions import (
     _log_fact_core,
 )
 from srswor.rng import DrawStats, RandomSource, ScriptedSource
-from srswor.statcheck import (
-    beta_binomial_law,
-    binomial_law,
-    chi_square_gof,
-    hypergeom_law,
-    ks_gof,
-)
-from srswor.suite import pmf_law
+from srswor.statcheck import hypergeom_law
 
 
 # --- argument validation ---
@@ -119,60 +111,6 @@ def test_beta_alpha1_quantiles():
         assert abs(empirical - theoretical) < 0.01
 
 
-def _beta_cdf(alpha, b):
-    """CDF of Beta(alpha, b) for integer alpha: the chance that at least alpha
-    of N = alpha + b - 1 uniforms fall below x, with (1 - x)^m taken as
-    exp(m log1p(-x)) so that it holds at huge b."""
-    n = alpha + b - 1
-
-    def cdf(x):
-        total, coef = 0.0, 1.0
-        for j in range(alpha):
-            total += coef * x ** j * math.exp((n - j) * math.log1p(-x))
-            coef *= (n - j) / (j + 1)
-        return 1.0 - total
-    return cdf
-
-
-@pytest.mark.parametrize("b", [2.0 ** 60, 1e17])
-def test_beta_alpha1_huge_beta_law(b):
-    # past b of about 2^50, 1 - U**(1/b) rounds to 0 for almost every U;
-    # the draws must still follow the exact CDF 1 - (1 - x)^b
-    src = RandomSource(61)
-    xs = [beta(src, 1.0, b) for _ in range(20000)]
-    report = ks_gof(xs, _beta_cdf(1, b), alpha=0.001)
-    assert report.passed, report
-
-
-@pytest.mark.parametrize("b", [2.0 ** 60, 1e17])
-def test_beta_bb_huge_beta_law(b):
-    # Cheng's BB with its shapes 18 orders of magnitude apart
-    src = RandomSource(67)
-    xs = [beta(src, 3.0, b) for _ in range(20000)]
-    report = ks_gof(xs, _beta_cdf(3, b), alpha=0.001)
-    assert report.passed, report
-
-
-@pytest.mark.parametrize("alpha", [2, 6])
-def test_beta_b1_route_law(alpha):
-    src = RandomSource(71)
-    xs = [beta(src, float(alpha), 1.0) for _ in range(20000)]
-    report = ks_gof(xs, lambda x: x ** alpha, alpha=0.001)
-    assert report.passed, report
-    assert src.stats.uniform_real == 20000
-
-
-@pytest.mark.parametrize("alpha, b", [(5, 40), (40, 5)])
-def test_beta_bb_law_both_orientations(alpha, b):
-    # Beta(40, 5) is 1 - Beta(5, 40): the same method, the shapes swapped
-    lower = _beta_cdf(5, 40)
-    cdf = lower if alpha == 5 else lambda x: 1.0 - lower(1.0 - x)
-    src = RandomSource(73)
-    xs = [beta(src, float(alpha), float(b)) for _ in range(20000)]
-    report = ks_gof(xs, cdf, alpha=0.001)
-    assert report.passed, report
-
-
 @pytest.mark.parametrize("alpha, b", [(3.0, 2.0), (201, 10**7 - 200)])
 def test_beta_bb_uniforms_per_draw(alpha, b):
     # BB accepts a pair of uniforms about 9 times in 10
@@ -246,13 +184,6 @@ def test_binomial_support():
             assert 0 <= c <= n
 
 
-def test_binomial_inversion_route_pmf():
-    # n*min(p,1-p) small: the CDF inversion path
-    report = pmf_law(lambda s: binomial(s, 10, 0.3), binomial_law(10, 0.3),
-                     RandomSource(31), 60000, 0.001)
-    assert report.passed, report
-
-
 def test_binomial_split_route_mean_var():
     # n*p large enough to force the BTRD path.
     src = RandomSource(37)
@@ -273,92 +204,6 @@ def test_binomial_split_route_mean_var():
 def test_binomial_support_property(n, p, seed):
     c = binomial(RandomSource(seed), n, p)
     assert 0 <= c <= n
-
-
-def _law_report(draws, law):
-    """Chi-square of draws against law = (lo, probs), the statcheck oracle's
-    exact pmf of lo, lo + 1, ...
-
-    Cells of equal width cover the law's mean +- 4 sd; the two tails beyond
-    are pooled into one cell each.  Both are taken over offsets from lo, so
-    a float keeps them exact to a fraction of a cell however large lo is.
-    """
-    lo, probs = law
-    mean = sum(i * q for i, q in enumerate(probs))
-    sd = math.sqrt(sum((i - mean) ** 2 * q for i, q in enumerate(probs)))
-    left, right = math.floor(mean - 4 * sd), math.ceil(mean + 4 * sd)
-    width = max(1, math.ceil((right - left + 1) / 60))
-    edges = [0, *range(left, right + 1, width), right + 1, len(probs)]
-    edges = sorted({min(max(e, 0), len(probs)) for e in edges})
-    observed = [0] * (len(edges) - 1)
-    for c in draws:
-        assert 0 <= c - lo < len(probs), c
-        observed[bisect.bisect_right(edges, c - lo) - 1] += 1
-    return chi_square_gof(observed, [math.fsum(probs[a:b]) for a, b in zip(edges, edges[1:])],
-                          alpha=0.001)
-
-
-@pytest.mark.parametrize("n, p, seed", [
-    (1000, 0.3, 61),
-    (5000, 0.9, 67),
-    (10**9, 0.4, 71),
-    (2**53 + 1, 2.0**-45, 83),
-    (2**64 + 1, 1 - 2.0**-50, 89),
-    (10**30, 1e-27, 97),
-])
-def test_binomial_btrd_law(n, p, seed):
-    # n*min(p, 1-p) > 30: the BTRD route, including the p > 0.5 reflection
-    src = RandomSource(seed)
-    reps = 40000
-    draws = [binomial(src, n, p) for _ in range(reps)]
-    report = _law_report(draws, binomial_law(n, p))
-    assert report.passed, report
-    # one binomial is 1.4-1.8 uniforms on this route, not O(log n) gamma pairs
-    assert src.stats.uniform_real < 2 * reps
-
-
-@pytest.mark.parametrize("v, n, k, seed", [
-    (500, 2000, 300, 73),
-    (10**9, 3 * 10**9, 1500, 79),
-    (2**62, 2**64 + 1, 1500, 101),
-    (10**29, 10**30, 4000, 103),
-])
-def test_hypergeometric_hrua_law(v, n, k, seed):
-    src = RandomSource(seed)
-    reps = 40000
-    draws = [hypergeometric(src, v, n, k) for _ in range(reps)]
-    report = _law_report(draws, hypergeom_law(v, n, k))
-    assert report.passed, report
-    assert src.stats.uniform_real < 4 * reps
-
-
-@pytest.mark.parametrize("family, args, seed", [
-    ("binomial", (10**300, 1e-290), 107),
-    ("binomial", (2**1023, 0.5), 109),
-    ("binomial", (2**1023 + 2**1000, 0.3), 113),
-    ("hypergeometric", (10**40, 3 * 10**40, 10**39), 127),
-    ("hypergeometric", (10**200, 3 * 10**200, 10**150), 131),
-    ("hypergeometric", (10**300, 10**307, 10**306), 137),
-])
-def test_large_sd_law_is_normal(family, args, seed):
-    # sd from 1e5 to 3e149: too wide for _law_report's walk, and normal to
-    # within O(1/sd).  z = (c - mean) / sd with c - mean formed exactly.
-    src = RandomSource(seed)
-    reps = 20000
-    if family == "binomial":
-        n, p = args
-        num, den = p.as_integer_ratio()
-        num *= n
-        sd = math.sqrt(n * p * (1 - p))
-        draws = [binomial(src, n, p) for _ in range(reps)]
-    else:
-        v, n, k = args
-        num, den = k * v, n
-        sd = math.sqrt(k * (v / n) * (1 - v / n) * ((n - k) / (n - 1)))
-        draws = [hypergeometric(src, v, n, k) for _ in range(reps)]
-    zs = [(c * den - num) / den / sd for c in draws]
-    report = ks_gof(zs, lambda z: 0.5 * math.erfc(-z / math.sqrt(2.0)), alpha=0.001)
-    assert report.passed, report
 
 
 def test_log_fact_ratio_accuracy():
@@ -471,25 +316,6 @@ def test_beta_binomial_shapes_must_be_positive():
         beta_binomial(src, 1.0, 0.0, 7)
 
 
-def _assert_beta_binomial_law(a, b, m, seed):
-    report = pmf_law(lambda s: beta_binomial(s, a, b, m), beta_binomial_law(a, b, m),
-                     RandomSource(seed), 60000, 0.001)
-    assert report.passed, report
-
-
-def test_beta_binomial_pmf_uniform_case():
-    _assert_beta_binomial_law(1, 1, 5, 41)  # uniform on {0..5}
-
-
-def test_beta_binomial_pmf_skewed_case():
-    _assert_beta_binomial_law(1, 3, 5, 43)  # closed-form beta quantile
-
-
-def test_beta_binomial_two_stage_case():
-    # alpha > 1 exercises the explicit beta draw, then the binomial stage
-    _assert_beta_binomial_law(2, 2, 6, 47)
-
-
 def test_beta_binomial_alpha1_stats_families():
     # closed-form route: no beta draw is recorded, one binomial is.
     src = RandomSource(12)
@@ -545,12 +371,6 @@ def test_hypergeometric_support():
             assert lo <= c <= hi
 
 
-def test_hypergeometric_matches_pmf():
-    report = pmf_law(lambda s: hypergeometric(s, 2, 4, 2), hypergeom_law(2, 4, 2),
-                     RandomSource(53), 60000, 0.001)
-    assert report.passed, report
-
-
 @given(
     st.integers(min_value=0, max_value=40),
     st.integers(min_value=1, max_value=40),
@@ -563,15 +383,6 @@ def test_hypergeometric_support_property(v, n, k, seed):
     k = min(k, n)
     c = hypergeometric(RandomSource(seed), v, n, k)
     assert max(0, k - (n - v)) <= c <= min(v, k)
-
-
-@pytest.mark.parametrize("v, n, k, seed", [(40, 1000, 300, 59), (300, 1000, 960, 61)])
-def test_hypergeometric_inversion_law_past_ten(v, n, k, seed):
-    # min(v, k) = 40 after the symmetries, mean 12: the inversion route
-    # with a support of 41 points, directly and through k -> n - k
-    report = pmf_law(lambda s: hypergeometric(s, v, n, k), hypergeom_law(v, n, k),
-                     RandomSource(seed), 60000, 0.001)
-    assert report.passed, report
 
 
 # u = 1 - 2^-53 lies above the float CDF's total at these shapes; the

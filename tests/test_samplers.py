@@ -21,7 +21,6 @@ from srswor.samplers import (
     selection_sample,
     sparse_fisher_yates,
 )
-from srswor.suite import first_position_law, reservoir_max_law
 
 ALL_INDEX_SAMPLERS = [
     fisher_yates_sample,
@@ -312,12 +311,6 @@ def test_inorder_full_sample_is_identity():
     assert res.indices == list(range(1, 10))
 
 
-def test_inorder_first_position_distribution():
-    # the first index of a sorted sample is its smallest
-    report = first_position_law(inorder_sample, RandomSource(61), 5, 2, 40000, 0.001)
-    assert report.passed, report
-
-
 # --- reservoir ---
 
 def test_reservoir_short_stream_returns_everything():
@@ -359,12 +352,6 @@ def test_reservoir_skip_beyond_maxsize():
     assert res.indices == [tail[1]]
     assert res.n == 5
     assert res.draw_stats.uniform_int == 1 and res.draw_stats.uniform_real == 4
-
-
-def test_reservoir_max_position_law():
-    # the largest kept item is the last replacement; n/k = 20 makes long skips
-    report = reservoir_max_law(RandomSource(63), 60, 3, 40000, 0.001)
-    assert report.passed, report
 
 
 def test_reservoir_requires_positive_capacity():
