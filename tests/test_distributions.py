@@ -413,3 +413,53 @@ def test_hypergeometric_draws_no_nested_family():
         hypergeometric(src, v, n, k)
     assert src.stats.hypergeometric == len(cases)
     assert src.stats.beta_binomial == src.stats.beta == src.stats.binomial == 0
+
+
+# --- laws: each test reads the verdict of its row of the verify table
+# (srswor.suite), run once per session at the quick scale and seed 1 ---
+
+@pytest.mark.parametrize("b", [2.0 ** 60, 1e17])
+def test_beta_alpha1_huge_beta_law(quick_law, b):
+    # past b of about 2^50, 1 - U**(1/b) rounds to 0 for almost every U;
+    # the draws must still follow the exact CDF 1 - (1 - x)^b
+    quick_law({2.0 ** 60: "beta-ks-a1-b2^60", 1e17: "beta-ks-a1-b1e17"}[b])
+
+
+@pytest.mark.parametrize("b", [2.0 ** 60, 1e17])
+def test_beta_bb_huge_beta_law(quick_law, b):
+    # Cheng's BB with its shapes 18 orders of magnitude apart
+    quick_law({2.0 ** 60: "beta-ks-a3-b2^60", 1e17: "beta-ks-a3-b1e17"}[b])
+
+
+@pytest.mark.parametrize("alpha", [2, 6])
+def test_beta_b1_route_law(quick_law, alpha):
+    # the row also counts one uniform per draw
+    quick_law(f"beta-ks-a{alpha}-b1")
+
+
+@pytest.mark.parametrize("alpha, b", [(5, 40), (40, 5)])
+def test_beta_bb_law_both_orientations(quick_law, alpha, b):
+    # Beta(40, 5) is 1 - Beta(5, 40): the same method, the shapes swapped
+    quick_law(f"beta-ks-a{alpha}-b{b}")
+
+
+def test_binomial_inversion_route_pmf(quick_law):
+    # n*min(p,1-p) small: the CDF inversion path
+    quick_law("binomial-pmf-n10-p0.3")
+
+
+def test_beta_binomial_pmf_uniform_case(quick_law):
+    quick_law("beta-binomial-uniform-1-1-5")
+
+
+def test_beta_binomial_pmf_skewed_case(quick_law):
+    quick_law("beta-binomial-pmf-1-3-5")
+
+
+def test_beta_binomial_two_stage_case(quick_law):
+    # alpha > 1 exercises the explicit beta draw, then the binomial stage
+    quick_law("beta-binomial-pmf-2-2-6")
+
+
+def test_hypergeometric_matches_pmf(quick_law):
+    quick_law("hypergeometric-pmf-2-4-2")
