@@ -212,10 +212,8 @@ def split_merge_law(source, k: int, reps: int, alpha: float) -> statcheck.GofRep
     return statcheck.enumerate_subset_distribution(draw, 8, k, reps, source, alpha)
 
 
-def merge_two_shards(source, reps: int,
-                     sampler=sparse_fisher_yates) -> tuple[list[int], Counter, int]:
-    """Merge samples of 2 from shards [1, 4] and [5, 8], each drawn by
-    sampler(source, 4, 2), reps times.
+def merge_two_shards(source, reps: int) -> tuple[list[int], Counter, int]:
+    """Merge sparse samples of 2 from shards [1, 4] and [5, 8], reps times.
 
     Returns the inclusion count of each item 1..8, the count of each merged
     set, and the number of runs in which the shard with the smaller
@@ -225,8 +223,8 @@ def merge_two_shards(source, reps: int,
     merged_sets: Counter = Counter()
     winner_violations = 0
     for _ in range(reps):
-        sample_a = sampler(source, 4, 2).indices
-        sample_b = [i + 4 for i in sampler(source, 4, 2).indices]
+        sample_a = sparse_fisher_yates(source, 4, 2).indices
+        sample_b = [i + 4 for i in sparse_fisher_yates(source, 4, 2).indices]
         merged, state = distributed.merge_all_with_state(
             source,
             (distributed.MergeInput(sample_a, 4), distributed.MergeInput(sample_b, 4)),
@@ -409,16 +407,9 @@ def _split_marginals(source, reps, alpha, _):
 
 
 def _merge(source, reps, alpha, _):
-    inclusion, _, winner_violations = merge_two_shards(source, reps)
-    return {"merge-item-inclusion-4-4": statcheck.chi_square_gof(inclusion, [1 / 8] * 8, alpha),
-            "merge-winner-keeps-all": _exact(winner_violations)}
-
-
-def _merge_fy(source, reps, alpha, _):
-    # fisher_yates shards; given the merged size s, each of the 8 items is
-    # kept with chance s / 8 (sizes seen in under a twentieth of the runs,
-    # and s = 0, are left out)
-    inclusion, merged_sets, _ = merge_two_shards(source, reps, fisher_yates_sample)
+    # given the merged size s, each of the 8 items is kept with chance s / 8
+    # (sizes seen in under a twentieth of the runs, and s = 0, are left out)
+    inclusion, merged_sets, winner_violations = merge_two_shards(source, reps)
     given_size = []
     for s in range(1, 5):
         sets = {merged: count for merged, count in merged_sets.items() if len(merged) == s}
@@ -426,7 +417,8 @@ def _merge_fy(source, reps, alpha, _):
             given_size.append(statcheck.chi_square_gof(
                 [sum(count for merged, count in sets.items() if item in merged)
                  for item in range(1, 9)], [1 / 8] * 8, alpha))
-    return {"merge-item-inclusion-fy-4-4": statcheck.chi_square_gof(inclusion, [1 / 8] * 8, alpha),
+    return {"merge-item-inclusion-4-4": statcheck.chi_square_gof(inclusion, [1 / 8] * 8, alpha),
+            "merge-winner-keeps-all": _exact(winner_violations),
             "merge-inclusion-given-size-4-4": _worst(given_size)}
 
 
@@ -544,8 +536,9 @@ def _checks() -> list[tuple]:
         # 1.4-1.8 uniforms a draw, and the row fails at 2
         *[(f"binomial-btrd-{name}", (40_000, 100_000),
            _wide_family(binomial, statcheck.binomial_law, 2, n, p))
-          for name, n, p in (("n1000-p0.3", 1000, 0.3), ("n5000-p0.9", 5000, 0.9),
-                             ("n1e9-p0.4", 10**9, 0.4), ("n2^53+1-p2^-45", 2**53 + 1, 2.0**-45),
+          for name, n, p in (("n400-p0.4", 400, 0.4), ("n1000-p0.3", 1000, 0.3),
+                             ("n5000-p0.9", 5000, 0.9), ("n1e9-p0.4", 10**9, 0.4),
+                             ("n2^53+1-p2^-45", 2**53 + 1, 2.0**-45),
                              ("n2^64+1-p1-2^-50", 2**64 + 1, 1 - 2.0**-50),
                              ("n1e30-p1e-27", 10**30, 1e-27))],
         # sd from 1e5 to 3e149: too wide for the oracle's pmf walk, and normal to
@@ -579,10 +572,10 @@ def _checks() -> list[tuple]:
           for name, v, n, k in (("1e40-3e40-1e39", 10**40, 3 * 10**40, 10**39),
                                 ("1e200-3e200-1e150", 10**200, 3 * 10**200, 10**150),
                                 ("1e300-1e307-1e306", 10**300, 10**307, 10**306))],
-        ("beta-quantile-ks-a1-b4", _KS_N,
+        ("beta-quantile-ks-a1-b4", (40_000, 100_000),
          _ks(lambda s: beta(s, 1.0, 4.0), lambda z: 1.0 - (1.0 - z) ** 4)),
         # chance that at least 3 of 4 uniforms fall below z
-        ("beta-ks-a3-b2", _KS_N,
+        ("beta-ks-a3-b2", (50_000, 100_000),
          _ks(lambda s: beta(s, 3.0, 2.0), lambda z: 4.0 * z ** 3 * (1.0 - z) + z ** 4)),
         # past b of about 2^50, 1 - U**(1/b) rounds to 0 for almost every U;
         # alpha = 3 runs BB with its shapes 18 orders of magnitude apart
@@ -616,8 +609,7 @@ def _checks() -> list[tuple]:
          _law(lambda s: distributed.split_sample_counts(s, (2, 2), 2)[0],
               statcheck.hypergeom_law(2, 4, 2))),
         ("split-counts-3-4-5-k4", (40_000, 100_000), _split_marginals),
-        ("merge-item-inclusion-4-4", (20_000, 200_000), _merge),
-        ("merge-item-inclusion-fy-4-4", _LAW_REPS, _merge_fy),
+        ("merge-item-inclusion-4-4", (60_000, 200_000), _merge),
         ("merge-inclusion-drop-side-8-8", (40_000, 100_000), _merge_drop_side),
         ("merge-symmetric-3-3", (30_000, 100_000), _merge_symmetric),
         ("merge-beside-empty-1e5-1e17", (20_000, 100_000), _merge_beside_empty),
@@ -654,7 +646,7 @@ def run_row(name: str, check, size: int, seed: int, alpha: float) -> list[CheckR
     results = check(RandomSource(_derive(seed, name)), size, alpha,
                     lambda tag: _derive(seed, f"{name}-{tag}"))
     records = []
-    # a merge row reports two records from one run
+    # the merge row reports three records from one run
     for label, result in (results.items() if isinstance(results, dict) else [(name, results)]):
         if not isinstance(result, tuple):
             result = result.statistic, result.p_value, result.passed

@@ -357,39 +357,33 @@ def test_merge_output_always_valid(na, nb, seed):
     assert len(merged) <= ka + kb
 
 
-# --- laws: each test reads the verdict of its row of the verify table
-# (srswor.suite), run once per session at the quick scale and seed 1 ---
+# --- laws: each test asserts its srswor.suite row, at the quick scale and seed 1 ---
 
 def test_split_counts_marginal_law(quick_law):
-    # first-block count of a (2, 2) split of k=2 is Hypergeom(2, 4, 2)
     quick_law("split-counts-2-2-k2")
 
 
 def test_split_counts_three_block_marginals(quick_law):
-    # each block's count is marginally Hypergeom(block, total, k)
     quick_law("split-counts-3-4-5-k4")
 
 
 def test_merge_inclusion_probabilities_equalize(quick_law):
-    # two shards sampled at equal rates k/n: every union item should end
-    # up included equally often
-    quick_law("merge-item-inclusion-fy-4-4", "merge-item-inclusion-fy-4-4")
+    quick_law("merge-item-inclusion-4-4", "merge-item-inclusion-4-4")
 
 
 def test_merge_conditional_inclusion_is_size_over_union(quick_law):
-    # conditioned on the merged size s, each of the 8 union items is
-    # included with probability s/8
-    quick_law("merge-item-inclusion-fy-4-4", "merge-inclusion-given-size-4-4")
+    quick_law("merge-item-inclusion-4-4", "merge-inclusion-given-size-4-4")
+
+
+def test_merge_row_winner_keeps_all(quick_law):
+    quick_law("merge-item-inclusion-4-4", "merge-winner-keeps-all")
 
 
 def test_merge_symmetric_in_inputs(quick_law):
-    # swapping the argument order must not change the law of the merged set
     quick_law("merge-symmetric-3-3")
 
 
 def test_merge_beside_empty_shard_flat_in_n(quick_law):
-    # an empty shard's threshold is Beta(1, N); beside it, the kept count
-    # of a 10-item shard has nearly the same law at N = 10^5 and 10^17
     quick_law("merge-beside-empty-1e5-1e17")
 
 
@@ -398,6 +392,4 @@ def test_downsample_uniform_over_items(quick_law):
 
 
 def test_merge_inclusion_drop_side(quick_law):
-    # shards of 4 sorted items from 8: kappa = 3 drops one position, and a
-    # bias toward either end of a shard would show in the inclusion counts
     quick_law("merge-inclusion-drop-side-8-8")

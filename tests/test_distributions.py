@@ -100,17 +100,6 @@ def test_beta_in_open_unit_interval():
             assert 0.0 < x < 1.0
 
 
-def test_beta_alpha1_quantiles():
-    # For Beta(1, 4) the cdf is 1 - (1-x)^4; compare empirical quartiles.
-    src = RandomSource(17)
-    n = 40000
-    xs = sorted(beta(src, 1.0, 4.0) for _ in range(n))
-    for q in (0.25, 0.5, 0.75):
-        theoretical = 1.0 - (1.0 - q) ** 0.25
-        empirical = xs[int(q * n)]
-        assert abs(empirical - theoretical) < 0.01
-
-
 @pytest.mark.parametrize("alpha, b", [(3.0, 2.0), (201, 10**7 - 200)])
 def test_beta_bb_uniforms_per_draw(alpha, b):
     # BB accepts a pair of uniforms about 9 times in 10
@@ -144,17 +133,6 @@ def test_beta_bb_retries_zero_uniforms():
     assert src.stats.uniform_real == 6
 
 
-def test_beta_bb_route_moments():
-    # Beta(3, 2): mean 0.6, var 0.04. Loose 4-sigma-ish bounds.
-    src = RandomSource(23)
-    n = 50000
-    xs = [beta(src, 3.0, 2.0) for _ in range(n)]
-    mean = sum(xs) / n
-    var = sum((x - mean) ** 2 for x in xs) / n
-    assert abs(mean - 0.6) < 0.004
-    assert abs(var - 0.04) < 0.003
-
-
 # --- binomial ---
 
 def test_binomial_edge_cases():
@@ -182,17 +160,6 @@ def test_binomial_support():
         for _ in range(300):
             c = binomial(src, n, p)
             assert 0 <= c <= n
-
-
-def test_binomial_split_route_mean_var():
-    # n*p large enough to force the BTRD path.
-    src = RandomSource(37)
-    n, p, reps = 400, 0.4, 30000
-    xs = [binomial(src, n, p) for _ in range(reps)]
-    mean = sum(xs) / reps
-    var = sum((x - mean) ** 2 for x in xs) / reps
-    assert abs(mean - n * p) < 0.25
-    assert abs(var - n * p * (1 - p)) < 4.0
 
 
 @given(
@@ -415,36 +382,29 @@ def test_hypergeometric_draws_no_nested_family():
     assert src.stats.beta_binomial == src.stats.beta == src.stats.binomial == 0
 
 
-# --- laws: each test reads the verdict of its row of the verify table
-# (srswor.suite), run once per session at the quick scale and seed 1 ---
+# --- laws: each test asserts its srswor.suite row, at the quick scale and seed 1 ---
 
 @pytest.mark.parametrize("b", [2.0 ** 60, 1e17])
 def test_beta_alpha1_huge_beta_law(quick_law, b):
-    # past b of about 2^50, 1 - U**(1/b) rounds to 0 for almost every U;
-    # the draws must still follow the exact CDF 1 - (1 - x)^b
     quick_law({2.0 ** 60: "beta-ks-a1-b2^60", 1e17: "beta-ks-a1-b1e17"}[b])
 
 
 @pytest.mark.parametrize("b", [2.0 ** 60, 1e17])
 def test_beta_bb_huge_beta_law(quick_law, b):
-    # Cheng's BB with its shapes 18 orders of magnitude apart
     quick_law({2.0 ** 60: "beta-ks-a3-b2^60", 1e17: "beta-ks-a3-b1e17"}[b])
 
 
 @pytest.mark.parametrize("alpha", [2, 6])
 def test_beta_b1_route_law(quick_law, alpha):
-    # the row also counts one uniform per draw
     quick_law(f"beta-ks-a{alpha}-b1")
 
 
 @pytest.mark.parametrize("alpha, b", [(5, 40), (40, 5)])
 def test_beta_bb_law_both_orientations(quick_law, alpha, b):
-    # Beta(40, 5) is 1 - Beta(5, 40): the same method, the shapes swapped
     quick_law(f"beta-ks-a{alpha}-b{b}")
 
 
 def test_binomial_inversion_route_pmf(quick_law):
-    # n*min(p,1-p) small: the CDF inversion path
     quick_law("binomial-pmf-n10-p0.3")
 
 
@@ -457,9 +417,20 @@ def test_beta_binomial_pmf_skewed_case(quick_law):
 
 
 def test_beta_binomial_two_stage_case(quick_law):
-    # alpha > 1 exercises the explicit beta draw, then the binomial stage
     quick_law("beta-binomial-pmf-2-2-6")
 
 
 def test_hypergeometric_matches_pmf(quick_law):
     quick_law("hypergeometric-pmf-2-4-2")
+
+
+def test_beta_alpha1_quantiles(quick_law):
+    quick_law("beta-quantile-ks-a1-b4")
+
+
+def test_beta_bb_route_moments(quick_law):
+    quick_law("beta-ks-a3-b2")
+
+
+def test_binomial_split_route_mean_var(quick_law):
+    quick_law("binomial-btrd-n400-p0.4")

@@ -424,13 +424,11 @@ def test_uniform_bytes_generic_path_on_scripted_source():
         ScriptedSource([]).uniform_bytes(-1)
 
 
-# --- laws: each test reads the verdict of its row of the verify table
-# (srswor.suite), run once per session at the quick scale and seed 1 ---
+# --- laws: each test asserts its srswor.suite row, at the quick scale and seed 1 ---
 
 def test_uniform_int_equidistribution_m6(quick_law):
     quick_law("uniform-int-equidist-m6")
 
 
 def test_uniform_int_beyond_one_word_equidistribution(quick_law):
-    # thirds of [1, 3 * 2^64]
     quick_law("uniform-int-thirds-m3x2^64")

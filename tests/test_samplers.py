@@ -397,14 +397,11 @@ def test_same_seed_same_sample():
         assert a.indices == b.indices
 
 
-# --- laws: each test reads the verdict of its row of the verify table
-# (srswor.suite), run once per session at the quick scale and seed 1 ---
+# --- laws: each test asserts its srswor.suite row, at the quick scale and seed 1 ---
 
 def test_inorder_first_position_distribution(quick_law):
-    # the first index of a sorted sample is its smallest
     quick_law("first-position-inorder-5-2")
 
 
 def test_reservoir_max_position_law(quick_law):
-    # the largest kept item is the last replacement; n/k = 20 makes long skips
     quick_law("reservoir-max-position-60-3")

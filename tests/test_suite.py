@@ -11,10 +11,22 @@ from srswor import distributed, distributions, rng, samplers, statcheck, suite
 
 QUICK_ROWS = [(name, scale, check) for name, scale, check in suite._checks() if scale[0]]
 
-QUICK_SEED1_SHA256 = "511e6ec6fa2d4418b66cde964423f1b00b36beee3a9a3d29dc2dc0e394ecdb8d"
+# the rows whose records a law test of test_rng, test_distributions,
+# test_distributed or test_samplers asserts under its own name
+NAMED_ROWS = {
+    "uniform-int-equidist-m6", "uniform-int-thirds-m3x2^64", "binomial-pmf-n10-p0.3",
+    "binomial-btrd-n400-p0.4", "beta-binomial-uniform-1-1-5", "beta-binomial-pmf-2-2-6",
+    "beta-binomial-pmf-1-3-5", "hypergeometric-pmf-2-4-2", "beta-quantile-ks-a1-b4",
+    "beta-ks-a3-b2", "beta-ks-a1-b2^60", "beta-ks-a1-b1e17", "beta-ks-a3-b2^60",
+    "beta-ks-a3-b1e17", "beta-ks-a2-b1", "beta-ks-a6-b1", "beta-ks-a5-b40", "beta-ks-a40-b5",
+    "first-position-inorder-5-2", "split-counts-2-2-k2", "split-counts-3-4-5-k4",
+    "merge-item-inclusion-4-4", "merge-inclusion-drop-side-8-8", "merge-symmetric-3-3",
+    "merge-beside-empty-1e5-1e17", "downsample-items-5-2", "reservoir-max-position-60-3"}
+
+QUICK_SEED1_SHA256 = "4a1fafb4cd58a0edd2e557cb3df930829f30f6a3b8ccca0105babcf786c07410"
 
 
-@pytest.mark.parametrize("name", [name for name, _, _ in QUICK_ROWS])
+@pytest.mark.parametrize("name", [name for name, _, _ in QUICK_ROWS if name not in NAMED_ROWS])
 def test_row_passes(quick_law, name):
     quick_law(name)
 
