@@ -6,7 +6,8 @@ beta-binomial, hypergeometric) is one walk of its exact pmf ratio out from
 its integer mode, in O(support) and correctly rounded steps for any n;
 p-values come from a locally implemented regularized incomplete gamma
 function, and expectations from closed-form sums.  No third-party
-statistics dependency.
+statistics dependency.  Each test returns its (statistic, p-value) and
+leaves the verdict to its caller, which holds the alpha.
 """
 
 from __future__ import annotations
@@ -16,30 +17,10 @@ import itertools
 import math
 import sys
 
-from .rng import Record, UniformSource
+from .rng import UniformSource
 
 # Minimum expected count per cell after pooling, the usual chi-square rule.
 POOL_THRESHOLD = 5.0
-
-
-class GofReport(Record, frozen=True):
-    """Chi-square goodness-of-fit outcome; passed means p_value >= alpha."""
-
-    __slots__ = _fields = ("statistic", "dof", "p_value", "passed", "alpha")
-
-    def __init__(self, statistic: float, dof: int, p_value: float, passed: bool,
-                 alpha: float) -> None:
-        self._init(statistic, dof, p_value, passed, alpha)
-
-
-class KsReport(Record, frozen=True):
-    """Kolmogorov-Smirnov outcome for a one-sample CDF comparison."""
-
-    __slots__ = _fields = ("statistic", "n", "p_value", "passed", "alpha")
-
-    def __init__(self, statistic: float, n: int, p_value: float, passed: bool,
-                 alpha: float) -> None:
-        self._init(statistic, n, p_value, passed, alpha)
 
 
 # --- regularized incomplete gamma, local implementation ---------------------
@@ -126,8 +107,9 @@ def _pool_cells(observed, expected, threshold):
     return pooled_o, pooled_e
 
 
-def chi_square_gof(observed, expected_probs, alpha: float = 0.001) -> GofReport:
-    """Pearson chi-square of observed counts against a fixed probability vector.
+def chi_square_gof(observed, expected_probs) -> tuple[float, float]:
+    """Pearson chi-square of observed counts against a fixed probability
+    vector, as (statistic, p-value).
 
     Cells whose expected count falls below 5 are pooled with their neighbors
     before the statistic is formed.  The probability vector must be strictly
@@ -151,13 +133,12 @@ def chi_square_gof(observed, expected_probs, alpha: float = 0.001) -> GofReport:
     if len(pooled_e) < 2:
         raise ValueError("fewer than two cells remain after pooling")
     statistic = math.fsum((o - e) ** 2 / e for o, e in zip(pooled_o, pooled_e))
-    dof = len(pooled_e) - 1
-    p_value = chi2_sf(statistic, dof)
-    return GofReport(statistic, dof, p_value, p_value >= alpha, alpha)
+    return statistic, chi2_sf(statistic, len(pooled_e) - 1)
 
 
-def chi_square_two_sample(counts_a, counts_b, alpha: float = 0.001) -> GofReport:
-    """Homogeneity chi-square for two count vectors over the same cells."""
+def chi_square_two_sample(counts_a, counts_b) -> tuple[float, float]:
+    """Homogeneity chi-square for two count vectors over the same cells, as
+    (statistic, p-value)."""
     a = list(counts_a)
     b = list(counts_b)
     if len(a) != len(b):
@@ -185,9 +166,7 @@ def chi_square_two_sample(counts_a, counts_b, alpha: float = 0.001) -> GofReport
         ea = cc * total_a / grand
         eb = cc * total_b / grand
         statistic += (ca - ea) ** 2 / ea + (cb - eb) ** 2 / eb
-    dof = len(pooled_a) - 1
-    p_value = chi2_sf(statistic, dof)
-    return GofReport(statistic, dof, p_value, p_value >= alpha, alpha)
+    return statistic, chi2_sf(statistic, len(pooled_a) - 1)
 
 
 def kolmogorov_sf(lam: float) -> float:
@@ -205,8 +184,9 @@ def kolmogorov_sf(lam: float) -> float:
     return min(1.0, max(0.0, 2.0 * total))
 
 
-def ks_gof(values, cdf, alpha: float = 0.001) -> KsReport:
-    """One-sample KS test of values against a continuous CDF callable."""
+def ks_gof(values, cdf) -> tuple[float, float]:
+    """One-sample KS test of values against a continuous CDF callable, as
+    (D, p-value)."""
     xs = sorted(values)
     n = len(xs)
     if n < 10:
@@ -217,8 +197,7 @@ def ks_gof(values, cdf, alpha: float = 0.001) -> KsReport:
         d = max(d, f - i / n, (i + 1) / n - f)
     sqrt_n = math.sqrt(n)
     lam = (sqrt_n + 0.12 + 0.11 / sqrt_n) * d
-    p_value = kolmogorov_sf(lam)
-    return KsReport(d, n, p_value, p_value >= alpha, alpha)
+    return d, kolmogorov_sf(lam)
 
 
 # --- exact laws and cost formulas --------------------------------------------
@@ -321,10 +300,10 @@ MIN_REPS_PER_SUBSET = 100
 
 
 def enumerate_subset_distribution(draw, n: int, k: int, reps: int,
-                                  source: UniformSource,
-                                  alpha: float = 0.001) -> GofReport:
-    """Chi-square of reps k-subsets draw(source) of [1, n], items in any
-    order, against the uniform law on all C(n, k) of them.
+                                  source: UniformSource) -> tuple[float, float]:
+    """Chi-square (statistic, p-value) of reps k-subsets draw(source) of
+    [1, n], items in any order, against the uniform law on all C(n, k) of
+    them.
 
     C(n, k) is capped at 200 and reps must be at least 100 per subset.  A
     draw that is not a k-subset of [1, n] raises ValueError.
@@ -351,7 +330,7 @@ def enumerate_subset_distribution(draw, n: int, k: int, reps: int,
             raise ValueError(f"draw returned {items}, not a {k}-subset of [1, {n}]")
         counts[i] += 1
     probs = [1.0 / len(subsets)] * len(subsets)
-    return chi_square_gof(counts, probs, alpha)
+    return chi_square_gof(counts, probs)
 
 
 def normal_sf_two_sided(z: float) -> float:

@@ -3,13 +3,14 @@
 Every law check of the package is a row of _checks(): `srswor verify` runs
 the table, and the tests run it once at the quick scale.  Each law that the
 acceptance criteria measure too has one function here: it takes its
-sources, scale and alpha, returns the raw measurement or a chi-square
-report, and leaves the verdict to its caller.  run_suite runs the rows
+sources and scale, returns the raw measurement or a (statistic, p-value)
+pair, and leaves the verdict to its caller.  run_suite runs the rows
 (name, (quick, full) scale, check), deterministic given (suite, seed): each
 row's source is seeded from the run seed and its name, so adding or
-reordering rows does not disturb the others.  A check passes when its
-p-value (or exactness flag, for structural checks) clears the configured
-alpha; structural checks report p 1.0 or 0.0.
+reordering rows does not disturb the others.  A check returns (statistic,
+p-value); a structural check reports p 1.0 or 0.0, and a check whose side
+condition fails reports p 0.0.  run_row alone applies alpha: a record
+passes when its p-value is at least alpha.
 """
 
 from __future__ import annotations
@@ -64,11 +65,11 @@ def random_cells(source, count: int, n_lo: int, n_hi: int):
         yield n, source.next_uniform_int(n)
 
 
-def pmf_law(draw, law, source, reps: int, alpha: float,
-            edges=None) -> statcheck.GofReport:
-    """Chi-square of reps values draw(source) against law = (lo, probs),
-    where probs[i] is the probability of lo + i: one cell per value, or the
-    cells [lo + a, lo + b) of each pair (a, b) of consecutive edges.
+def pmf_law(draw, law, source, reps: int, edges=None) -> tuple[float, float]:
+    """Chi-square (statistic, p-value) of reps values draw(source) against
+    law = (lo, probs), where probs[i] is the probability of lo + i: one cell
+    per value, or the cells [lo + a, lo + b) of each pair (a, b) of
+    consecutive edges.
 
     A value outside [lo, lo + len(probs)) raises ValueError.
     """
@@ -81,10 +82,10 @@ def pmf_law(draw, law, source, reps: int, alpha: float,
             raise ValueError(f"value {lo + i} outside [{lo}, {lo + size - 1}]")
         counts[i] += 1
     if edges is None:
-        return statcheck.chi_square_gof(counts, probs, alpha)
+        return statcheck.chi_square_gof(counts, probs)
     cells = list(zip(edges, edges[1:]))
     return statcheck.chi_square_gof([sum(counts[a:b]) for a, b in cells],
-                                    [math.fsum(probs[a:b]) for a, b in cells], alpha)
+                                    [math.fsum(probs[a:b]) for a, b in cells])
 
 
 def _wide_edges(probs) -> list[int]:
@@ -116,13 +117,12 @@ def _beta_cdf(alpha: int, b: float):
     return cdf
 
 
-def first_position_law(sampler, source, n: int, k: int, reps: int,
-                       alpha: float) -> statcheck.GofReport:
+def first_position_law(sampler, source, n: int, k: int, reps: int) -> tuple[float, float]:
     """The smallest index of reps samples sampler(source, n, k), against its
     law 1 + BetaBinomial(1, k, n - k)."""
     lo, probs = statcheck.beta_binomial_law(1, k, n - k)
     return pmf_law(lambda s: min(sampler(s, n, k).indices), (1 + lo, probs),
-                   source, reps, alpha)
+                   source, reps)
 
 
 def bitexact_mismatches(cells) -> int:
@@ -201,7 +201,7 @@ def restoration_violations(source, cells, value_bound: int) -> int:
     return violations
 
 
-def split_merge_law(source, k: int, reps: int, alpha: float) -> statcheck.GofReport:
+def split_merge_law(source, k: int, reps: int) -> tuple[float, float]:
     """Split k over blocks (4, 4), sample each block's share with
     sparse_fisher_yates, and chi-square the union against the uniform law
     on all C(8, k) subsets."""
@@ -209,7 +209,7 @@ def split_merge_law(source, k: int, reps: int, alpha: float) -> statcheck.GofRep
         c0, c1 = distributed.split_sample_counts(s, (4, 4), k)
         return (sparse_fisher_yates(s, 4, c0).indices
                 + [i + 4 for i in sparse_fisher_yates(s, 4, c1).indices])
-    return statcheck.enumerate_subset_distribution(draw, 8, k, reps, source, alpha)
+    return statcheck.enumerate_subset_distribution(draw, 8, k, reps, source)
 
 
 def merge_two_shards(source, reps: int) -> tuple[list[int], Counter, int]:
@@ -265,34 +265,32 @@ def _seeded_cells(seed_of, count: int, n_hi: int):
         yield run_seed, n, k
 
 
-def _exact(violations: int) -> tuple[float, float, bool]:
-    ok = violations == 0
-    return float(violations), 1.0 if ok else 0.0, ok
+def _exact(violations: int) -> tuple[float, float]:
+    return float(violations), float(violations == 0)
 
 
-def _z_test(z: float, alpha: float, ok: bool = True) -> tuple[float, float, bool]:
-    p = statcheck.normal_sf_two_sided(z) if ok else 0.0
-    return z, p, ok and p >= alpha
+def _given(result, ok: bool) -> tuple[float, float]:
+    """result's statistic, and its p-value if the side condition ok holds,
+    else 0.0."""
+    statistic, p_value = result
+    return statistic, p_value if ok else 0.0
 
 
-def _verdict(report, ok: bool) -> tuple[float, float, bool]:
-    """report's statistic and p-value, passed only if report passed and ok."""
-    return report.statistic, report.p_value, report.passed and ok
+def _z_test(z: float, ok: bool = True) -> tuple[float, float]:
+    return _given((z, statcheck.normal_sf_two_sided(z)), ok)
 
 
-def _worst(reports) -> tuple[float, float, bool]:
-    """One verdict over the reports of one run: the statistic and p-value of
-    the smallest p, passed only if every report passed."""
-    worst = min(reports, key=lambda r: r.p_value)
-    return _verdict(worst, all(r.passed for r in reports))
+def _worst(results) -> tuple[float, float]:
+    """The (statistic, p-value) of the smallest p over one run's tests."""
+    return min(results, key=lambda r: r[1])
 
 
-# A check is called as check(source, size, alpha, seed_of): source is seeded
-# from the run seed and the row's name, size is the row's scale, and
-# seed_of(tag) derives a seed from the run seed and f"{name}-{tag}".
+# A check is called as check(source, size, seed_of): source is seeded from
+# the run seed and the row's name, size is the row's scale, and seed_of(tag)
+# derives a seed from the run seed and f"{name}-{tag}".
 
 def _law(draw, law):
-    return lambda source, size, alpha, _: pmf_law(draw, law, source, size, alpha)
+    return lambda source, size, _: pmf_law(draw, law, source, size)
 
 
 def _family(draw, law, *params):
@@ -300,23 +298,20 @@ def _family(draw, law, *params):
 
 
 def _ks(draw, cdf):
-    return lambda source, size, alpha, _: statcheck.ks_gof(
-        [draw(source) for _ in range(size)], cdf, alpha)
+    return lambda source, size, _: statcheck.ks_gof([draw(source) for _ in range(size)], cdf)
 
 
 def _wide_family(draw, law, uniforms_per_draw, *params):
     # the law is walked when the row runs, not when the table is built
-    def check(source, reps, alpha, _):
+    def check(source, reps, _):
         lo, probs = law(*params)
-        report = pmf_law(lambda s: draw(s, *params), (lo, probs), source, reps, alpha,
-                         _wide_edges(probs))
-        return _verdict(report, source.stats.uniform_real < uniforms_per_draw * reps)
+        result = pmf_law(lambda s: draw(s, *params), (lo, probs), source, reps, _wide_edges(probs))
+        return _given(result, source.stats.uniform_real < uniforms_per_draw * reps)
     return check
 
 
 def _subsets(draw, n: int, k: int):
-    return lambda source, reps, alpha, _: statcheck.enumerate_subset_distribution(
-        draw, n, k, reps, source, alpha)
+    return lambda source, reps, _: statcheck.enumerate_subset_distribution(draw, n, k, reps, source)
 
 
 def _normal_ks(draw, num: int, den: int, sd: float):
@@ -337,10 +332,10 @@ def _hypergeometric_normal(v: int, n: int, k: int):
 
 def _beta_b1(a: int):
     # the b = 1 route takes one uniform a draw
-    def check(source, size, alpha, _):
-        report = statcheck.ks_gof([beta(source, float(a), 1.0) for _ in range(size)],
-                                  lambda x: x ** a, alpha)
-        return _verdict(report, source.stats.uniform_real == size)
+    def check(source, size, _):
+        result = statcheck.ks_gof([beta(source, float(a), 1.0) for _ in range(size)],
+                                  lambda x: x ** a)
+        return _given(result, source.stats.uniform_real == size)
     return check
 
 
@@ -355,30 +350,29 @@ _PAIR_THIRDS_LAW = (0, [((1 << 128) - (i == j) * (1 << 64)) / ((3 << 64) * ((3 <
                         for i in range(3) for j in range(3)])
 
 
-def _membership_mean(source, reps, alpha, _):
+def _membership_mean(source, reps, _):
     draws = membership_draws(source, 100, 50, reps)
     mean = math.fsum(draws) / reps
     var = math.fsum((d - mean) ** 2 for d in draws) / (reps - 1)
-    return _z_test((mean - statcheck.expected_membership_draws(100, 50))
-                   / math.sqrt(var / reps), alpha)
+    return _z_test((mean - statcheck.expected_membership_draws(100, 50)) / math.sqrt(var / reps))
 
 
-def _occupancy(source, runs, alpha, _):
+def _occupancy(source, runs, _):
     checkpoints = (100, 250, 500, 750, 900)
     sums, sumsq = occupancy_sums(1000, checkpoints, itertools.repeat(source, runs))
     means = {c: sums[c] / runs for c in checkpoints}
     var_mid = (sumsq[500] - runs * means[500] ** 2) / (runs - 1)
     z = (means[500] - statcheck.expected_hash_occupancy(1000, 500)) / math.sqrt(var_mid / runs)
-    return _z_test(z, alpha, all(means[c] <= means[500] for c in checkpoints))
+    return _z_test(z, all(means[c] <= means[500] for c in checkpoints))
 
 
-def _draw_budget(source, cases, alpha, seed_of):
+def _draw_budget(source, cases, seed_of):
     return _exact(draw_budget_violations(
         (RandomSource(seed_of(case)), n, k)
         for case, (n, k) in enumerate(random_cells(source, cases, 2, 61))))
 
 
-def _sorted_outputs(source, cases, alpha, _):
+def _sorted_outputs(source, cases, _):
     violations = 0
     for n, k in random_cells(source, cases, 2, 41):
         for res in (selection_sample(source, n, k), inorder_sample(source, n, k)):
@@ -387,14 +381,14 @@ def _sorted_outputs(source, cases, alpha, _):
     return _exact(violations)
 
 
-def _prefix_consistency(source, cases, alpha, seed_of):
+def _prefix_consistency(source, cases, seed_of):
     return _exact(sum(
         list(itertools.islice(SparseFisherYatesIterator(n, RandomSource(run_seed)), k))
         != sparse_fisher_yates(RandomSource(run_seed), n, k).indices
         for run_seed, n, k in _seeded_cells(seed_of, cases, 81)))
 
 
-def _split_marginals(source, reps, alpha, _):
+def _split_marginals(source, reps, _):
     # each block's count of a (3, 4, 5) split of 4 is Hypergeom(block, 12, 4)
     sizes = (3, 4, 5)
     tallies = [[0] * 5 for _ in sizes]
@@ -402,11 +396,11 @@ def _split_marginals(source, reps, alpha, _):
         for tally, c in zip(tallies, distributed.split_sample_counts(source, sizes, 4)):
             tally[c] += 1
     laws = [statcheck.hypergeom_law(size, 12, 4) for size in sizes]
-    return _worst([statcheck.chi_square_gof(tally[lo:lo + len(probs)], probs, alpha)
+    return _worst([statcheck.chi_square_gof(tally[lo:lo + len(probs)], probs)
                    for tally, (lo, probs) in zip(tallies, laws)])
 
 
-def _merge(source, reps, alpha, _):
+def _merge(source, reps, _):
     # given the merged size s, each of the 8 items is kept with chance s / 8
     # (sizes seen in under a twentieth of the runs, and s = 0, are left out)
     inclusion, merged_sets, winner_violations = merge_two_shards(source, reps)
@@ -416,13 +410,13 @@ def _merge(source, reps, alpha, _):
         if sum(sets.values()) >= reps / 20:
             given_size.append(statcheck.chi_square_gof(
                 [sum(count for merged, count in sets.items() if item in merged)
-                 for item in range(1, 9)], [1 / 8] * 8, alpha))
-    return {"merge-item-inclusion-4-4": statcheck.chi_square_gof(inclusion, [1 / 8] * 8, alpha),
+                 for item in range(1, 9)], [1 / 8] * 8))
+    return {"merge-item-inclusion-4-4": statcheck.chi_square_gof(inclusion, [1 / 8] * 8),
             "merge-winner-keeps-all": _exact(winner_violations),
             "merge-inclusion-given-size-4-4": _worst(given_size)}
 
 
-def _merge_drop_side(source, reps, alpha, _):
+def _merge_drop_side(source, reps, _):
     # shards of 4 sorted items from 8: kappa = 3 drops one position, and a
     # bias toward either end of a shard would show in the inclusion counts
     inclusion = [0] * 16
@@ -435,11 +429,10 @@ def _merge_drop_side(source, reps, alpha, _):
         drop_side += state.kappas.count(3)
         for item in merged:
             inclusion[item - 1] += 1
-    return _verdict(statcheck.chi_square_gof(inclusion, [1 / 16] * 16, alpha),
-                    drop_side > reps // 4)
+    return _given(statcheck.chi_square_gof(inclusion, [1 / 16] * 16), drop_side > reps // 4)
 
 
-def _merge_symmetric(source, reps, alpha, _):
+def _merge_symmetric(source, reps, _):
     # swapping the two shards must not change the law of the merged set
     tallies = []
     for swap in (False, True):
@@ -451,10 +444,10 @@ def _merge_symmetric(source, reps, alpha, _):
             tally[frozenset(merged)] += 1
         tallies.append(tally)
     keys = sorted(set(tallies[0]) | set(tallies[1]), key=sorted)
-    return statcheck.chi_square_two_sample(*([t[s] for s in keys] for t in tallies), alpha)
+    return statcheck.chi_square_two_sample(*([t[s] for s in keys] for t in tallies))
 
 
-def _merge_beside_empty(source, reps, alpha, _):
+def _merge_beside_empty(source, reps, _):
     # an empty shard's threshold is Beta(1, N); beside it, the kept count of
     # a 10-item shard has nearly the same law at N = 10^5 and 10^17 (Exp(1)
     # against Gamma(11) after scaling by N)
@@ -465,54 +458,52 @@ def _merge_beside_empty(source, reps, alpha, _):
         for _ in range(reps):
             tally[distributed.merge_all_with_state(source, inputs)[1].kappas[1]] += 1
         tallies.append(tally)
-    return statcheck.chi_square_two_sample(*tallies, alpha)
+    return statcheck.chi_square_two_sample(*tallies)
 
 
 def _thinning(q: float):
     # the kept count of 5 items is Binomial(5, q), and the kept subsets of
     # each size are uniform
-    def check(source, reps, alpha, _):
+    def check(source, reps, _):
         kept = Counter(tuple(distributed._thin(source, range(5), q)) for _ in range(reps))
         sizes = [0] * 6
         for subset, count in kept.items():
             sizes[len(subset)] += count
         lo, probs = statcheck.binomial_law(5, q)
-        reports = [statcheck.chi_square_gof(sizes[lo:lo + len(probs)], probs, alpha)]
+        results = [statcheck.chi_square_gof(sizes[lo:lo + len(probs)], probs)]
         for m in range(1, 5):
             subsets = list(itertools.combinations(range(5), m))
-            reports.append(statcheck.chi_square_gof(
-                [kept[subset] for subset in subsets], [1 / len(subsets)] * len(subsets), alpha))
-        return _worst(reports)
+            results.append(statcheck.chi_square_gof(
+                [kept[subset] for subset in subsets], [1 / len(subsets)] * len(subsets)))
+        return _worst(results)
     return check
 
 
-def _downsample_items(source, reps, alpha, _):
+def _downsample_items(source, reps, _):
     inclusion = [0] * 5
     for _ in range(reps):
         for item in distributed.downsample(source, [1, 2, 3, 4, 5], 2):
             inclusion[item - 1] += 1
-    return statcheck.chi_square_gof(inclusion, [1 / 5] * 5, alpha)
+    return statcheck.chi_square_gof(inclusion, [1 / 5] * 5)
 
 
-def _uniform_sweep(source, reps, alpha, seed_of):
-    reports = [pmf_law(lambda s: s.next_uniform_int(m), (1, [1.0 / m] * m),
-                       RandomSource(seed_of(m)), reps * m, alpha)
-               for m in range(2, 65)]
-    worst = min(r.p_value for r in reports)
-    return worst, worst, all(r.passed for r in reports)
+def _uniform_sweep(source, reps, seed_of):
+    worst = min(pmf_law(lambda s: s.next_uniform_int(m), (1, [1.0 / m] * m),
+                        RandomSource(seed_of(m)), reps * m)[1]
+                for m in range(2, 65))
+    return worst, worst
 
 
-def _calibration(source, reps, alpha, _):
+def _calibration(source, reps, _):
     # 100 uniform draws over 20 cells per rep: the share of reps that a fixed
     # internal level of 0.01 rejects measures the p-value machinery
     cal_alpha = 0.01
     rejected = sum(
-        not pmf_law(lambda s: s.next_uniform_int(20), (1, [1.0 / 20] * 20), source, 100,
-                    cal_alpha).passed
+        pmf_law(lambda s: s.next_uniform_int(20), (1, [1.0 / 20] * 20), source, 100)[1] < cal_alpha
         for _ in range(reps)
     )
     return _z_test((rejected - reps * cal_alpha)
-                   / math.sqrt(reps * cal_alpha * (1.0 - cal_alpha)), alpha)
+                   / math.sqrt(reps * cal_alpha * (1.0 - cal_alpha)))
 
 
 def _checks() -> list[tuple]:
@@ -591,8 +582,8 @@ def _checks() -> list[tuple]:
         *[(f"subset-uniformity-{algo}", _SUBSET_REPS,
            _subsets(lambda s, sampler=sampler: sampler(s, 6, 3).indices, 6, 3))
           for algo, sampler in default_samplers().items()],
-        *[(name, scale, lambda source, reps, alpha, _, sampler=sampler:
-           first_position_law(sampler, source, 5, 2, reps, alpha))
+        *[(name, scale, lambda source, reps, _, sampler=sampler:
+           first_position_law(sampler, source, 5, 2, reps))
           for name, scale, sampler in (
               ("first-position-inorder-5-2", (40_000, 100_000), inorder_sample),
               ("first-position-sparse-min-5-2", (30_000, 100_000), sparse_fisher_yates))],
@@ -600,10 +591,10 @@ def _checks() -> list[tuple]:
         ("hash-occupancy-n1000", (1_500, 10_000), _occupancy),
         ("draw-budget-exact", _STRUCTURAL_CASES, _draw_budget),
         ("sorted-order-outputs", _STRUCTURAL_CASES, _sorted_outputs),
-        ("sparse-classical-bitexact", _STRUCTURAL_CASES, lambda source, cases, alpha, seed_of:
+        ("sparse-classical-bitexact", _STRUCTURAL_CASES, lambda source, cases, seed_of:
          _exact(bitexact_mismatches(_seeded_cells(seed_of, cases, 81)))),
         ("iterator-prefix-consistency", _STRUCTURAL_CASES, _prefix_consistency),
-        ("preinit-restoration", _STRUCTURAL_CASES, lambda source, cases, alpha, _:
+        ("preinit-restoration", _STRUCTURAL_CASES, lambda source, cases, _:
          _exact(restoration_violations(source, random_cells(source, cases, 2, 101), 10 ** 6))),
         ("split-counts-2-2-k2", (60_000, 100_000),
          _law(lambda s: distributed.split_sample_counts(s, (2, 2), 2)[0],
@@ -622,7 +613,7 @@ def _checks() -> list[tuple]:
         # per value of each bound m
         ("uniform-int-sweep-m1-64", (0, 10_000), _uniform_sweep),
         ("split-merge-duality-4-4-k3", (0, 20_000),
-         lambda source, reps, alpha, _: split_merge_law(source, 3, reps, alpha)),
+         lambda source, reps, _: split_merge_law(source, 3, reps)),
         ("chi-square-calibration-ncat20", (0, 100_000), _calibration),
         # keep m of n: a small min(m, n - m) takes the draws route (the
         # positions to keep if 2m <= n, else to drop), a large one the marks
@@ -642,16 +633,14 @@ def _checks() -> list[tuple]:
 
 def run_row(name: str, check, size: int, seed: int, alpha: float) -> list[CheckRecord]:
     """The records of one row's check at size, run on the source and seeds
-    that the run seed and the row's name derive."""
-    results = check(RandomSource(_derive(seed, name)), size, alpha,
+    that the run seed and the row's name derive.  This is the suite's one
+    verdict: a record passes when its p-value is at least alpha."""
+    results = check(RandomSource(_derive(seed, name)), size,
                     lambda tag: _derive(seed, f"{name}-{tag}"))
-    records = []
     # the merge row reports three records from one run
-    for label, result in (results.items() if isinstance(results, dict) else [(name, results)]):
-        if not isinstance(result, tuple):
-            result = result.statistic, result.p_value, result.passed
-        records.append(CheckRecord(label, *result))
-    return records
+    return [CheckRecord(label, statistic, p_value, p_value >= alpha)
+            for label, (statistic, p_value)
+            in (results.items() if isinstance(results, dict) else [(name, results)])]
 
 
 def run_suite(suite: str = "quick", seed: int = 0,

@@ -47,10 +47,10 @@ def test_criterion_02_uniform_subsets_all_algorithms():
     failures = []
     for i, (name, sampler) in enumerate(default_samplers().items()):
         src = RandomSource(90210 + i)
-        rep = statcheck.enumerate_subset_distribution(lambda s: sampler(s, 6, 3).indices,
-                                                      6, 3, 200000, src, ALPHA)
-        if not rep.passed:
-            failures.append(f"{name} p={rep.p_value:.2e}")
+        _, p = statcheck.enumerate_subset_distribution(lambda s: sampler(s, 6, 3).indices,
+                                                       6, 3, 200000, src)
+        if not p >= ALPHA:
+            failures.append(f"{name} p={p:.2e}")
     elapsed = time.perf_counter() - t0
     ok = not failures and elapsed < 60.0
     report(2, "uniform subsets, 7 algorithms", ok,
@@ -59,10 +59,8 @@ def test_criterion_02_uniform_subsets_all_algorithms():
 
 def test_criterion_03_first_position_law():
     # P(X1 = x) at (n=5, k=2) is (0.4, 0.3, 0.2, 0.1); 1e5 reps
-    rep = suite.first_position_law(inorder_sample, RandomSource(333), 5, 2, 100000,
-                                   ALPHA)
-    report(3, "in-order first-position law", rep.passed,
-           f"chi2={rep.statistic:.2f}, p={rep.p_value:.4f}")
+    chi2, p = suite.first_position_law(inorder_sample, RandomSource(333), 5, 2, 100000)
+    report(3, "in-order first-position law", p >= ALPHA, f"chi2={chi2:.2f}, p={p:.4f}")
 
 
 def test_criterion_04_draw_counts():
@@ -125,11 +123,11 @@ def test_criterion_07_hypergeometric_law():
             triples.append((v, n, k))
     failures = []
     for v, n, k in triples:
-        rep = suite.pmf_law(lambda s: hypergeometric(s, v, n, k),
-                            statcheck.hypergeom_law(v, n, k),
-                            RandomSource(7000 + v * 169 + n * 13 + k), 100000, ALPHA)
-        if not rep.passed:
-            failures.append(f"{(v, n, k)} p={rep.p_value:.2e}")
+        _, p = suite.pmf_law(lambda s: hypergeometric(s, v, n, k),
+                             statcheck.hypergeom_law(v, n, k),
+                             RandomSource(7000 + v * 169 + n * 13 + k), 100000)
+        if not p >= ALPHA:
+            failures.append(f"{(v, n, k)} p={p:.2e}")
     report(7, "hypergeometric-by-search law", not failures,
            f"triples={len(triples)}, failures={failures or 'none'}")
 
@@ -140,9 +138,9 @@ def test_criterion_08_split_merge_duality():
     failures = []
     for k in range(1, 5):
         reps = max(100 * math.comb(8, k), 10000)
-        rep = suite.split_merge_law(RandomSource(800 + k), k, reps, ALPHA)
-        if not rep.passed:
-            failures.append(f"k={k} p={rep.p_value:.2e}")
+        _, p = suite.split_merge_law(RandomSource(800 + k), k, reps)
+        if not p >= ALPHA:
+            failures.append(f"k={k} p={p:.2e}")
     report(8, "split/merge duality", not failures,
            f"k=1..4 over C(8,k) subsets, failures={failures or 'none'}")
 
@@ -153,7 +151,7 @@ def test_criterion_09_merge_correctness():
     reps = 200000
     inclusion, impl_sets, winner_violations = suite.merge_two_shards(
         RandomSource(999), reps)
-    inc_rep = statcheck.chi_square_gof(inclusion, [1 / 8] * 8, ALPHA)
+    _, inc_p = statcheck.chi_square_gof(inclusion, [1 / 8] * 8)
 
     # oracle: assign one explicit uniform per item; each shard's sample is
     # its 2 smallest, its threshold the 3rd smallest; survivors are the
@@ -169,14 +167,13 @@ def test_criterion_09_merge_correctness():
             i for block in blocks for i in block[:2] if us[i - 1] < t_prime)] += 1
 
     keys = sorted(set(impl_sets) | set(oracle_sets), key=lambda s: (len(s), sorted(s)))
-    agree_rep = statcheck.chi_square_two_sample(
+    _, agree_p = statcheck.chi_square_two_sample(
         [impl_sets.get(s, 0) for s in keys],
         [oracle_sets.get(s, 0) for s in keys],
-        ALPHA,
     )
-    ok = inc_rep.passed and agree_rep.passed and winner_violations == 0
+    ok = inc_p >= ALPHA and agree_p >= ALPHA and winner_violations == 0
     report(9, "merge correctness", ok,
-           f"inclusion p={inc_rep.p_value:.4f}, oracle p={agree_rep.p_value:.4f}, "
+           f"inclusion p={inc_p:.4f}, oracle p={agree_p:.4f}, "
            f"winner violations={winner_violations}/{reps}")
 
 

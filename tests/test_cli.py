@@ -413,7 +413,7 @@ def two_rows(monkeypatch):
     # reports its scale; the real table's rows run in tests/test_suite.py
     monkeypatch.setattr(suite, "_checks", lambda: [
         ("coin", (2_000, 20_000), suite._law(lambda s: s.next_uniform_int(2), (1, [0.5, 0.5]))),
-        ("scale", (3, 7), lambda source, size, alpha, _: (float(size), 1.0, True))])
+        ("scale", (3, 7), lambda source, size, _: (float(size), 1.0))])
 
 
 def test_verify_quick_seed1_passes(capsys, two_rows):

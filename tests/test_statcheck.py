@@ -11,6 +11,8 @@ from srswor.rng import RandomSource
 from srswor.samplers import fisher_yates_sample
 from srswor.statcheck import (
     MAX_ENUMERATED_SUBSETS,
+    POOL_THRESHOLD,
+    _pool_cells,
     beta_binomial_law,
     binomial_law,
     chi2_sf,
@@ -70,32 +72,28 @@ def test_kolmogorov_sf_small_lambda_saturates():
 
 def test_gof_hand_computed_statistic():
     # (30, 70) against (1/2, 1/2): chi2 = 2 * 20^2/50 = 16 on 1 dof
-    report = chi_square_gof([30, 70], [0.5, 0.5])
-    assert report.statistic == pytest.approx(16.0)
-    assert report.dof == 1
-    assert report.p_value == pytest.approx(6.334248366623988e-05, rel=1e-9)
-    assert not report.passed  # below default alpha=0.001
+    statistic, p = chi_square_gof([30, 70], [0.5, 0.5])
+    assert statistic == pytest.approx(16.0)
+    assert len(_pool_cells([30, 70], [50.0, 50.0], POOL_THRESHOLD)[1]) == 2  # dof 1
+    assert p == pytest.approx(6.334248366623988e-05, rel=1e-9)
 
 
 def test_gof_passes_on_exact_fit():
-    report = chi_square_gof([50, 50], [0.5, 0.5])
-    assert report.statistic == 0.0
-    assert report.passed
+    assert chi_square_gof([50, 50], [0.5, 0.5]) == (0.0, 1.0)
 
 
 def test_gof_pooling_merges_sparse_cells():
     # two tiny trailing cells get pooled: 4 cells at p=(0.6,0.3,0.05,0.05)
     # with 60 observations leaves expected (36, 18, 3, 3) -> pool last two
-    report = chi_square_gof([36, 18, 3, 3], [0.6, 0.3, 0.05, 0.05])
-    assert report.dof == 2  # 3 pooled cells
-    assert report.statistic == pytest.approx(0.0)
+    assert len(_pool_cells([36, 18, 3, 3], [36.0, 18.0, 3.0, 3.0], POOL_THRESHOLD)[1]) == 3
+    assert chi_square_gof([36, 18, 3, 3], [0.6, 0.3, 0.05, 0.05])[0] == pytest.approx(0.0)
 
 
 def test_gof_trailing_remainder_joins_last_cell():
-    # remainder below threshold at the end folds into the previous pool
-    report = chi_square_gof([95, 5], [0.95, 0.05], alpha=0.5)
-    # expected (95, 5): both cells meet the threshold, dof 1
-    assert report.dof == 1
+    # expected (95, 5): both cells meet the threshold; a remainder below it
+    # at the end folds into the previous pool
+    assert len(_pool_cells([95, 5], [95.0, 5.0], POOL_THRESHOLD)[1]) == 2
+    assert _pool_cells([90, 6, 4], [90.0, 6.0, 4.0], POOL_THRESHOLD) == ([90, 10], [90, 10])
 
 
 def test_gof_errors():
@@ -113,20 +111,18 @@ def test_gof_errors():
 
 
 def test_two_sample_identical_counts_pass():
-    report = chi_square_two_sample([100, 200, 300], [100, 200, 300])
-    assert report.statistic == pytest.approx(0.0)
-    assert report.passed
+    assert chi_square_two_sample([100, 200, 300], [100, 200, 300]) == (0.0, 1.0)
 
 
 def test_two_sample_detects_difference():
-    report = chi_square_two_sample([900, 100], [100, 900])
-    assert not report.passed
-    assert report.p_value < 1e-50
+    assert chi_square_two_sample([900, 100], [100, 900])[1] < 1e-50
 
 
 def test_two_sample_drops_empty_cells():
-    report = chi_square_two_sample([50, 0, 50], [60, 0, 40])
-    assert report.dof == 1
+    # the empty middle cell is dropped, not pooled: two cells, dof 1
+    assert len(_pool_cells([50, 50], [55.0, 45.0], POOL_THRESHOLD)[1]) == 2
+    statistic, p = chi_square_two_sample([50, 0, 50], [60, 0, 40])
+    assert p == chi2_sf(statistic, 1)
 
 
 def test_two_sample_errors():
@@ -147,8 +143,7 @@ def test_gof_calibration_under_null():
         counts = [0] * 8
         for _ in range(400):
             counts[src.next_uniform_int(8) - 1] += 1
-        report = chi_square_gof(counts, [0.125] * 8, alpha=0.05)
-        rejected += not report.passed
+        rejected += chi_square_gof(counts, [0.125] * 8)[1] < 0.05
     # Binomial(400, 0.05): mean 20, sd ~4.36; allow 4.5 sigma
     assert 1 <= rejected <= 40
 
@@ -158,8 +153,8 @@ def test_gof_calibration_under_null():
 def test_ks_detects_uniform_and_nonuniform():
     src = RandomSource(7)
     vals = [src.next_uniform_real() for _ in range(5000)]
-    assert ks_gof(vals, lambda x: x).passed
-    assert not ks_gof([v ** 3 for v in vals], lambda x: x).passed
+    assert ks_gof(vals, lambda x: x)[1] >= 0.001
+    assert ks_gof([v ** 3 for v in vals], lambda x: x)[1] < 0.001
 
 
 def test_ks_requires_ten_values():
@@ -170,9 +165,7 @@ def test_ks_requires_ten_values():
 def test_ks_statistic_hand_case():
     # 10 evenly spread points: D = 0.05 against the uniform cdf
     vals = [(i + 0.5) / 10 for i in range(10)]
-    report = ks_gof(vals, lambda x: x)
-    assert report.statistic == pytest.approx(0.05)
-    assert report.n == 10
+    assert ks_gof(vals, lambda x: x)[0] == pytest.approx(0.05)
 
 
 # --- exact laws and cost formulas ---
@@ -307,8 +300,7 @@ def test_pmf_law_refuses_values_outside_the_support():
     uniform6 = (1, [1 / 6] * 6)
     for shift, value in ((-1, 0), (1, 7)):
         with pytest.raises(ValueError, match=f"value {value} outside"):
-            pmf_law(lambda s: s.next_uniform_int(6) + shift, uniform6, RandomSource(3),
-                    60000, 0.001)
+            pmf_law(lambda s: s.next_uniform_int(6) + shift, uniform6, RandomSource(3), 60000)
 
 
 def test_expected_membership_draws_value():
@@ -348,16 +340,13 @@ def _fy_draw(source):
 
 def test_enumerate_subset_distribution_accepts_uniform_sampler():
     src = RandomSource(999)
-    report = enumerate_subset_distribution(_fy_draw, 5, 2, 4000, src)
-    assert report.passed
+    assert enumerate_subset_distribution(_fy_draw, 5, 2, 4000, src)[1] >= 0.001
 
 
 def test_enumerate_subset_distribution_rejects_biased_sampler():
     # always the same subset
     src = RandomSource(1000)
-    report = enumerate_subset_distribution(lambda s: [1, 2], 5, 2, 4000, src)
-    assert not report.passed
-    assert report.p_value < 1e-100
+    assert enumerate_subset_distribution(lambda s: [1, 2], 5, 2, 4000, src)[1] < 1e-100
 
 
 def test_enumerate_subset_distribution_caps():

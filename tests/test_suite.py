@@ -2,6 +2,7 @@
 pinned, and every tagged sampling route reached by some row."""
 
 import hashlib
+import math
 import pathlib
 import sys
 
@@ -29,6 +30,18 @@ QUICK_SEED1_SHA256 = "4a1fafb4cd58a0edd2e557cb3df930829f30f6a3b8ccca0105babcf786
 @pytest.mark.parametrize("name", [name for name, _, _ in QUICK_ROWS if name not in NAMED_ROWS])
 def test_row_passes(quick_law, name):
     quick_law(name)
+
+
+@pytest.mark.parametrize("result, alpha, p, verdict", [
+    ((2.0, 0.01), 0.01, 0.01, "PASS"),
+    ((2.0, math.nextafter(0.01, 0.0)), 0.01, math.nextafter(0.01, 0.0), "FAIL"),
+    (suite._exact(0), 1.0, 1.0, "PASS"),
+    # the chi-square passes, the side condition fails: p 0, not the test's own
+    (suite._given(statcheck.chi_square_gof([50, 50], [0.5, 0.5]), False), 0.001, 0.0, "FAIL"),
+], ids=["p-at-alpha", "p-below-alpha", "exact-at-alpha-1", "side-condition-fails"])
+def test_run_row_passes_when_p_reaches_alpha(result, alpha, p, verdict):
+    records = suite.run_row("stub", lambda source, size, seed_of: result, 1, 0, alpha)
+    assert suite.format_report(records).endswith(f"p={p:<12.6g} {verdict}\n")
 
 
 def test_quick_seed1_text_is_pinned(quick_seed1):
