@@ -223,6 +223,14 @@ def _log_quotient(p: int, q: int) -> float:
     return math.log(p) - math.log(q)
 
 
+def _beta1_quantile(source: UniformSource, b: float) -> float:
+    """A Beta(1, b) draw from one uniform U: 1 - U**(1/b), or
+    -expm1(log(U)/b) below _BETA_EXPM1_BELOW."""
+    u = source.next_uniform_real()
+    x = 1.0 - u ** (1.0 / b)
+    return x if x >= _BETA_EXPM1_BELOW else -math.expm1(math.log(u) / b)
+
+
 def beta(source: UniformSource, alpha: float, beta_shape: float) -> float:
     """Beta(alpha, b) draw in (0, 1], b = beta_shape.
 
@@ -246,9 +254,7 @@ def beta(source: UniformSource, alpha: float, beta_shape: float) -> float:
     if beta_shape == 0.0:
         return 1.0
     if alpha == 1.0:
-        u = source.next_uniform_real()  # route: beta(1, b) quantile
-        x = 1.0 - u ** (1.0 / beta_shape)
-        return x if x >= _BETA_EXPM1_BELOW else -math.expm1(math.log(u) / beta_shape)
+        return _beta1_quantile(source, beta_shape)  # route: beta(1, b) quantile
     if beta_shape == 1.0:
         return (1.0 - source.next_uniform_real()) ** (1.0 / alpha)  # route: beta(a, 1) quantile
     # BB (Cheng 1978, "Generating beta variates with nonintegral shape
@@ -283,9 +289,9 @@ def beta(source: UniformSource, alpha: float, beta_shape: float) -> float:
 def beta_binomial(source: UniformSource, alpha: int, beta_shape: int, n: int) -> int:
     """Beta-Binomial(alpha, beta, n): p ~ Beta then Binomial(n, p).
 
-    alpha == 1 inlines the closed-form Beta quantile, so the draw costs one
-    uniform real plus one binomial, which is the budget the in-order sampler
-    is accounted at.
+    alpha == 1 takes the Beta(1, b) quantile that beta takes, without
+    counting a beta draw, so the draw costs one uniform real plus one
+    binomial, which is the budget the in-order sampler is accounted at.
     """
     if alpha < 1 or beta_shape < 1:
         raise ValueError(f"beta-binomial shapes must be >= 1, got ({alpha}, {beta_shape})")
@@ -293,7 +299,7 @@ def beta_binomial(source: UniformSource, alpha: int, beta_shape: int, n: int) ->
         raise ValueError(f"beta-binomial trial count must be >= 0, got {n}")
     source.stats.beta_binomial += 1
     if alpha == 1:
-        p = 1.0 - source.next_uniform_real() ** (1.0 / beta_shape)  # route: beta-binomial alpha 1
+        p = _beta1_quantile(source, beta_shape)  # route: beta-binomial alpha 1
     else:
         p = beta(source, alpha, beta_shape)  # route: beta-binomial through beta
     return binomial(source, n, p)

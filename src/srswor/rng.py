@@ -148,24 +148,13 @@ class DrawStats(Record):
         self.hypergeometric = hypergeometric
 
     def copy(self) -> "DrawStats":
-        return DrawStats(self.uniform_int, self.uniform_real, self.bernoulli,
-                         self.binomial, self.beta, self.beta_binomial,
-                         self.hypergeometric)
+        return DrawStats(*self._astuple())
 
     def __sub__(self, other: "DrawStats") -> "DrawStats":
-        return DrawStats(
-            self.uniform_int - other.uniform_int,
-            self.uniform_real - other.uniform_real,
-            self.bernoulli - other.bernoulli,
-            self.binomial - other.binomial,
-            self.beta - other.beta,
-            self.beta_binomial - other.beta_binomial,
-            self.hypergeometric - other.hypergeometric,
-        )
+        return DrawStats(*(a - b for a, b in zip(self._astuple(), other._astuple())))
 
     def total(self) -> int:
-        return (self.uniform_int + self.uniform_real + self.bernoulli + self.binomial
-                + self.beta + self.beta_binomial + self.hypergeometric)
+        return sum(self._astuple())
 
 
 def _check_descending(n: int, k: int) -> None:

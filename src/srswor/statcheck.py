@@ -6,18 +6,17 @@ beta-binomial, hypergeometric) is one walk of its exact pmf ratio out from
 its integer mode, in O(support) and correctly rounded steps for any n;
 p-values come from a locally implemented regularized incomplete gamma
 function, and expectations from closed-form sums.  No third-party
-statistics dependency.  Each test returns its (statistic, p-value) and
-leaves the verdict to its caller, which holds the alpha.
+statistics dependency.  Its functions take counts, values and law
+parameters, never a source: the draws are made by their callers.  Each
+test returns its (statistic, p-value) and leaves the verdict to its caller,
+which holds the alpha.
 """
 
 from __future__ import annotations
 
 import bisect
-import itertools
 import math
 import sys
-
-from .rng import UniformSource
 
 # Minimum expected count per cell after pooling, the usual chi-square rule.
 POOL_THRESHOLD = 5.0
@@ -291,46 +290,6 @@ def expected_hash_occupancy(n: int, i: int) -> float:
     if n < 1 or not 0 <= i <= n:
         raise ValueError(f"invalid parameters n={n}, i={i}")
     return i * (n - i) / n
-
-
-# --- exhaustive subset distribution check ------------------------------------
-
-MAX_ENUMERATED_SUBSETS = 200
-MIN_REPS_PER_SUBSET = 100
-
-
-def enumerate_subset_distribution(draw, n: int, k: int, reps: int,
-                                  source: UniformSource) -> tuple[float, float]:
-    """Chi-square (statistic, p-value) of reps k-subsets draw(source) of
-    [1, n], items in any order, against the uniform law on all C(n, k) of
-    them.
-
-    C(n, k) is capped at 200 and reps must be at least 100 per subset.  A
-    draw that is not a k-subset of [1, n] raises ValueError.
-    """
-    if not 1 <= k <= n:
-        raise ValueError(f"invalid parameters n={n}, k={k}")
-    subsets = list(itertools.combinations(range(1, n + 1), k))
-    if len(subsets) > MAX_ENUMERATED_SUBSETS:
-        raise ValueError(
-            f"C({n},{k}) = {len(subsets)} exceeds the enumeration cap "
-            f"{MAX_ENUMERATED_SUBSETS}"
-        )
-    if reps < MIN_REPS_PER_SUBSET * len(subsets):
-        raise ValueError(
-            f"need at least {MIN_REPS_PER_SUBSET * len(subsets)} reps "
-            f"for {len(subsets)} subsets, got {reps}"
-        )
-    index = {frozenset(s): i for i, s in enumerate(subsets)}
-    counts = [0] * len(subsets)
-    for _ in range(reps):
-        items = draw(source)
-        i = index.get(frozenset(items))
-        if i is None or len(items) != k:
-            raise ValueError(f"draw returned {items}, not a {k}-subset of [1, {n}]")
-        counts[i] += 1
-    probs = [1.0 / len(subsets)] * len(subsets)
-    return chi_square_gof(counts, probs)
 
 
 def normal_sf_two_sided(z: float) -> float:

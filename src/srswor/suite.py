@@ -88,6 +88,16 @@ def pmf_law(draw, law, source, reps: int, edges=None) -> tuple[float, float]:
                                     [math.fsum(probs[a:b]) for a, b in cells])
 
 
+def subset_law(draw, n: int, k: int):
+    """(indexed, law) for pmf_law: the uniform law on the C(n, k) k-subsets
+    of [1, n], indexed in itertools.combinations order, and indexed(source)
+    the index of the items draw(source), in any order, or -1 if they are not
+    such a subset."""
+    index = {subset: i for i, subset in enumerate(itertools.combinations(range(1, n + 1), k))}
+    return (lambda source: index.get(tuple(sorted(draw(source))), -1),
+            (0, [1.0 / len(index)] * len(index)))
+
+
 def _wide_edges(probs) -> list[int]:
     """pmf_law's edges for a law too wide for one cell per value: about 60
     cells of equal width over its mean +- 4 sd, and each tail beyond them
@@ -209,7 +219,7 @@ def split_merge_law(source, k: int, reps: int) -> tuple[float, float]:
         c0, c1 = distributed.split_sample_counts(s, (4, 4), k)
         return (sparse_fisher_yates(s, 4, c0).indices
                 + [i + 4 for i in sparse_fisher_yates(s, 4, c1).indices])
-    return statcheck.enumerate_subset_distribution(draw, 8, k, reps, source)
+    return pmf_law(*subset_law(draw, 8, k), source, reps)
 
 
 def merge_two_shards(source, reps: int) -> tuple[list[int], Counter, int]:
@@ -308,10 +318,6 @@ def _wide_family(draw, law, uniforms_per_draw, *params):
         result = pmf_law(lambda s: draw(s, *params), (lo, probs), source, reps, _wide_edges(probs))
         return _given(result, source.stats.uniform_real < uniforms_per_draw * reps)
     return check
-
-
-def _subsets(draw, n: int, k: int):
-    return lambda source, reps, _: statcheck.enumerate_subset_distribution(draw, n, k, reps, source)
 
 
 def _normal_ks(draw, num: int, den: int, sd: float):
@@ -580,7 +586,7 @@ def _checks() -> list[tuple]:
         ("beta-ks-a40-b5", _KS_N, _ks(lambda s: beta(s, 40.0, 5.0),
                                       lambda x, low=_beta_cdf(5, 40): 1.0 - low(1.0 - x))),
         *[(f"subset-uniformity-{algo}", _SUBSET_REPS,
-           _subsets(lambda s, sampler=sampler: sampler(s, 6, 3).indices, 6, 3))
+           _law(*subset_law(lambda s, sampler=sampler: sampler(s, 6, 3).indices, 6, 3)))
           for algo, sampler in default_samplers().items()],
         *[(name, scale, lambda source, reps, _, sampler=sampler:
            first_position_law(sampler, source, 5, 2, reps))
@@ -619,7 +625,8 @@ def _checks() -> list[tuple]:
         # positions to keep if 2m <= n, else to drop), a large one the marks
         # route, with fix-ups both ways; see distributed.downsample
         *[(f"downsample-subsets-{n}-{m}", (20_000, 100_000),
-           _subsets(lambda s, n=n, m=m: distributed.downsample(s, range(1, n + 1), m), n, m))
+           _law(*subset_law(lambda s, n=n, m=m: distributed.downsample(s, range(1, n + 1), m),
+                            n, m)))
           for n, m in ((5, 2), (5, 3), (12, 1), (12, 11))],
         ("downsample-items-5-2", (30_000, 100_000), _downsample_items),
         # items arrive in increasing order, so the largest kept one is the last

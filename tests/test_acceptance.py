@@ -47,8 +47,8 @@ def test_criterion_02_uniform_subsets_all_algorithms():
     failures = []
     for i, (name, sampler) in enumerate(default_samplers().items()):
         src = RandomSource(90210 + i)
-        _, p = statcheck.enumerate_subset_distribution(lambda s: sampler(s, 6, 3).indices,
-                                                       6, 3, 200000, src)
+        _, p = suite.pmf_law(*suite.subset_law(lambda s: sampler(s, 6, 3).indices, 6, 3),
+                             src, 200000)
         if not p >= ALPHA:
             failures.append(f"{name} p={p:.2e}")
     elapsed = time.perf_counter() - t0

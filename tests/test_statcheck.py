@@ -1,16 +1,18 @@
 """Statistical machinery tests: tail probabilities, pooling, pmfs, calibration."""
 
+import ast
 import math
+import pathlib
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
+from srswor import statcheck
 from srswor.rng import RandomSource
 from srswor.samplers import fisher_yates_sample
 from srswor.statcheck import (
-    MAX_ENUMERATED_SUBSETS,
     POOL_THRESHOLD,
     _pool_cells,
     beta_binomial_law,
@@ -18,7 +20,6 @@ from srswor.statcheck import (
     chi2_sf,
     chi_square_gof,
     chi_square_two_sample,
-    enumerate_subset_distribution,
     expected_hash_occupancy,
     expected_membership_draws,
     hypergeom_law,
@@ -26,7 +27,7 @@ from srswor.statcheck import (
     ks_gof,
     normal_sf_two_sided,
 )
-from srswor.suite import pmf_law
+from srswor.suite import pmf_law, subset_law
 
 # chi-square upper tails frozen from an independent implementation
 CHI2_SF_CASES = [
@@ -170,37 +171,6 @@ def test_ks_statistic_hand_case():
 
 # --- exact laws and cost formulas ---
 
-def _first_position(n, k):
-    """(lo, probs) of the smallest index of a uniform k-subset of [1, n]."""
-    lo, probs = beta_binomial_law(1, k, n - k)
-    return 1 + lo, probs
-
-
-def test_first_position_pmf_cases():
-    # n=5, k=2: (0.4, 0.3, 0.2, 0.1) on x=1..4, nothing at 0 or 5
-    assert _first_position(5, 2) == (1, pytest.approx([0.4, 0.3, 0.2, 0.1], rel=1e-12))
-
-
-def test_first_position_pmf_normalizes():
-    for n in (1, 2, 5, 17, 50):
-        for k in {1, 2, n // 2 or 1, n}:
-            if k > n:
-                continue
-            assert abs(math.fsum(_first_position(n, k)[1]) - 1.0) <= 1e-12, (n, k)
-
-
-def test_first_position_pmf_k_equals_n():
-    # the first position of a full sample is 1
-    assert _first_position(6, 6) == (1, [1.0])
-
-
-def test_first_position_pmf_errors():
-    with pytest.raises(ValueError):
-        _first_position(5, 0)
-    with pytest.raises(ValueError):
-        _first_position(0, 1)
-
-
 def test_binomial_pmf_matches_reference():
     # Binomial(10, 0.3) frozen from an independent implementation
     assert binomial_law(10, 0.3) == (0, pytest.approx([
@@ -245,6 +215,8 @@ def test_beta_binomial_pmf_errors_and_support():
 
 @given(st.integers(min_value=1, max_value=60), st.integers(min_value=1, max_value=60),
        st.integers(min_value=0, max_value=60))
+@example(n=5, k=2, v=0)
+@example(n=6, k=6, v=0)
 @settings(max_examples=100, deadline=None)
 def test_laws_match_exact_values(n, k, v):
     n, k, v = max(n, k), min(n, k), min(v, max(n, k))
@@ -338,33 +310,30 @@ def _fy_draw(source):
     return fisher_yates_sample(source, 5, 2).indices
 
 
-def test_enumerate_subset_distribution_accepts_uniform_sampler():
-    src = RandomSource(999)
-    assert enumerate_subset_distribution(_fy_draw, 5, 2, 4000, src)[1] >= 0.001
+def test_subset_law_accepts_uniform_sampler():
+    assert pmf_law(*subset_law(_fy_draw, 5, 2), RandomSource(999), 4000)[1] >= 0.001
 
 
-def test_enumerate_subset_distribution_rejects_biased_sampler():
+def test_subset_law_rejects_biased_sampler():
     # always the same subset
-    src = RandomSource(1000)
-    assert enumerate_subset_distribution(lambda s: [1, 2], 5, 2, 4000, src)[1] < 1e-100
+    assert pmf_law(*subset_law(lambda s: [1, 2], 5, 2), RandomSource(1000), 4000)[1] < 1e-100
 
 
-def test_enumerate_subset_distribution_caps():
-    src = RandomSource(0)
-    with pytest.raises(ValueError):
-        # C(30, 5) is far beyond the enumeration cap
-        enumerate_subset_distribution(_fy_draw, 30, 5, 10**6, src)
-    with pytest.raises(ValueError):
-        # too few reps for C(5, 2) = 10 subsets
-        enumerate_subset_distribution(_fy_draw, 5, 2, 500, src)
-    assert MAX_ENUMERATED_SUBSETS == 200
-
-
-def test_enumerate_subset_distribution_rejects_invalid_output():
+def test_subset_law_rejects_invalid_output():
     # repeats, the wrong size, and items outside [1, 5]
     for items in ([1, 1], [1, 2, 2], [1, 2, 3], [1], [0, 1], [5, 6]):
-        with pytest.raises(ValueError):
-            enumerate_subset_distribution(lambda s: items, 5, 2, 1000, RandomSource(1))
+        with pytest.raises(ValueError, match="value -1 outside"):
+            pmf_law(*subset_law(lambda s: items, 5, 2), RandomSource(1), 1000)
+
+
+def test_statcheck_imports_nothing_of_the_package():
+    # the oracle stays free of the sampling layers it judges
+    tree = ast.parse(pathlib.Path(statcheck.__file__).read_text())
+    modules = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+               for alias in node.names]
+    modules += ["." * node.level + (node.module or "") for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom)]
+    assert not [m for m in modules if m.startswith((".", "srswor"))]
 
 
 @given(st.floats(min_value=0.01, max_value=100.0), st.integers(min_value=1, max_value=200))
@@ -372,13 +341,3 @@ def test_enumerate_subset_distribution_rejects_invalid_output():
 def test_chi2_sf_is_a_tail_probability(stat, dof):
     p = chi2_sf(stat, dof)
     assert 0.0 <= p <= 1.0
-
-
-@given(st.integers(min_value=1, max_value=60), st.integers(min_value=1, max_value=60))
-@settings(max_examples=100, deadline=None)
-def test_first_position_pmf_property(n, k):
-    if k > n:
-        n, k = k, n
-    lo, probs = _first_position(n, k)
-    assert (lo, len(probs)) == (1, n - k + 1)
-    assert abs(math.fsum(probs) - 1.0) <= 1e-11

@@ -99,7 +99,6 @@ def test_every_route_is_reached(monkeypatch):
                 sys.settrace(on_call)
         return call
 
-    monkeypatch.setattr(statcheck, "MIN_REPS_PER_SUBSET", 0)
     monkeypatch.setattr(statcheck, "_walk", untraced(statcheck._walk))
     previous = sys.gettrace()
     sys.settrace(on_call)
