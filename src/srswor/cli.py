@@ -15,6 +15,7 @@ import argparse
 import os
 import sys
 import time
+from itertools import islice
 
 from .distributed import MergeInput, downsample, merge_all_with_state
 from .rng import RandomSource, Record
@@ -119,12 +120,12 @@ def _cmd_sample(args) -> int:
 def _sample_lines(args, source: RandomSource) -> int:
     """Line-sampling mode: one pass over the input, lines out in input order.
 
-    With --n the sorted positions come from inorder; without it the
-    reservoir keeps k lines, which it returns in stream order.  A file
-    shorter than k is refused; a shorter stdin yields all of its lines.  A
-    file decodes with stdin's encoding and error handler and splits lines at
-    "\n" alone, as stdin does, so the same bytes give the same lines by
-    either route."""
+    With --n the sorted positions come from inorder, and the input must
+    reach line n, past which nothing is read.  Without it the reservoir
+    keeps k lines in stream order: a file shorter than k is refused, a
+    shorter stdin yields all of its lines.  A file decodes with stdin's
+    encoding and error handler and splits lines at "\n" alone, as stdin
+    does, so the same bytes give the same lines by either route."""
     path = args.input
     use_stdin = path is None or path == "-"
     if args.k == 0:
@@ -142,16 +143,17 @@ def _sample_lines(args, source: RandomSource) -> int:
                 return 2
             sys.stdout.writelines(result.indices)
             return 0
-        positions = inorder_sample(source, n, args.k).indices
-        kept, want = [], positions[0]
-        for lineno, line in enumerate(handle, 1):
+        wanted = iter(inorder_sample(source, n, args.k).indices)
+        kept, want, lineno = [], next(wanted), 0
+        for lineno, line in enumerate(islice(handle, n), 1):
             if lineno == want:
                 kept.append(line)
-                if len(kept) == len(positions):
-                    sys.stdout.writelines(kept)
-                    return 0
-                want = positions[len(kept)]
-        print(f"sample: input ended before position {want} (expected {n} lines)", file=sys.stderr)
+                want = next(wanted, 0)  # 0: no line is wanted any more
+        if lineno == n:
+            sys.stdout.writelines(kept)
+            return 0
+        print(f"sample: input ended before position {want or n} (expected {n} lines)",
+              file=sys.stderr)
         return 1
     finally:
         if not use_stdin:
@@ -231,13 +233,16 @@ def _cmd_merge(args) -> int:
     with open(args.manifest) as handle:
         raw_lines = handle.readlines()
 
-    inputs = []
+    inputs, first_line = [], {}  # first_line: identifier -> its manifest line
     for lineno, raw in enumerate(raw_lines, 1):
         line = raw.rstrip("\n")
         if not line.strip():
             continue
         try:
             inputs.append(_parse_shard(line))
+            for item in inputs[-1].sample:
+                if first_line.setdefault(item, lineno) != lineno:
+                    raise ValueError(f"identifier {item!r} also in line {first_line[item]}")
         except ValueError as exc:
             print(f"merge: manifest line {lineno}: {exc}", file=sys.stderr)
             return 1

@@ -35,7 +35,7 @@ import math
 from typing import Sequence
 
 from .distributions import bernoulli, beta, hypergeometric
-from .rng import Record, UniformSource
+from .rng import RandomSource, Record
 
 
 class MergeInput(Record, frozen=True):
@@ -61,7 +61,7 @@ class MergeState(Record, frozen=True):
         self._init(thresholds, kappas)
 
 
-def split_sample_counts(source: UniformSource, block_sizes: Sequence[int],
+def split_sample_counts(source: RandomSource, block_sizes: Sequence[int],
                         k: int) -> list[int]:
     """Multivariate hypergeometric split of k over blocks of the given sizes.
 
@@ -87,7 +87,7 @@ def split_sample_counts(source: UniformSource, block_sizes: Sequence[int],
     return counts
 
 
-def merge_all_with_state(source: UniformSource,
+def merge_all_with_state(source: RandomSource,
                          inputs: Sequence[MergeInput]) -> tuple[list, MergeState]:
     """Merge any number of shard samples; see the module docstring for the law.
 
@@ -115,7 +115,7 @@ def merge_all_with_state(source: UniformSource,
     return merged, MergeState(tuple(thresholds), tuple(kappas))
 
 
-def _thin(source: UniformSource, sample: Sequence, q: float) -> list:
+def _thin(source: RandomSource, sample: Sequence, q: float) -> list:
     """The items of sample, each kept independently with probability q < 1,
     in input order.
 
@@ -137,7 +137,7 @@ def _thin(source: UniformSource, sample: Sequence, q: float) -> list:
     return list(itertools.compress(sample, mask))
 
 
-def downsample(source: UniformSource, sample: Sequence, target: int) -> list:
+def downsample(source: RandomSource, sample: Sequence, target: int) -> list:
     """Uniformly keep exactly target of the n items of sample, in input order.
 
     Target 0 or n draws nothing.  Otherwise, with c = min(target, n - target)

@@ -1,4 +1,4 @@
-"""Exact discrete and continuous variate generators driven by a UniformSource.
+"""Exact discrete and continuous variate generators driven by a RandomSource.
 
 Everything here reduces to the two uniform primitives of the source, so a
 whole pipeline is reproducible from one seed.  No approximate method is
@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import math
 
-from .rng import UniformSource
+from .rng import RandomSource
 
 # Up to this mean (n*min(p, 1-p), or the hypergeometric mean after its
 # symmetries), plain CDF inversion is both exact and fast; above it, BTRD
@@ -63,7 +63,7 @@ _FC_TABLE = tuple(
 )
 
 
-def bernoulli(source: UniformSource, p: float) -> int:
+def bernoulli(source: RandomSource, p: float) -> int:
     """One Bernoulli(p) trial via a single uniform-real comparison."""
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"bernoulli p={p} outside [0, 1]")
@@ -71,7 +71,7 @@ def bernoulli(source: UniformSource, p: float) -> int:
     return 1 if source.next_uniform_real() < p else 0  # route: bernoulli
 
 
-def binomial(source: UniformSource, n: int, p: float) -> int:
+def binomial(source: RandomSource, n: int, p: float) -> int:
     """Exact Binomial(n, p) draw.
 
     p > 0.5 is drawn as n minus a Binomial(n, 1 - p).  With the smaller
@@ -100,7 +100,7 @@ def binomial(source: UniformSource, n: int, p: float) -> int:
     return n - c if flip else c
 
 
-def _binomial_inversion(source: UniformSource, n: int, p: float) -> int:
+def _binomial_inversion(source: RandomSource, n: int, p: float) -> int:
     # Requires p <= 0.5 and n*p bounded so (1-p)^n stays far above underflow.
     f0 = math.exp(n * math.log1p(-p))
     ratio = p / (1.0 - p)
@@ -118,7 +118,7 @@ def _binomial_inversion(source: UniformSource, n: int, p: float) -> int:
             return c
 
 
-def _binomial_btrd(source: UniformSource, n: int, p: float) -> int:
+def _binomial_btrd(source: RandomSource, n: int, p: float) -> int:
     # BTRD (Hoermann 1993, "The generation of binomial random variates"),
     # steps 1-3.4, for p <= 0.5 and n*p > 30.  A proposal is
     # m + floor((2a/us + b) u + c - m): it is formed relative to the mode m,
@@ -223,7 +223,7 @@ def _log_quotient(p: int, q: int) -> float:
     return math.log(p) - math.log(q)
 
 
-def _beta1_quantile(source: UniformSource, b: float) -> float:
+def _beta1_quantile(source: RandomSource, b: float) -> float:
     """A Beta(1, b) draw from one uniform U: 1 - U**(1/b), or
     -expm1(log(U)/b) below _BETA_EXPM1_BELOW."""
     u = source.next_uniform_real()
@@ -231,7 +231,7 @@ def _beta1_quantile(source: UniformSource, b: float) -> float:
     return x if x >= _BETA_EXPM1_BELOW else -math.expm1(math.log(u) / b)
 
 
-def beta(source: UniformSource, alpha: float, beta_shape: float) -> float:
+def beta(source: RandomSource, alpha: float, beta_shape: float) -> float:
     """Beta(alpha, b) draw in (0, 1], b = beta_shape.
 
     b == 0 returns exactly 1.0 (the sample-everything threshold case).
@@ -286,7 +286,7 @@ def beta(source: UniformSource, alpha: float, beta_shape: float) -> float:
     return 1.0 / (1.0 + y) if swap else y / (1.0 + y)
 
 
-def beta_binomial(source: UniformSource, alpha: int, beta_shape: int, n: int) -> int:
+def beta_binomial(source: RandomSource, alpha: int, beta_shape: int, n: int) -> int:
     """Beta-Binomial(alpha, beta, n): p ~ Beta then Binomial(n, p).
 
     alpha == 1 takes the Beta(1, b) quantile that beta takes, without
@@ -305,7 +305,7 @@ def beta_binomial(source: UniformSource, alpha: int, beta_shape: int, n: int) ->
     return binomial(source, n, p)
 
 
-def hypergeometric(source: UniformSource, v: int, n: int, k: int) -> int:
+def hypergeometric(source: RandomSource, v: int, n: int, k: int) -> int:
     """Exact hypergeometric draw: how many of k sampled items fall in the first v of n.
 
     The law is unchanged by v -> n - v (the count becomes k - c) and by
@@ -337,7 +337,7 @@ def hypergeometric(source: UniformSource, v: int, n: int, k: int) -> int:
     return c
 
 
-def _hypergeometric_inversion(source: UniformSource, v: int, n: int, k: int) -> int:
+def _hypergeometric_inversion(source: RandomSource, v: int, n: int, k: int) -> int:
     # v, k <= n/2 and v k <= 30 n: the support is [0, s], s = min(v, k), and
     # P(0) = (n - s)! (n - t)! / (n! rest!), at least 1/C(120, 60) > e^-81.
     # Its log takes the module's Stirling terms, the s log(b + 1) parts
@@ -365,7 +365,7 @@ def _hypergeometric_inversion(source: UniformSource, v: int, n: int, k: int) -> 
             return c
 
 
-def _hypergeometric_hrua(source: UniformSource, v: int, n: int, k: int) -> int:
+def _hypergeometric_hrua(source: RandomSource, v: int, n: int, k: int) -> int:
     # HRUA (Stadlober 1989), for 10 <= v, k <= n/2.  A proposal
     # is m + floor(a + h (w - 1/2) / u) with a = mean + 1/2 - m, so floor()
     # sees a small float whatever the size of the mean.  Unlike numpy there

@@ -1,8 +1,8 @@
 """Seeded uniform variate sources with logical draw accounting.
 
-Every sampler in this package pulls its randomness from a source object
-defined here, so a run is reproducible from a single integer seed and the
-cost of a run can be read off the source's counters afterwards.
+Every sampler in this package pulls its randomness from a RandomSource,
+so a run is reproducible from a single integer seed and the cost of a run
+can be read off the source's counters afterwards.
 
 The generator is splitmix64: 64-bit state advanced by a fixed odd constant,
 output produced by a two-round xor-multiply mix.  It is tiny, passes the
@@ -71,7 +71,7 @@ def _splitmix64(state: int) -> array:
 
 
 class ScriptExhaustedError(RuntimeError):
-    """Raised when a ScriptedSource is asked for more values than it holds."""
+    """Raised when a ScriptedSource is asked for more words than it holds."""
 
 
 def _read_only(record, name, *value) -> None:
@@ -169,42 +169,7 @@ def _byte_words(n: int) -> int:
     return -(-n // 8)
 
 
-class UniformSource:
-    """Common interface: two uniform primitives, the partial-shuffle batch
-    of descending_ints and the byte batch of uniform_bytes built on them,
-    and draw accounting.
-
-    stats holds per-family counters; the distribution layer increments the
-    non-uniform families on top of the uniform ones counted here.
-    """
-
-    def __init__(self) -> None:
-        self.stats = DrawStats()
-
-    def next_uniform_real(self) -> float:
-        raise NotImplementedError
-
-    def next_uniform_int(self, m: int) -> int:
-        raise NotImplementedError
-
-    def descending_ints(self, n: int, k: int) -> list[int]:
-        """The k draws of a partial shuffle of n: the i-th, counting from 0,
-        is uniform on [1, n - i].  Same values and accounting as k calls of
-        next_uniform_int with bounds n, n - 1, ..., n - k + 1."""
-        _check_descending(n, k)
-        draw = self.next_uniform_int
-        return [draw(m) for m in range(n, n - k, -1)]
-
-    def uniform_bytes(self, n: int) -> bytes:
-        """n iid uniform bytes: the little-endian bytes of ceil(n / 8) words,
-        each next_uniform_int(2**64) - 1, in draw order, cut to n.  Same
-        accounting as those ceil(n / 8) calls."""
-        draw = self.next_uniform_int
-        return b"".join([(draw(1 << 64) - 1).to_bytes(8, "little")
-                         for _ in range(_byte_words(n))])[:n]
-
-
-class RandomSource(UniformSource):
+class RandomSource:
     """Deterministic splitmix64-backed source.
 
     The seed is taken modulo 2**64, so any Python integer (including
@@ -215,13 +180,12 @@ class RandomSource(UniformSource):
     The one buffer is the last mixed block: _words holds its _BLOCK words
     in stream order and _pos the next one to hand out.  Every draw reads
     there, and a block is mixed when its first word is needed, so a source
-    that draws nothing mixes nothing.  words_generated and _state count
-    only the words handed out; they follow from _blocks, the number of
-    blocks mixed, and _pos.
+    that draws nothing mixes nothing.  words_generated, the words handed
+    out, follows from _blocks, the number of blocks mixed, and _pos.
     """
 
     def __init__(self, seed: int) -> None:
-        super().__init__()
+        self.stats = DrawStats()
         self.seed = seed
         self._blocks = 0
         self._words = array("Q")
@@ -230,11 +194,6 @@ class RandomSource(UniformSource):
     @property
     def words_generated(self) -> int:
         return (self._blocks - 1) * _BLOCK + self._pos
-
-    @property
-    def _state(self) -> int:
-        """splitmix64 state after the last word handed out."""
-        return (self.seed + self.words_generated * _GOLDEN) & _MASK64
 
     def _refill(self) -> array:
         """Mix the next block and buffer it; the caller reads it from 0."""
@@ -318,8 +277,8 @@ class RandomSource(UniformSource):
         return out
 
     def uniform_bytes(self, n: int) -> bytes:
-        """The bytes of UniformSource.uniform_bytes, with the same words and
-        counters, cut from the buffer as slices of words."""
+        """n iid uniform bytes: the little-endian bytes of ceil(n / 8) words,
+        each next_uniform_int(2**64) - 1 with its counter, cut to n."""
         count = _byte_words(n)  # route: byte batch
         self.stats.uniform_int += count
         words, pos = self._words, self._pos
@@ -352,47 +311,42 @@ class RandomSource(UniformSource):
                 return r + 1
 
 
-class ScriptedSource(UniformSource):
-    """Replays a fixed script of uniform values, for hand-traced tests.
+class ScriptedSource(RandomSource):
+    """A RandomSource fed a fixed list of 64-bit words in place of
+    splitmix64's, so that a hand trace runs the draw code of a seeded run.
+    Draws refill only at the end of a block, so the first len % _BLOCK words
+    end the first block; a draw past the last word reaches _refill, which
+    raises ScriptExhaustedError."""
 
-    Integer draws must be scripted as integers already inside [1, m] for the
-    bound m they will be requested with; real draws as floats in [0, 1).
-    Requesting a value past the end of the script raises
-    ScriptExhaustedError, so a trace that consumes more randomness than the
-    test anticipated fails loudly instead of silently recycling values.
-    """
+    def __init__(self, words) -> None:
+        self.stats = DrawStats()
+        self._script = array("Q", words)  # refuses anything that is not a word
+        self._next = len(self._script) % _BLOCK  # where the next block starts
+        self._pos = _BLOCK - self._next
+        self._words = array("Q", bytes(8 * self._pos)) + self._script[:self._next]
 
-    def __init__(self, script) -> None:
-        super().__init__()
-        self._script = list(script)
-        self._pos = 0
+    @property
+    def words_generated(self) -> int:
+        return self._next - _BLOCK + self._pos
 
-    def _take(self):
-        if self._pos >= len(self._script):
-            raise ScriptExhaustedError(
-                f"script of length {len(self._script)} exhausted"
-            )
-        value = self._script[self._pos]
-        self._pos += 1
-        return value
+    def _refill(self) -> array:
+        start = self._next
+        if start == len(self._script):
+            raise ScriptExhaustedError(f"script of {start} words exhausted")
+        self._next += _BLOCK
+        self._words = words = self._script[start:self._next]
+        return words
 
-    def next_uniform_real(self) -> float:
-        value = self._take()
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ValueError(f"scripted real draw got non-numeric {value!r}")
-        value = float(value)
-        if not 0.0 <= value < 1.0:
-            raise ValueError(f"scripted real draw {value} outside [0, 1)")
-        self.stats.uniform_real += 1
-        return value
+    @staticmethod
+    def int_word(value: int, m: int) -> int:
+        """The word that next_uniform_int(m) reads as value, for m <= 2^64."""
+        if not 1 <= value <= m <= 1 << 64:
+            raise ValueError(f"no word reads as {value} in [1, {m}]")
+        return (value - 1) << (64 - (m - 1).bit_length())
 
-    def next_uniform_int(self, m: int) -> int:
-        if m < 1:
-            raise ValueError(f"uniform int bound must be >= 1, got {m}")
-        value = self._take()
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ValueError(f"scripted int draw got non-integer {value!r}")
-        if not 1 <= value <= m:
-            raise ValueError(f"scripted int draw {value} outside [1, {m}]")
-        self.stats.uniform_int += 1
-        return value
+    @staticmethod
+    def real_word(u: float) -> int:
+        """The word that next_uniform_real reads as u floored to a multiple of 2^-53."""
+        if not 0.0 <= u < 1.0:
+            raise ValueError(f"real draw {u} outside [0, 1)")
+        return int(u * 2.0 ** 53) << 11

@@ -28,7 +28,7 @@ import math
 from typing import Any, Iterable
 
 from .distributions import bernoulli, beta_binomial
-from .rng import DrawStats, Record, UniformSource
+from .rng import DrawStats, RandomSource, Record
 
 
 class SampleOrder(enum.Enum):
@@ -62,7 +62,7 @@ def _check_nk(n: int, k: int) -> None:
         raise ValueError(f"sample size {k} outside [0, {n}]")
 
 
-def fisher_yates_sample(source: UniformSource, n: int, k: int) -> SampleResult:
+def fisher_yates_sample(source: RandomSource, n: int, k: int) -> SampleResult:
     """Partial Fisher-Yates shuffle over a materialized array.
 
     Step i swaps a uniformly drawn live position into slot n-i; the item that
@@ -86,7 +86,7 @@ class SparseFisherYatesIterator:
     that can never be drawn again are discarded as soon as they die.
     """
 
-    def __init__(self, n: int, source: UniformSource):
+    def __init__(self, n: int, source: RandomSource):
         if n < 1:
             raise ValueError(f"population size must be >= 1, got {n}")
         self.n = n
@@ -114,7 +114,7 @@ class SparseFisherYatesIterator:
         return len(self._entries)
 
 
-def sparse_fisher_yates(source: UniformSource, n: int, k: int) -> SampleResult:
+def sparse_fisher_yates(source: RandomSource, n: int, k: int) -> SampleResult:
     """Hash-map Fisher-Yates: k draws, O(k) time and space, any n.
 
     The loop of SparseFisherYatesIterator.__next__, inlined: same draws,
@@ -138,7 +138,7 @@ def sparse_fisher_yates(source: UniformSource, n: int, k: int) -> SampleResult:
     return SampleResult(draws, SampleOrder.SELECTION, n, DrawStats(k))
 
 
-def membership_checking_sample(source: UniformSource, n: int, k: int) -> SampleResult:
+def membership_checking_sample(source: RandomSource, n: int, k: int) -> SampleResult:
     """Draw with replacement and reject repeats.
 
     Simple but not draw-optimal: the expected number of uniform draws is
@@ -157,7 +157,7 @@ def membership_checking_sample(source: UniformSource, n: int, k: int) -> SampleR
     return SampleResult(out, SampleOrder.SELECTION, n, source.stats - before)
 
 
-def preinit_fy_sample_with_undo(source: UniformSource, x: list,
+def preinit_fy_sample_with_undo(source: RandomSource, x: list,
                                 k: int) -> tuple[SampleResult, list[tuple[int, int]]]:
     """Sample k item values from a caller-owned array, then put it back.
 
@@ -179,7 +179,7 @@ def preinit_fy_sample_with_undo(source: UniformSource, x: list,
     return SampleResult(out, SampleOrder.SELECTION, n, DrawStats(k)), swaps
 
 
-def selection_sample(source: UniformSource, n: int, k: int) -> SampleResult:
+def selection_sample(source: RandomSource, n: int, k: int) -> SampleResult:
     """Left-to-right scan accepting index i with probability k_left/n_left.
 
     Output is sorted by construction.  Consumes one Bernoulli draw per index
@@ -198,7 +198,7 @@ def selection_sample(source: UniformSource, n: int, k: int) -> SampleResult:
     return SampleResult(out, SampleOrder.SORTED, n, source.stats - before)
 
 
-def inorder_sample(source: UniformSource, n: int, k: int) -> SampleResult:
+def inorder_sample(source: RandomSource, n: int, k: int) -> SampleResult:
     """Generate the sorted sample directly from the gap law.
 
     The gap in front of the next selected position, counted in unselected
@@ -221,7 +221,7 @@ def inorder_sample(source: UniformSource, n: int, k: int) -> SampleResult:
     return SampleResult(out, SampleOrder.SORTED, n, source.stats - before)
 
 
-def reservoir_sample(source: UniformSource, stream: Iterable[Any], k: int) -> SampleResult:
+def reservoir_sample(source: RandomSource, stream: Iterable[Any], k: int) -> SampleResult:
     """Uniform k-subset of a stream of unknown length, one pass, O(k) memory.
 
     Li's Algorithm L (ACM TOMS 20(4), 1994): give every item an implicit
@@ -279,7 +279,7 @@ def _read(items, count: int) -> tuple[int, list]:
     return read, chunk
 
 
-def permutation_from_transpositions(source: UniformSource, n: int) -> list[int]:
+def permutation_from_transpositions(source: RandomSource, n: int) -> list[int]:
     """Uniform permutation of [1, n] as a left action of (1 r1)(2 r2)...(n rn).
 
     Factors apply right to left, so i runs from n down to 1, drawing r_i

@@ -302,6 +302,20 @@ def test_sample_lines_short_input_with_declared_n(capsys, lines_file):
     assert "ended before" in err
 
 
+def test_sample_lines_declared_n_reads_to_line_n(capsys, monkeypatch, tmp_path):
+    # ten lines with --n 12 exit 1 at every seed, wherever the kept positions
+    # fall; with --n 10 the lines after line 10 are never read
+    lines = "".join(f"line{i}\n" for i in range(1, 14))
+    (tmp_path / "ten.txt").write_text(lines[:lines.index("line11")])
+    for seed in range(20):
+        code, out, err = run_cli(capsys, "sample", "--n", "12", "--k", "3",
+                                 "--seed", str(seed), str(tmp_path / "ten.txt"))
+        assert (code, out, err.count("ended before")) == (1, "", 1), seed
+    monkeypatch.setattr("sys.stdin", io.StringIO(lines))
+    assert run_cli(capsys, "sample", "--n", "10", "--k", "3")[0] == 0
+    assert sys.stdin.readline() == "line11\n"
+
+
 def test_sample_lines_from_stdin_reservoir(capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO("a\nb\nc\nd\ne\n"))
     code, out, _ = run_cli(capsys, "sample", "--k", "3", "--seed", "6")
@@ -548,6 +562,7 @@ def test_merge_missing_manifest(capsys, tmp_path):
     ("2\t3\ta,b,c\n", "invalid sizes"),       # k > n
     ("0\t0\t\n", "invalid sizes"),            # empty population
     ("3\t2\ta,a\n", "duplicate"),             # repeated identifier
+    ("3\t2\tv,w\n", "identifier 'v' also in line 1"),  # identifier of another shard
 ])
 def test_merge_malformed_manifest_lines(capsys, tmp_path, bad_line, phrase):
     manifest = write_manifest(tmp_path, "5\t2\tu,v\n" + bad_line)

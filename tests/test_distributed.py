@@ -211,16 +211,19 @@ def test_downsample_mask_matches_sort(seed, n, c, drop):
 
 
 def _word(marks) -> int:
-    """The scripted next_uniform_int(2**64) whose word has the given bytes."""
-    return int.from_bytes(bytes(marks), "little") + 1
+    """The word whose little-endian bytes are marks."""
+    return int.from_bytes(bytes(marks), "little")
+
+
+int_word, real_word = ScriptedSource.int_word, ScriptedSource.real_word
 
 
 # keep 4 of 8 takes the marks route with level 128: bytes below it mark
 @pytest.mark.parametrize("script, kept, ints", [
     # s = 6: clear two marks; 7 and 8 hit unmarked positions and are drawn again
-    ([_word([0, 0, 0, 0, 0, 127, 200, 200]), 7, 2, 8, 5], "acdf", 5),
+    ([_word([0, 0, 0, 0, 0, 127, 200, 200]), *(int_word(p, 8) for p in (7, 2, 8, 5))], "acdf", 5),
     # s = 3: mark one more; 3 hits a marked position and is drawn again
-    ([_word([0, 200, 0, 200, 200, 200, 0, 200]), 3, 6], "acfg", 3),
+    ([_word([0, 200, 0, 200, 200, 200, 0, 200]), int_word(3, 8), int_word(6, 8)], "acfg", 3),
     # s = 4: no fix-up; 127 marks and 128 does not
     ([_word([127, 128, 0, 255, 0, 200, 0, 200])], "aceg", 1),
 ])
@@ -238,9 +241,10 @@ def test_downsample_marks_route_fix_up(script, kept, ints):
 @pytest.mark.parametrize("script, kept, reals", [
     # 256 q = 128.5: each tie byte draws bernoulli(0.5), kept at 0.25 and
     # 0.4, dropped at 0.75
-    ([0.5 - 2**-9, _word([0, 128, 127, 200, 128, 255, 128, 5]), 0.25, 0.75, 0.4], "abcgh", 4),
+    ([real_word(0.5 - 2**-9), _word([0, 128, 127, 200, 128, 255, 128, 5]),
+      *map(real_word, (0.25, 0.75, 0.4))], "abcgh", 4),
     # 256 q = 128: a tie byte drops its item with no draw
-    ([0.5, _word([0, 128, 127, 200, 128, 255, 128, 5])], "ach", 1),
+    ([real_word(0.5), _word([0, 128, 127, 200, 128, 255, 128, 5])], "ach", 1),
 ])
 def test_merge_thinning_tie_byte(script, kept, reals):
     src = ScriptedSource(script)

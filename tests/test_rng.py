@@ -9,8 +9,9 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from srswor import MergeInput, MergeState, SampleOrder, SampleResult
-from srswor.rng import (DrawStats, RandomSource, ScriptedSource, ScriptExhaustedError,
-                        UniformSource)
+from srswor.rng import DrawStats, RandomSource, ScriptedSource, ScriptExhaustedError
+
+int_word, real_word = ScriptedSource.int_word, ScriptedSource.real_word
 
 # First five raw 64-bit words for a handful of seeds, frozen from an
 # independent C implementation of the same mixing constants.
@@ -132,7 +133,6 @@ def test_uniform_int_beyond_one_word(m):
     per_candidate = -(-(m - 1).bit_length() // 64)
     assert a.words_generated % per_candidate == 0
     assert a.words_generated >= 200 * per_candidate
-    assert a._state == (8 + a.words_generated * 0x9E3779B97F4A7C15) % 2**64
 
 
 def test_draw_count_counts_logical_draws_not_words():
@@ -146,7 +146,7 @@ def test_draw_count_counts_logical_draws_not_words():
 
 
 def test_scripted_int_replay():
-    src = ScriptedSource([2, 1, 3])
+    src = ScriptedSource([int_word(2, 3), int_word(1, 2), int_word(3, 3)])
     assert src.next_uniform_int(3) == 2
     assert src.next_uniform_int(2) == 1
     assert src.next_uniform_int(3) == 3
@@ -155,36 +155,61 @@ def test_scripted_int_replay():
 
 
 def test_scripted_real_replay():
-    src = ScriptedSource([0.5, 0.25])
+    src = ScriptedSource([real_word(0.5), real_word(0.25)])
     assert src.next_uniform_real() == 0.5
     assert src.next_uniform_real() == 0.25
 
 
 def test_scripted_exhaustion():
-    src = ScriptedSource([1])
+    src = ScriptedSource([int_word(1, 1)])
     src.next_uniform_int(1)
     with pytest.raises(ScriptExhaustedError):
         src.next_uniform_int(5)
 
 
 def test_scripted_type_mismatch():
-    with pytest.raises(ValueError):
-        ScriptedSource([0.5]).next_uniform_int(4)
-    with pytest.raises(ValueError):
-        ScriptedSource([2]).next_uniform_real()
+    # a script holds words: array("Q") refuses a value of any other type
+    for script in ([0.5], ["2"], [None]):
+        with pytest.raises(TypeError):
+            ScriptedSource(script)
 
 
 def test_scripted_out_of_range_draw():
-    src = ScriptedSource([5])
-    with pytest.raises(ValueError):
-        src.next_uniform_int(3)
+    for script in ([2**64], [-1]):
+        with pytest.raises(OverflowError):
+            ScriptedSource(script)
+    # no word reads as a value outside [1, m] or [0, 1), or past 2^64
+    for bad in (lambda: int_word(5, 3), lambda: int_word(1, 2**64 + 1),
+                lambda: real_word(1.0), lambda: real_word(math.nan)):
+        with pytest.raises(ValueError):
+            bad()
 
 
-def test_scripted_rejects_bool_and_bad_real():
-    with pytest.raises(ValueError):
-        ScriptedSource([True]).next_uniform_int(2)
-    with pytest.raises(ValueError):
-        ScriptedSource([1.0]).next_uniform_real()
+def test_scripted_source_draws_through_the_random_source_kernels():
+    assert RandomSource.__bases__ == (object,) and ScriptedSource.__bases__ == (RandomSource,)
+    assert not {"next_uniform_int", "next_uniform_real", "descending_ints", "uniform_bytes",
+                "_next_word", "_next_wide_int"} & set(vars(ScriptedSource))
+    # at bound 5 a draw reads a word's top 3 bits and rejects 5..7, so the
+    # word 7 << 61 is read, rejected, and the next word taken
+    src = ScriptedSource([7 << 61, int_word(2, 5)])
+    assert src.next_uniform_int(5) == 2
+    assert (src.stats, src.words_generated) == (DrawStats(uniform_int=1), 2)
+    src = ScriptedSource([7 << 61, int_word(3, 5), int_word(4, 4)])
+    assert src.descending_ints(5, 2) == [3, 4]
+    assert (src.stats, src.words_generated) == (DrawStats(uniform_int=2), 3)
+
+
+def test_scripted_blocks_span_the_script():
+    # the first 600 % 256 words end the first block, the rest come as two
+    # whole blocks, and every path reads them in order up to exhaustion
+    script = list(range(3 << 62, (3 << 62) + 600))
+    src = ScriptedSource(script)
+    data = src.uniform_bytes(8 * 99) + (src.next_uniform_int(2**64) - 1).to_bytes(8, "little")
+    assert [int.from_bytes(data[i:i + 8], "little") for i in range(0, 800, 8)] == script[:100]
+    assert src.descending_ints(2**64, 500) == [w + 1 for w in script[100:]]
+    assert src.words_generated == 600
+    with pytest.raises(ScriptExhaustedError):
+        src.next_uniform_real()
 
 
 def test_stats_copy_and_diff():
@@ -242,8 +267,7 @@ def test_random_source_survives_copy_and_pickle(words):
     twin.uniform_bytes(8 * words)
     want = [twin._next_word() for _ in range(300)]
     for clone in (copy.deepcopy(src), pickle.loads(pickle.dumps(src)), src):
-        assert (clone.words_generated, clone._state, clone.stats) == (
-            words, (11 + words * _GOLDEN) % 2**64, DrawStats(uniform_int=words))
+        assert (clone.words_generated, clone.stats) == (words, DrawStats(uniform_int=words))
         assert [clone._next_word() for _ in range(300)] == want
         assert clone.words_generated == twin.words_generated
 
@@ -300,7 +324,6 @@ def _assert_same_stream(seed: int, script, min_words: int) -> None:
             calls += 1
             assert got == want, f"seed {seed}, call {calls}"
             assert src.words_generated == ref.words, f"seed {seed}, call {calls}"
-            assert src._state == ref.state, f"seed {seed}, call {calls}"
 
 
 @pytest.mark.parametrize("seed", [0, 2**64 - 1, -8 * _GOLDEN % 2**64])
@@ -328,7 +351,6 @@ def _assert_kernel_matches_scalar(seed: int, calls) -> None:
         got = src.descending_ints(n, k)
         assert got == [twin.next_uniform_int(m) for m in range(n, n - k, -1)], (seed, n, k)
         assert src.words_generated == twin.words_generated, (seed, n, k)
-        assert src._state == twin._state, (seed, n, k)
         assert src.stats == twin.stats, (seed, n, k)
 
 
@@ -365,30 +387,31 @@ def test_descending_ints_rejects_bad_counts():
 
 
 def test_descending_ints_generic_path_on_scripted_source():
-    src = ScriptedSource([2, 1, 3])
+    src = ScriptedSource([int_word(2, 5), int_word(1, 4), int_word(3, 3)])
     assert src.descending_ints(5, 3) == [2, 1, 3]
     assert src.stats == DrawStats(uniform_int=3)
-    # each scripted value is checked against its own, shrinking bound
+    # each word is read against its own, shrinking bound: the word of 5 at
+    # bound 5 reads as 3 at bound 4, and the count is checked before any draw
+    assert ScriptedSource([int_word(5, 5)] * 2).descending_ints(5, 2) == [5, 3]
     with pytest.raises(ValueError):
-        ScriptedSource([5, 5]).descending_ints(5, 2)
-    with pytest.raises(ValueError):
-        ScriptedSource([1]).descending_ints(1, 2)
+        ScriptedSource([int_word(1, 1)]).descending_ints(1, 2)
 
 
 # --- uniform_bytes, the byte batch ---
 
 def _assert_bytes_match_generic(seed: int, calls) -> None:
-    """RandomSource.uniform_bytes on one source against the generic
-    UniformSource.uniform_bytes (next_uniform_int(2**64) per word) on a
-    twin, with a bounded int between calls, call after call."""
+    """RandomSource.uniform_bytes on one source against its definition,
+    the bytes of next_uniform_int(2**64) - 1 per word, on a twin, with a
+    bounded int between calls, call after call."""
     src, twin = RandomSource(seed), RandomSource(seed)
     for n in calls:
         got = src.uniform_bytes(n)
-        assert got == UniformSource.uniform_bytes(twin, n), (seed, n)
+        want = b"".join((twin.next_uniform_int(2**64) - 1).to_bytes(8, "little")
+                        for _ in range(-(-n // 8)))
+        assert got == want[:n], (seed, n)
         assert len(got) == n
         assert src.next_uniform_int(7) == twin.next_uniform_int(7), (seed, n)
         assert src.words_generated == twin.words_generated, (seed, n)
-        assert src._state == twin._state, (seed, n)
         assert src.stats == twin.stats, (seed, n)
 
 
@@ -415,7 +438,7 @@ def test_uniform_bytes_are_little_endian_words():
 
 
 def test_uniform_bytes_generic_path_on_scripted_source():
-    src = ScriptedSource([0x0807060504030202, 2**64])
+    src = ScriptedSource([0x0807060504030201, 2**64 - 1])
     assert src.uniform_bytes(11) == bytes([1, 2, 3, 4, 5, 6, 7, 8, 255, 255, 255])
     assert src.stats == DrawStats(uniform_int=2)
     with pytest.raises(ValueError):

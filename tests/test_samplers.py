@@ -22,6 +22,14 @@ from srswor.samplers import (
     sparse_fisher_yates,
 )
 
+int_word, real_word = ScriptedSource.int_word, ScriptedSource.real_word
+
+
+def _scripted(values, bounds) -> ScriptedSource:
+    """A source whose bounded draws at bounds read as values."""
+    return ScriptedSource(map(int_word, values, bounds))
+
+
 ALL_INDEX_SAMPLERS = [
     fisher_yates_sample,
     sparse_fisher_yates,
@@ -36,7 +44,7 @@ ALL_INDEX_SAMPLERS = [
 def test_fisher_yates_trace():
     # n=5, k=3: swap x[5]<->x[2] picks 2, swap x[4]<->x[1] picks 1,
     # swap x[3]<->x[3] picks 3.
-    res = fisher_yates_sample(ScriptedSource([2, 1, 3]), 5, 3)
+    res = fisher_yates_sample(_scripted([2, 1, 3], [5, 4, 3]), 5, 3)
     assert res.indices == [2, 1, 3]
     assert res.order is SampleOrder.SELECTION
     assert res.draw_stats.uniform_int == 3
@@ -45,12 +53,12 @@ def test_fisher_yates_trace():
 def test_fisher_yates_full_self_swaps():
     # every draw hits the current top slot, so the array is read backwards
     n = 5
-    res = fisher_yates_sample(ScriptedSource([5, 4, 3, 2, 1]), n, n)
+    res = fisher_yates_sample(_scripted([5, 4, 3, 2, 1], [5, 4, 3, 2, 1]), n, n)
     assert res.indices == [5, 4, 3, 2, 1]
 
 
 def test_sparse_trace_matches_classical():
-    res = sparse_fisher_yates(ScriptedSource([2, 1, 3]), 5, 3)
+    res = sparse_fisher_yates(_scripted([2, 1, 3], [5, 4, 3]), 5, 3)
     assert res.indices == [2, 1, 3]
     assert res.draw_stats.uniform_int == 3
 
@@ -58,26 +66,26 @@ def test_sparse_trace_matches_classical():
 def test_sparse_repeat_goes_through_the_map():
     # the second draw repeats the first, so it picks the item that the
     # first swap moved into slot 2, not 2 again
-    res = sparse_fisher_yates(ScriptedSource([2, 2]), 3, 2)
+    res = sparse_fisher_yates(_scripted([2, 2], [3, 2]), 3, 2)
     assert res.indices == [2, 3]
     assert res.draw_stats.uniform_int == 2
 
 
 def test_sparse_iterator_prefix():
-    it = SparseFisherYatesIterator(5, ScriptedSource([2, 1, 3]))
+    it = SparseFisherYatesIterator(5, _scripted([2, 1, 3], [5, 4, 3]))
     assert [next(it) for _ in range(3)] == [2, 1, 3]
 
 
 def test_membership_trace_counts_rejections():
     # second draw repeats the first and is rejected, costing an extra draw
-    res = membership_checking_sample(ScriptedSource([2, 2, 1, 3]), 3, 3)
+    res = membership_checking_sample(_scripted([2, 2, 1, 3], [3] * 4), 3, 3)
     assert res.indices == [2, 1, 3]
     assert res.draw_stats.uniform_int == 4
 
 
 def test_preinit_trace_and_restoration():
     x = [10, 20, 30]
-    res, swaps = preinit_fy_sample_with_undo(ScriptedSource([3, 1]), x, 2)
+    res, swaps = preinit_fy_sample_with_undo(_scripted([3, 1], [3, 2]), x, 2)
     assert res.indices == [30, 10]
     assert x == [10, 20, 30]
     assert swaps == [(3, 3), (2, 1)]
@@ -87,14 +95,15 @@ def test_preinit_trace_alternate_script():
     # first draw 2 swaps slots 3 and 2, so the first selection is the
     # value that started in slot 2
     x = [10, 20, 30]
-    res, _ = preinit_fy_sample_with_undo(ScriptedSource([2, 1]), x, 2)
+    res, _ = preinit_fy_sample_with_undo(_scripted([2, 1], [3, 2]), x, 2)
     assert res.indices == [20, 10]
     assert x == [10, 20, 30]
 
 
 def test_permutation_identity_script():
     # all self-swaps leave the array untouched
-    assert permutation_from_transpositions(ScriptedSource([5, 4, 3, 2, 1]), 5) == [1, 2, 3, 4, 5]
+    src = _scripted([5, 4, 3, 2, 1], [5, 4, 3, 2, 1])
+    assert permutation_from_transpositions(src, 5) == [1, 2, 3, 4, 5]
 
 
 def test_permutation_draw_count():
@@ -347,7 +356,8 @@ def test_reservoir_skip_beyond_maxsize():
     items.__setstate__(2**70 - 6)
     tail = [2**70 - 5 + i for i in range(5)]
     # reals are 1 - u: w, the skip, the next w, the skip; the int is the slot
-    script = [1.0 - 2.0**-53, 0.0, 1, 1.0 - 2.0**-53, 0.5]
+    script = [real_word(u) for u in (1.0 - 2.0**-53, 0.0)]
+    script += [int_word(1, 1)] + [real_word(u) for u in (1.0 - 2.0**-53, 0.5)]
     res = reservoir_sample(ScriptedSource(script), items, 1)
     assert res.indices == [tail[1]]
     assert res.n == 5
