@@ -340,7 +340,7 @@ class ScriptedSource(RandomSource):
     @staticmethod
     def int_word(value: int, m: int) -> int:
         """The word that next_uniform_int(m) reads as value, for m <= 2^64."""
-        if not 1 <= value <= m <= 1 << 64:
+        if isinstance(value, bool) or not 1 <= value <= m <= 1 << 64:
             raise ValueError(f"no word reads as {value} in [1, {m}]")
         return (value - 1) << (64 - (m - 1).bit_length())
 

@@ -34,8 +34,7 @@ def test_beta_params_validation():
     assert 0.0 < beta(src, 2.5, 3.0) < 1.0
     for alpha, beta_shape in ((0.0, 1.0), (-1.0, 1.0), (1.0, -0.5), (math.nan, 1.0),
                               (1.0, math.nan), (math.inf, 1.0), (1.0, math.inf),
-                              (3.0, math.inf), (1.0, 0.5), (3.0, 0.5), (2.0, 1e-300),
-                              (0.5, 1.0)):
+                              (3.0, math.inf), (1.0, 0.5), (3.0, 0.5), (2.0, 1e-300)):
         with pytest.raises(ValueError):
             beta(src, alpha, beta_shape)
 
@@ -90,6 +89,12 @@ def test_beta_degenerate_beta0_is_exactly_one():
         assert beta(src, a, 0.0) == 1.0
     # no uniforms consumed on the degenerate branch
     assert src.stats == DrawStats(beta=3)
+
+
+def test_beta_alpha_below_one_rejected():
+    src = RandomSource(4)
+    with pytest.raises(ValueError):
+        beta(src, 0.5, 1.0)
 
 
 def test_beta_in_open_unit_interval():
@@ -258,10 +263,8 @@ def test_hypergeometric_branch_boundaries(v, n, k):
 # --- beta-binomial ---
 
 def test_beta_binomial_validation():
-    # both shapes are positive integers; the degenerate beta=0 point mass
-    # only exists on the continuous Beta side
     src = RandomSource(9)
-    for a, b, n in ((0.5, 1.0, 5), (1.0, 0.5, 5), (1.0, 1.0, -1), (1.0, 0.0, 7)):
+    for a, b, n in ((0.5, 1.0, 5), (1.0, 0.5, 5), (1.0, 1.0, -1)):
         with pytest.raises(ValueError):
             beta_binomial(src, a, b, n)
 
@@ -274,6 +277,14 @@ def test_beta_binomial_support():
             assert 0 <= c <= n
 
 
+def test_beta_binomial_shapes_must_be_positive():
+    # both shapes are positive integers; the degenerate beta=0 point mass
+    # only exists on the continuous Beta side.
+    src = RandomSource(11)
+    with pytest.raises(ValueError):
+        beta_binomial(src, 1.0, 0.0, 7)
+
+
 def test_beta_binomial_alpha1_stats_families():
     # closed-form route: no beta draw is recorded, one binomial is.
     src = RandomSource(12)
@@ -284,6 +295,28 @@ def test_beta_binomial_alpha1_stats_families():
 
 
 # --- hypergeometric ---
+
+def test_hypergeom_pmf_oracle():
+    # against exact binomial-coefficient ratios
+    for v, n, k in [(2, 4, 2), (5, 12, 7), (3, 10, 4), (1, 6, 3), (5, 6, 4), (0, 9, 4)]:
+        lo = max(0, k - (n - v))
+        exact = [math.comb(v, c) * math.comb(n - v, k - c) / math.comb(n, k)
+                 for c in range(lo, min(v, k) + 1)]
+        assert hypergeom_law(v, n, k) == (lo, pytest.approx(exact, rel=1e-12))
+
+
+def test_hypergeom_pmf_outside_support():
+    # the support is max(0, k - (n - v)) .. min(v, k); c cannot exceed draws either
+    for (v, n, k), support in [((2, 6, 3), (0, 3)), ((5, 6, 2), (1, 2))]:
+        lo, probs = hypergeom_law(v, n, k)
+        assert (lo, len(probs)) == support
+
+
+def test_hypergeom_pmf_sums_to_one():
+    for v, n, k in [(2, 4, 2), (5, 12, 7), (7, 20, 11), (0, 9, 4)]:
+        total = math.fsum(hypergeom_law(v, n, k)[1])
+        assert total == pytest.approx(1.0, abs=1e-12)
+
 
 def test_hypergeometric_degenerate():
     src = RandomSource(13)

@@ -180,9 +180,17 @@ def test_scripted_out_of_range_draw():
             ScriptedSource(script)
     # no word reads as a value outside [1, m] or [0, 1), or past 2^64
     for bad in (lambda: int_word(5, 3), lambda: int_word(1, 2**64 + 1),
-                lambda: real_word(1.0), lambda: real_word(math.nan)):
+                lambda: real_word(math.nan)):
         with pytest.raises(ValueError):
             bad()
+
+
+def test_scripted_rejects_bool_and_bad_real():
+    # a bool is no draw value, and 1.0 lies outside [0, 1)
+    with pytest.raises(ValueError):
+        int_word(True, 2)
+    with pytest.raises(ValueError):
+        real_word(1.0)
 
 
 def test_scripted_source_draws_through_the_random_source_kernels():

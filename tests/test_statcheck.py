@@ -217,15 +217,6 @@ def test_beta_binomial_pmf_errors_and_support():
        st.integers(min_value=0, max_value=60))
 @example(n=5, k=2, v=0)
 @example(n=6, k=6, v=0)
-@example(n=4, k=2, v=2)
-@example(n=12, k=7, v=5)
-@example(n=10, k=4, v=3)
-@example(n=6, k=3, v=1)
-@example(n=6, k=4, v=5)
-@example(n=9, k=4, v=0)
-@example(n=6, k=3, v=2)
-@example(n=6, k=2, v=5)
-@example(n=20, k=11, v=7)
 @settings(max_examples=100, deadline=None)
 def test_laws_match_exact_values(n, k, v):
     n, k, v = max(n, k), min(n, k), min(v, max(n, k))
