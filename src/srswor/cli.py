@@ -44,30 +44,30 @@ class BenchRecord(Record, frozen=True):
 
 
 def _bench_once(algo: str, n: int, k: int, source: RandomSource) -> tuple[int, int]:
-    """Run one timed rep; returns (wall_time_ns, peak_aux_entries).
+    """Run one timed rep of algo's default_samplers() entry (preinit's array
+    is built before the clock starts); returns (wall_time_ns, peak_aux_entries).
 
-    Peak entries are measured for sparse's hash map and known to be k for
-    member's set; the other algorithms report 0.
+    Peak entries are k for member's set, and for sparse the peak of
+    SparseFisherYatesIterator's map, replayed untimed on a fresh source of
+    the same seed, so on the same draws; the others report 0.
     """
-    if algo == "sparse":
-        t0 = time.perf_counter_ns()
-        it = SparseFisherYatesIterator(n, source)
-        peak = 0
-        for _ in range(k):
-            next(it)
-            size = it.state_size()
-            if size > peak:
-                peak = size
-        return time.perf_counter_ns() - t0, peak
     if algo == "preinit":
-        arr = list(range(1, n + 1))  # the pre-initialized array is not timed
+        arr = list(range(1, n + 1))
         t0 = time.perf_counter_ns()
         preinit_fy_sample_with_undo(source, arr, k)
         return time.perf_counter_ns() - t0, 0
     sampler = default_samplers()[algo]
     t0 = time.perf_counter_ns()
     sampler(source, n, k)
-    return time.perf_counter_ns() - t0, k if algo == "member" else 0
+    wall = time.perf_counter_ns() - t0
+    if algo != "sparse":
+        return wall, k if algo == "member" else 0
+    it = SparseFisherYatesIterator(n, RandomSource(source.seed))
+    peak = 0
+    for _ in range(k):
+        next(it)
+        peak = max(peak, it.state_size())
+    return wall, peak
 
 
 def run_bench(grid, algos, reps: int, seed: int) -> list[BenchRecord]:

@@ -213,7 +213,7 @@ def _log_fact_core(a: int, b: int) -> float:
     y = x / (2.0 + x)
     yy = y * y
     tail = y * yy * (1 / 3 + yy * (1 / 5 + yy * (1 / 7 + yy * (1 / 9 + yy / 11))))
-    return x * (d - 1) / (2.0 + x) + 2.0 * (a + 0.5) * tail
+    return x * (d - 1) / (2.0 + x) + (a + 0.5) * (2.0 * tail)  # 2 (a + 1/2) is inf at a >= 2^1023
 
 
 def _log_quotient(p: int, q: int) -> float:
@@ -315,7 +315,8 @@ def hypergeometric(source: RandomSource, v: int, n: int, k: int) -> int:
     and Schmeiser 1985) takes one uniform and about mean + 1 steps, with
     P(0) in O(1) from Stirling's series; above 30, HRUA (Stadlober 1989)
     takes about three uniforms in O(1) expected time, its proposals bounded
-    only by the true support.  Both hold at every n whose float is finite.
+    only by the true support.  Both hold at every n below 2^1024, and above
+    it any draw but a certain one (v or k in {0, n}) raises OverflowError.
     Counts as one logical hypergeometric draw and draws no other family.
     """
     if n < 0:
@@ -324,8 +325,10 @@ def hypergeometric(source: RandomSource, v: int, n: int, k: int) -> int:
         raise ValueError(f"prefix size {v} outside [0, {n}]")
     if not 0 <= k <= n:
         raise ValueError(f"sample size {k} outside [0, {n}]")
-    source.stats.hypergeometric += 1
     vs, ks = min(v, n - v), min(k, n - k)
+    if n >> 1024 and vs and ks:
+        raise OverflowError("hypergeometric population size must be below 2^1024")
+    source.stats.hypergeometric += 1
     if vs * ks <= _INVERSION_LIMIT * n:
         c = _hypergeometric_inversion(source, vs, n, ks)  # route: hypergeometric inversion
     else:

@@ -157,18 +157,6 @@ class DrawStats(Record):
         return sum(self._astuple())
 
 
-def _check_descending(n: int, k: int) -> None:
-    if not 0 <= k <= n:
-        raise ValueError(f"draw count {k} outside [0, {n}]")
-
-
-def _byte_words(n: int) -> int:
-    """Words that n bytes take, ceil(n / 8)."""
-    if n < 0:
-        raise ValueError(f"byte count must be >= 0, got {n}")
-    return -(-n // 8)
-
-
 class RandomSource:
     """Deterministic splitmix64-backed source.
 
@@ -211,11 +199,11 @@ class RandomSource:
 
     def next_uniform_real(self) -> float:
         """Uniform float in [0, 1), 53-bit resolution."""
-        self.stats.uniform_real += 1  # route: uniform real
-        words, pos = self._words, self._pos
+        words, pos = self._words, self._pos  # route: uniform real
         if pos == _BLOCK:
             words, pos = self._refill(), 0
         self._pos = pos + 1
+        self.stats.uniform_real += 1
         return (words[pos] >> 11) * (2.0 ** -53)
 
     def next_uniform_int(self, m: int) -> int:
@@ -223,24 +211,26 @@ class RandomSource:
 
         Unbiased: takes the top bit_length(m-1) bits of a word and rejects
         values >= m, never reduces modulo m.  Counts as one logical draw no
-        matter how many words the rejection loop consumes.  Bounds above
-        2^64 join several words per candidate.
+        matter how many words the rejection loop consumes, once it returns.
+        Bounds above 2^64 join several words per candidate.
         """
         if m < 1:
             raise ValueError(f"uniform int bound must be >= 1, got {m}")
-        self.stats.uniform_int += 1
         shift = 64 - (m - 1).bit_length()
         if shift < 0:
-            return self._next_wide_int(m)  # route: bounded int above 2^64
-        words, pos = self._words, self._pos  # route: bounded int up to 2^64
-        while True:
-            if pos == _BLOCK:
-                words, pos = self._refill(), 0
-            r = words[pos] >> shift
-            pos += 1
-            if r < m:
-                self._pos = pos
-                return r + 1
+            r = self._next_wide_int(m)  # route: bounded int above 2^64
+        else:
+            words, pos = self._words, self._pos  # route: bounded int up to 2^64
+            r = m
+            while r >= m:
+                if pos == _BLOCK:
+                    words, pos = self._refill(), 0
+                r = words[pos] >> shift
+                pos += 1
+            self._pos = pos
+            r += 1
+        self.stats.uniform_int += 1
+        return r
 
     def descending_ints(self, n: int, k: int) -> list[int]:
         """The draws of next_uniform_int(n), next_uniform_int(n - 1), ...,
@@ -250,8 +240,8 @@ class RandomSource:
         others run in stretches of equal bit_length(m - 1), which share one
         shift.
         """
-        _check_descending(n, k)
-        self.stats.uniform_int += k
+        if not 0 <= k <= n:
+            raise ValueError(f"draw count {k} outside [0, {n}]")
         out: list[int] = []
         append = out.append
         top, stop = n, n - k
@@ -274,13 +264,15 @@ class RandomSource:
                 append(r + 1)
             top = low
         self._pos = pos
+        self.stats.uniform_int += k
         return out
 
     def uniform_bytes(self, n: int) -> bytes:
         """n iid uniform bytes: the little-endian bytes of ceil(n / 8) words,
         each next_uniform_int(2**64) - 1 with its counter, cut to n."""
-        count = _byte_words(n)  # route: byte batch
-        self.stats.uniform_int += count
+        if n < 0:
+            raise ValueError(f"byte count must be >= 0, got {n}")
+        count = words_read = -(-n // 8)  # route: byte batch
         words, pos = self._words, self._pos
         parts = []
         while count:
@@ -294,6 +286,7 @@ class RandomSource:
             pos += take
             count -= take
         self._pos = pos
+        self.stats.uniform_int += words_read
         return b"".join(parts)[:n]
 
     def _next_wide_int(self, m: int) -> int:

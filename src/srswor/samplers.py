@@ -5,7 +5,7 @@ items).  They differ in output order, work, and memory:
 
   fisher_yates_sample          selection order, k draws, O(n) array
   sparse_fisher_yates          selection order, k draws, O(k) hash map
-  SparseFisherYatesIterator    selection order, one draw per step, O(k) map
+  SparseFisherYatesIterator    selection order, j draws per take(j), O(k) map
   membership_checking_sample   selection order, ~n(H_n - H_{n-k}) draws, O(k) set
   preinit_fy_sample_with_undo  selection order, k draws, caller array + k swaps
   selection_sample             sorted order, <= n Bernoulli draws, O(1) extra
@@ -15,9 +15,9 @@ items).  They differ in output order, work, and memory:
 The two Fisher-Yates variants are exchangeable: given the same source they
 produce bit-identical output, the sparse one just stores only the array
 slots that differ from their initial value.  Both, and preinit, take their
-k draws in one source.descending_ints call; the iterator takes one per
-step.  default_samplers() is the one registry of the seven algorithms by
-name.
+k draws in one source.descending_ints call, the iterator one per take(j),
+and both sparse forms share one swap-map loop.  default_samplers() is the
+one registry of the seven algorithms by name.
 """
 
 from __future__ import annotations
@@ -76,19 +76,32 @@ def fisher_yates_sample(source: RandomSource, n: int, k: int) -> SampleResult:
     return SampleResult(x[n:n - k:-1], SampleOrder.SELECTION, n, DrawStats(k))
 
 
+def _map_picks(entries: dict, top: int, draws: list[int]) -> list[int]:
+    """The picks of draws at bounds top, top - 1, ...; entries maps each
+    displaced slot to its item, and is updated in place."""
+    get, pop = entries.get, entries.pop
+    out = []
+    append = out.append
+    for last, r in zip(range(top, top - len(draws), -1), draws):  # route: sparse map loop
+        append(get(r, r))
+        entries[r] = get(last, last)
+        pop(last, None)
+    return out
+
+
 class SparseFisherYatesIterator:
     """Streaming Fisher-Yates that never materializes the array.
 
     A hash map holds only the slots displaced by past swaps, so after i
-    selections it stores at most i entries (in expectation i*(n-i)/n).  Each
-    next() costs one uniform-int draw and O(1) map operations and yields the
-    same index the classical sampler would, draw for draw.  Entries at slots
-    that can never be drawn again are discarded as soon as they die.
+    selections it stores at most i entries (in expectation i*(n-i)/n).
+    take(j) yields the next j selections from one descending_ints call and
+    O(j) map operations, the same indices the classical sampler would,
+    draw for draw; next() is take(1).  Entries at slots that can never be
+    drawn again are discarded as soon as they die.
     """
 
     def __init__(self, n: int, source: RandomSource):
-        if n < 1:
-            raise ValueError(f"population size must be >= 1, got {n}")
+        _check_nk(n, 0)
         self.n = n
         self.i = 0
         self._source = source
@@ -100,15 +113,14 @@ class SparseFisherYatesIterator:
     def __next__(self) -> int:
         if self.i >= self.n:
             raise StopIteration
-        top = self.n - self.i  # route: sparse iterator step
-        entries = self._entries
-        r = self._source.next_uniform_int(top)
-        picked = entries.get(r, r)
-        entries[r] = entries.get(top, top)
-        # slot `top` leaves the drawable range now, so its entry is dead
-        entries.pop(top, None)
-        self.i += 1
-        return picked
+        return self.take(1)[0]
+
+    def take(self, j: int) -> list[int]:
+        """The next j selections; fewer than j left raises ValueError, drawing nothing."""
+        top = self.n - self.i  # route: sparse iterator take
+        picks = _map_picks(self._entries, top, self._source.descending_ints(top, j))
+        self.i += j
+        return picks
 
     def state_size(self) -> int:
         return len(self._entries)
@@ -117,24 +129,16 @@ class SparseFisherYatesIterator:
 def sparse_fisher_yates(source: RandomSource, n: int, k: int) -> SampleResult:
     """Hash-map Fisher-Yates: k draws, O(k) time and space, any n.
 
-    The loop of SparseFisherYatesIterator.__next__, inlined: same draws,
-    same map, bit-identical output.  The map's keys are earlier draws only,
-    so a draw r picks r itself unless an earlier draw was r too: when the k
-    draws are distinct they are the sample, and the map loop runs only when
-    one repeats.
+    The same draws and output as SparseFisherYatesIterator(n,
+    source).take(k), bit-identical to fisher_yates_sample.  The map's keys
+    are earlier draws only, so a draw r picks r itself unless an earlier
+    draw was r too: when the k draws are distinct they are the sample, and
+    the map loop runs only when one repeats.
     """
     _check_nk(n, k)
     draws = source.descending_ints(n, k)  # route: sparse distinct draws
     if len(set(draws)) < k:
-        entries: dict = {}  # route: sparse map, when a draw repeats
-        get, pop = entries.get, entries.pop
-        out = []
-        append = out.append
-        for top, r in zip(range(n, n - k, -1), draws):
-            append(get(r, r))
-            entries[r] = get(top, top)
-            pop(top, None)
-        draws = out
+        draws = _map_picks({}, n, draws)  # route: sparse map, when a draw repeats
     return SampleResult(draws, SampleOrder.SELECTION, n, DrawStats(k))
 
 

@@ -191,8 +191,7 @@ def occupancy_sums(n: int, checkpoints, sources) -> tuple[dict, dict]:
     for source in sources:
         it = SparseFisherYatesIterator(n, source)
         for c in checkpoints:
-            while it.i < c:
-                next(it)
+            it.take(c - it.i)
             size = it.state_size()
             sums[c] += size
             sumsq[c] += size * size
@@ -389,7 +388,7 @@ def _sorted_outputs(source, cases, _):
 
 def _prefix_consistency(source, cases, seed_of):
     return _exact(sum(
-        list(itertools.islice(SparseFisherYatesIterator(n, RandomSource(run_seed)), k))
+        SparseFisherYatesIterator(n, RandomSource(run_seed)).take(k)
         != sparse_fisher_yates(RandomSource(run_seed), n, k).indices
         for run_seed, n, k in _seeded_cells(seed_of, cases, 81)))
 

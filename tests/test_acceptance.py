@@ -185,12 +185,19 @@ def test_criterion_10_scaling_trends():
     reps = 7
     run_bench([(10000, 1000)], ["sparse"], 2, 7)  # warm up allocators
 
-    def median_ns(algo, n, k, seed):  # the upper median of one cell's wall times
-        return median_high(r.wall_time_ns for r in run_bench([(n, k)], [algo], reps, seed))
+    def median_ns(algo, ns, k, seed):
+        # the upper median of each cell's wall times, rep r on seed + r; rep r
+        # of every cell runs before rep r + 1 of any, so that a drift in the
+        # host's speed reaches all cells alike
+        walls = [[] for _ in ns]
+        for rep in range(reps):
+            for cell, n in zip(walls, ns):
+                cell += [r.wall_time_ns for r in run_bench([(n, k)], [algo], 1, seed + rep)]
+        return [median_high(cell) for cell in walls]
 
-    sparse_medians = [median_ns("sparse", n, 1000, 10) for n in (10000, 100000, 1000000)]
+    sparse_medians = median_ns("sparse", (10000, 100000, 1000000), 1000, 10)
     sparse_ratio = max(sparse_medians) / min(sparse_medians)
-    fy_small, fy_large = [median_ns("fy", n, 10, 11) for n in (10000, 100000)]
+    fy_small, fy_large = median_ns("fy", (10000, 100000), 10, 11)
     fy_growth = fy_large / fy_small
 
     elapsed = time.perf_counter() - t0

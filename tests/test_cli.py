@@ -1,6 +1,7 @@
 """End-to-end CLI tests through main(argv): exit codes, formats, determinism."""
 
 import csv
+import hashlib
 import io
 import json
 import os
@@ -374,6 +375,22 @@ def test_bench_deterministic_except_wall_time(capsys):
         return [row[:4] + row[5:] for row in rows]
 
     assert strip_wall(out1) == strip_wall(out2)
+
+
+# sha256 of the CSV of `bench --grid 7:0,50:50,1000:100,2000:7 --reps 3
+# --seed 12` less its wall_time_ns column: all seven algorithms, k = 0, and
+# sparse cells in which draws repeat
+BENCH_SHA256 = "59fddd8149239155af54dba7a8a5ecb600fcf9bcd593c698a897d014a1ecadb4"
+
+
+def test_bench_output_is_pinned_except_wall_time(capsys):
+    # a change that moves the stream or the bench's counts on purpose
+    # updates this digest and says so
+    code, out, _ = run_cli(capsys, "bench", "--grid", "7:0,50:50,1000:100,2000:7",
+                           "--reps", "3", "--seed", "12")
+    assert code == 0
+    text = "".join(",".join(row[:4] + row[5:]) + "\n" for row in csv.reader(io.StringIO(out)))
+    assert hashlib.sha256(text.encode()).hexdigest() == BENCH_SHA256, text
 
 
 def test_bench_peak_entries_by_algorithm(capsys):

@@ -354,6 +354,38 @@ def test_hypergeometric_support_property(v, n, k, seed):
     assert max(0, k - (n - v)) <= c <= min(v, k)
 
 
+def _splitmix_script(seed: int, words: int) -> ScriptedSource:
+    """A ScriptedSource holding the first words of RandomSource(seed)'s stream:
+    a draw that never accepts ends in ScriptExhaustedError, not a hang."""
+    src = RandomSource(seed)
+    return ScriptedSource([src.next_uniform_int(2**64) - 1 for _ in range(words)])
+
+
+def test_hrua_returns_at_n_past_2_to_1023():
+    # 2 (a + 1/2) is inf at a >= 2^1023; times a zero series tail it gave
+    # nan, and HRUA then accepted no proposal
+    assert _log_fact_core(2**1023, 2**1023) == 0.0
+    n = int(1.9 * 2.0**1023)
+    for v, k in ((2**520, 2**520), (2**511, 2**530)):
+        src = _splitmix_script(1, 2000)
+        for _ in range(200):
+            assert 0 <= hypergeometric(src, v, n, k) <= min(v, k)
+
+
+def test_hypergeometric_refuses_n_from_2_to_1024():
+    # as binomial does: a draw that is not certain raises OverflowError,
+    # by HRUA's route and inversion's, and draws nothing
+    for v, k in ((2**53, 2**1023), (5, 7)):
+        src = _splitmix_script(1, 2000)
+        with pytest.raises(OverflowError):
+            hypergeometric(src, v, 2**1024, k)
+        assert (src.stats, src.words_generated) == (DrawStats(), 0)
+    with pytest.raises(OverflowError):
+        binomial(RandomSource(1), 2**1024, 0.5)
+    assert hypergeometric(RandomSource(1), 0, 2**1024, 5) == 0
+    assert hypergeometric(RandomSource(1), 3, 2**1030, 2**1030) == 3
+
+
 # u = 1 - 2^-53 lies above the float CDF's total at these shapes; the
 # inversion draws again, and the second uniform, 0.5, gives the median
 @pytest.mark.parametrize("draw, args", [

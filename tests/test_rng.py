@@ -167,6 +167,20 @@ def test_scripted_exhaustion():
         src.next_uniform_int(5)
 
 
+def test_exhausted_draw_counts_nothing():
+    # a draw is counted once its words are read, so one that runs out of
+    # script adds to no counter, whichever method makes it
+    draws = (lambda s: s.next_uniform_real(), lambda s: s.next_uniform_int(5),
+             lambda s: s.next_uniform_int(2**65), lambda s: s.descending_ints(5, 2),
+             lambda s: s.uniform_bytes(3))
+    for draw in draws:
+        src = ScriptedSource([int_word(1, 1)])
+        assert src.next_uniform_int(1) == 1
+        with pytest.raises(ScriptExhaustedError):
+            draw(src)
+        assert (src.stats, src.words_generated) == (DrawStats(uniform_int=1), 1)
+
+
 def test_scripted_type_mismatch():
     # a script holds words: array("Q") refuses a value of any other type
     for script in ([0.5], ["2"], [None]):

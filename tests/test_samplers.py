@@ -239,14 +239,45 @@ def test_sparse_shortcut_matches_map_loop(seed, n, k):
     assert src.words_generated == ref.words_generated
 
 
-@given(st.integers(min_value=1, max_value=2**64), st.integers(min_value=0, max_value=2**48))
-@settings(max_examples=100, deadline=None)
-def test_sparse_equals_iterator(n, seed):
-    # the inlined loop of sparse_fisher_yates replays the iterator draw for draw
-    k = min(n, 40)
-    it = SparseFisherYatesIterator(n, RandomSource(seed))
-    res = sparse_fisher_yates(RandomSource(seed), n, k)
-    assert res.indices == [next(it) for _ in range(k)]
+@given(st.integers(min_value=0, max_value=2**64 - 1),
+       st.one_of(st.integers(min_value=1, max_value=8),
+                 st.integers(min_value=10**9 - 100, max_value=10**9 + 100),
+                 st.integers(min_value=2**64 + 1, max_value=2**72)),
+       st.lists(st.one_of(st.none(), st.integers(min_value=0, max_value=12)), max_size=12))
+@settings(max_examples=200, deadline=None)
+def test_take_in_chunks_equals_single_steps(seed, n, steps):
+    # take(j) in chunks, with None for a next(), against one next() per
+    # step and against sparse_fisher_yates: the same picks, map size,
+    # counters and words
+    src, ref = RandomSource(seed), RandomSource(seed)
+    chunked, single = SparseFisherYatesIterator(n, src), SparseFisherYatesIterator(n, ref)
+    picks = []
+    for j in steps:
+        if j is None and chunked.i < n:
+            got = [next(chunked)]
+        else:
+            got = chunked.take(min(j or 0, n - chunked.i))
+        assert got == [next(single) for _ in got]
+        assert chunked.state_size() == single.state_size()
+        assert (src.stats, src.words_generated) == (ref.stats, ref.words_generated)
+        picks += got
+    batch = RandomSource(seed)
+    assert sparse_fisher_yates(batch, n, len(picks)).indices == picks
+    assert (batch.stats, batch.words_generated) == (src.stats, src.words_generated)
+
+
+def test_take_zero_and_past_the_end():
+    src = RandomSource(3)
+    it = SparseFisherYatesIterator(5, src)
+    assert it.take(0) == []
+    first = it.take(3)
+    before = (src.stats.copy(), src.words_generated, it.i, it.state_size())
+    for j in (3, -1):  # two are left
+        with pytest.raises(ValueError):
+            it.take(j)
+    assert (src.stats, src.words_generated, it.i, it.state_size()) == before
+    assert sorted(first + it.take(2)) == [1, 2, 3, 4, 5]
+    assert it.take(0) == [] and it.i == 5
 
 
 def test_sparse_state_overlay_reconstructs_classical_array():
