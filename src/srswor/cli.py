@@ -20,7 +20,6 @@ from itertools import islice
 from .distributed import MergeInput, downsample, merge_all_with_state
 from .rng import RandomSource, Record
 from .samplers import (
-    SparseFisherYatesIterator,
     default_samplers,
     inorder_sample,
     preinit_fy_sample_with_undo,
@@ -47,9 +46,9 @@ def _bench_once(algo: str, n: int, k: int, source: RandomSource) -> tuple[int, i
     """Run one timed rep of algo's default_samplers() entry (preinit's array
     is built before the clock starts); returns (wall_time_ns, peak_aux_entries).
 
-    Peak entries are k for member's set, and for sparse the peak of
-    SparseFisherYatesIterator's map, replayed untimed on a fresh source of
-    the same seed, so on the same draws; the others report 0.
+    Peak entries are k for member's set and, for sparse, the peak size of
+    its swap map, replayed untimed from the same draws on a fresh source: at
+    bound last, slot r joins and slot last leaves.  The others report 0.
     """
     if algo == "preinit":
         arr = list(range(1, n + 1))
@@ -62,11 +61,11 @@ def _bench_once(algo: str, n: int, k: int, source: RandomSource) -> tuple[int, i
     wall = time.perf_counter_ns() - t0
     if algo != "sparse":
         return wall, k if algo == "member" else 0
-    it = SparseFisherYatesIterator(n, RandomSource(source.seed))
-    peak = 0
-    for _ in range(k):
-        next(it)
-        peak = max(peak, it.state_size())
+    held, peak = set(), 0
+    for last, r in zip(range(n, n - k, -1), RandomSource(source.seed).descending_ints(n, k)):
+        held.add(r)
+        held.discard(last)
+        peak = max(peak, len(held))
     return wall, peak
 
 

@@ -18,13 +18,14 @@ shift carries in from the lane above, so every product stays inside its
 lane.  The stream is the same word for word as the scalar mix.
 
 RandomSource keeps one buffer, the last mixed block as an array of words
-in stream order, and reads it by position.  A partial shuffle of n takes k
-bounded ints with bounds n, n - 1, ..., n - k + 1.  descending_ints(n, k)
-returns them in one call: the same values and counters as k calls of
-next_uniform_int, with the Python work per draw cut to a word read, a shift
-and a compare.  uniform_bytes(n) returns n iid uniform bytes, the
-little-endian bytes of the next ceil(n / 8) words, cut from the block as
-slices of the array.
+in stream order, and every draw reads it by position.  A draw that runs
+out of script counts every word it read and no draw.  A partial shuffle of
+n takes k bounded ints with bounds n, n - 1, ..., n - k + 1.
+descending_ints(n, k) returns them in one call: the same values and
+counters as k calls of next_uniform_int, with the Python work per draw cut
+to a word read, a shift and a compare.  uniform_bytes(n) returns n iid
+uniform bytes, the little-endian bytes of the next ceil(n / 8) words, cut
+from the block as slices of the array.
 """
 
 from __future__ import annotations
@@ -167,35 +168,28 @@ class RandomSource:
 
     The one buffer is the last mixed block: _words holds its _BLOCK words
     in stream order and _pos the next one to hand out.  Every draw reads
-    there, and a block is mixed when its first word is needed, so a source
-    that draws nothing mixes nothing.  words_generated, the words handed
-    out, follows from _blocks, the number of blocks mixed, and _pos.
+    there and writes _pos back when it returns, and a block is mixed when
+    its first word is needed, so a source that draws nothing mixes nothing.
+    _next is the stream index of the word after the block, so the words
+    handed out are words_generated = _next - _BLOCK + _pos.
     """
 
     def __init__(self, seed: int) -> None:
         self.stats = DrawStats()
         self.seed = seed
-        self._blocks = 0
+        self._next = 0
         self._words = array("Q")
         self._pos = _BLOCK  # at the end, so the first draw mixes a block
 
     @property
     def words_generated(self) -> int:
-        return (self._blocks - 1) * _BLOCK + self._pos
+        return self._next - _BLOCK + self._pos
 
     def _refill(self) -> array:
         """Mix the next block and buffer it; the caller reads it from 0."""
-        head = (self.seed + self._blocks * _BLOCK * _GOLDEN) & _MASK64
-        self._words = words = _splitmix64(head)
-        self._blocks += 1
+        self._words = words = _splitmix64((self.seed + self._next * _GOLDEN) & _MASK64)
+        self._next += _BLOCK
         return words
-
-    def _next_word(self) -> int:
-        words, pos = self._words, self._pos
-        if pos == _BLOCK:
-            words, pos = self._refill(), 0
-        self._pos = pos + 1
-        return words[pos]
 
     def next_uniform_real(self) -> float:
         """Uniform float in [0, 1), 53-bit resolution."""
@@ -295,21 +289,27 @@ class RandomSource:
         bits = (m - 1).bit_length()
         n_words = -(-bits // 64)
         excess = 64 * n_words - bits
-        while True:
+        words, pos = self._words, self._pos
+        r = m
+        while r >= m:
             r = 0
             for _ in range(n_words):
-                r = (r << 64) | self._next_word()
+                if pos == _BLOCK:
+                    words, pos = self._refill(), 0
+                r = (r << 64) | words[pos]
+                pos += 1
             r >>= excess
-            if r < m:
-                return r + 1
+        self._pos = pos
+        return r + 1
 
 
 class ScriptedSource(RandomSource):
     """A RandomSource fed a fixed list of 64-bit words in place of
     splitmix64's, so that a hand trace runs the draw code of a seeded run.
     Draws refill only at the end of a block, so the first len % _BLOCK words
-    end the first block; a draw past the last word reaches _refill, which
-    raises ScriptExhaustedError."""
+    end the first block.  A draw past the last word reaches _refill, which
+    raises ScriptExhaustedError: the draw adds nothing to stats, and
+    words_generated counts every word it read, the whole script."""
 
     def __init__(self, words) -> None:
         self.stats = DrawStats()
@@ -318,13 +318,10 @@ class ScriptedSource(RandomSource):
         self._pos = _BLOCK - self._next
         self._words = array("Q", bytes(8 * self._pos)) + self._script[:self._next]
 
-    @property
-    def words_generated(self) -> int:
-        return self._next - _BLOCK + self._pos
-
     def _refill(self) -> array:
         start = self._next
         if start == len(self._script):
+            self._pos = _BLOCK  # the raising draw cannot write back its pos
             raise ScriptExhaustedError(f"script of {start} words exhausted")
         self._next += _BLOCK
         self._words = words = self._script[start:self._next]

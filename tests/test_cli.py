@@ -18,7 +18,8 @@ import hypothesis.strategies as st
 import srswor
 from srswor import suite
 from srswor.cli import BENCH_HEADER, main
-from srswor.samplers import default_samplers
+from srswor.rng import RandomSource
+from srswor.samplers import SparseFisherYatesIterator, default_samplers
 
 
 def run_cli(capsys, *argv):
@@ -133,12 +134,12 @@ def test_closed_reader_exits_1_without_traceback(tmp_path, argv):
     lines.write_text("".join(f"line-{i}\n" for i in range(1, 200_001)))
     manifest.write_text(f"100000\t100000\t{','.join(map(str, range(100_000)))}\n")
     argv = [arg.format(lines=lines, manifest=manifest) for arg in argv]
-    proc = subprocess.Popen([sys.executable, "-m", "srswor", *argv], env=_env(),
-                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
-    assert proc.stdout.readline()
-    proc.stdout.close()
-    err = proc.stderr.read()
-    assert proc.wait(timeout=60) == 1
+    with subprocess.Popen([sys.executable, "-m", "srswor", *argv], env=_env(),
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True) as proc:
+        assert proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 1
     assert "Traceback" not in err and "Exception ignored" not in err
 
 
@@ -401,6 +402,18 @@ def test_bench_peak_entries_by_algorithm(capsys):
     assert peaks["fy"] == 0  # dense array, no auxiliary hash
     assert 0 < peaks["sparse"] <= 100
     assert peaks["member"] == 100
+    # sparse's replayed peak is the iterator's largest map on the same seed,
+    # in cells where draws repeat
+    code, out, _ = run_cli(capsys, "bench", "--grid", "50:50,1000:100", "--algos", "sparse",
+                           "--reps", "4", "--seed", "5")
+    assert code == 0
+    for row in list(csv.reader(io.StringIO(out)))[1:]:
+        n, k, seed = int(row[1]), int(row[2]), int(row[7])
+        it, peak = SparseFisherYatesIterator(n, RandomSource(seed)), 0
+        for _ in range(k):
+            next(it)
+            peak = max(peak, it.state_size())
+        assert int(row[6]) == peak, row
 
 
 def test_bench_k_zero_every_algorithm(capsys):

@@ -52,7 +52,7 @@ def test_word_stream_matches_reference():
         (1234567, WORDS_SEED_1234567),
     ]:
         src = RandomSource(seed)
-        got = [src._next_word() for _ in range(5)]
+        got = [src.next_uniform_int(2**64) - 1 for _ in range(5)]
         assert got == expected, f"seed {seed}"
 
 
@@ -109,7 +109,8 @@ def test_determinism_same_seed():
 def test_determinism_over_seeds(seed):
     a = RandomSource(seed)
     b = RandomSource(seed)
-    assert [a._next_word() for _ in range(4)] == [b._next_word() for _ in range(4)]
+    assert [a.next_uniform_int(2**64) for _ in range(4)] == [
+        b.next_uniform_int(2**64) for _ in range(4)]
 
 
 @given(st.integers(min_value=1, max_value=10**6), st.integers(min_value=0, max_value=2**32))
@@ -179,6 +180,19 @@ def test_exhausted_draw_counts_nothing():
         with pytest.raises(ScriptExhaustedError):
             draw(src)
         assert (src.stats, src.words_generated) == (DrawStats(uniform_int=1), 1)
+    # scripts that run out part-way through a block, on every draw path:
+    # words_generated still counts every word the draw read
+    cases = [([7 << 61], lambda s: s.next_uniform_int(5), 1),
+             ([5], lambda s: s.next_uniform_int(2**65), 1),
+             ([7 << 61] * 300, lambda s: s.next_uniform_int(5), 300),
+             ([7 << 61] * 300, lambda s: s.descending_ints(5, 1), 300),
+             ([0] * 300, lambda s: s.uniform_bytes(8 * 301), 300),
+             ([0] * 3, lambda s: s.descending_ints(2**80, 2), 3)]
+    for case, (script, draw, words) in enumerate(cases):
+        src = ScriptedSource(script)
+        with pytest.raises(ScriptExhaustedError):
+            draw(src)
+        assert (src.stats, src.words_generated) == (DrawStats(), words), case
 
 
 def test_scripted_type_mismatch():
@@ -209,8 +223,10 @@ def test_scripted_rejects_bool_and_bad_real():
 
 def test_scripted_source_draws_through_the_random_source_kernels():
     assert RandomSource.__bases__ == (object,) and ScriptedSource.__bases__ == (RandomSource,)
-    assert not {"next_uniform_int", "next_uniform_real", "descending_ints", "uniform_bytes",
-                "_next_word", "_next_wide_int"} & set(vars(ScriptedSource))
+    # it overrides only where words come from, beside its two word helpers
+    assert {name for name in vars(ScriptedSource) if not name.startswith("__")} == {
+        "_refill", "int_word", "real_word"}
+    assert "__init__" in vars(ScriptedSource)
     # at bound 5 a draw reads a word's top 3 bits and rejects 5..7, so the
     # word 7 << 61 is read, rejected, and the next word taken
     src = ScriptedSource([7 << 61, int_word(2, 5)])
@@ -287,10 +303,10 @@ def test_random_source_survives_copy_and_pickle(words):
     src, twin = RandomSource(11), RandomSource(11)
     src.uniform_bytes(8 * words)
     twin.uniform_bytes(8 * words)
-    want = [twin._next_word() for _ in range(300)]
+    want = [twin.next_uniform_int(2**64) - 1 for _ in range(300)]
     for clone in (copy.deepcopy(src), pickle.loads(pickle.dumps(src)), src):
         assert (clone.words_generated, clone.stats) == (words, DrawStats(uniform_int=words))
-        assert [clone._next_word() for _ in range(300)] == want
+        assert [clone.next_uniform_int(2**64) - 1 for _ in range(300)] == want
         assert clone.words_generated == twin.words_generated
 
 
