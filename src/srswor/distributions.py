@@ -17,14 +17,14 @@ Both discrete families switch at mean 30.  An inversion draws its uniform
 again in the rare case (about 1e-15 a draw) that it lies above the float
 sum of the pmf, rather than walk to the top of the support.
 
-These hold at every n below 2^1024 (above it, OverflowError).  BTRD and
-HRUA form each proposal as an exact integer mode plus a small float offset
-and accept it on a log pmf ratio: a sum of log(a!/b!) terms, a - b = +-d,
-each about d log(b + 1), far larger than the sum once the sd is large.
-Those d log(b + 1) parts are joined into d times the log of one exact
-integer quotient; the rests come from Stirling's series with its
-correction fc (a table below 30, the series above), summed to keep
-relative accuracy.  Differences of lgamma values would not do: near
+These hold at every n up to 2^1023 (past it, see binomial and
+hypergeometric).  BTRD and HRUA form each proposal as an exact integer mode
+plus a small float offset and accept it on a log pmf ratio: a sum of
+log(a!/b!) terms, a - b = +-d, each about d log(b + 1), far larger than the
+sum once the sd is large.  Those d log(b + 1) parts are joined into d times
+the log of one exact integer quotient; the rests come from Stirling's
+series with its correction fc (a table below 30, the series above), summed
+to keep relative accuracy.  Differences of lgamma values would not do: near
 n = 1e10, lgamma(n + 1) is about 2.2e11 and its ulp is about 3e-5.
 """
 
@@ -67,8 +67,9 @@ def bernoulli(source: RandomSource, p: float) -> int:
     """One Bernoulli(p) trial via a single uniform-real comparison."""
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"bernoulli p={p} outside [0, 1]")
+    u = source.next_uniform_real()  # route: bernoulli
     source.stats.bernoulli += 1
-    return 1 if source.next_uniform_real() < p else 0  # route: bernoulli
+    return 1 if u < p else 0
 
 
 def binomial(source: RandomSource, n: int, p: float) -> int:
@@ -77,26 +78,24 @@ def binomial(source: RandomSource, n: int, p: float) -> int:
     p > 0.5 is drawn as n minus a Binomial(n, 1 - p).  With the smaller
     probability p, n*p <= 30 uses CDF inversion, one uniform; above that,
     BTRD (Hoermann 1993), O(1) expected time and 1.4-1.8 uniforms, at every
-    n whose float is finite.  Counts as one logical binomial draw regardless
-    of how many uniforms the method consumes.  Degenerate parameters (n = 0,
-    p in {0, 1}) return deterministically without touching the source.
+    n whose n + 1 has a finite float.  Counts as one logical binomial draw
+    once it returns, however many uniforms it consumes.  Degenerate
+    parameters (n = 0, p in {0, 1}) return without touching the source.
     """
     if n < 0:
         raise ValueError(f"binomial trial count must be >= 0, got {n}")
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"binomial p={p} outside [0, 1]")
-    source.stats.binomial += 1
-    if n == 0 or p <= 0.0:
-        return 0
-    if p >= 1.0:
-        return n
     flip = p > 0.5
     if flip:
         p = 1.0 - p  # route: binomial p > 1/2 reflection
-    if n * p <= _INVERSION_LIMIT:
+    if n == 0 or p <= 0.0:
+        c = 0
+    elif n * p <= _INVERSION_LIMIT:
         c = _binomial_inversion(source, n, p)  # route: binomial inversion
     else:
         c = _binomial_btrd(source, n, p)  # route: binomial BTRD
+    source.stats.binomial += 1
     return n - c if flip else c
 
 
@@ -250,40 +249,42 @@ def beta(source: RandomSource, alpha: float, beta_shape: float) -> float:
         raise ValueError(f"beta sampling requires finite alpha >= 1, got {alpha}")
     if not (beta_shape == 0.0 or 1.0 <= beta_shape < math.inf):
         raise ValueError(f"beta shape must be 0 or finite and >= 1, got {beta_shape}")
-    source.stats.beta += 1
     if beta_shape == 0.0:
-        return 1.0
-    if alpha == 1.0:
-        return _beta1_quantile(source, beta_shape)  # route: beta(1, b) quantile
-    if beta_shape == 1.0:
-        return (1.0 - source.next_uniform_real()) ** (1.0 / alpha)  # route: beta(a, 1) quantile
-    # BB (Cheng 1978, "Generating beta variates with nonintegral shape
-    # parameters"), exact for min(alpha, b) > 1, its hat driven by the
-    # smaller shape a.  lam = 1/B = sqrt((2ab - s)/(s - 2)), s = a + b, is
-    # formed as sqrt(1 + 2p/(1 + p/q)), p = a - 1 <= q = b - 1, and the draw
-    # W/(b + W) from the odds W/b, so that neither overflows.
-    swap = alpha > beta_shape  # route: beta by Cheng's BB
-    a, b = float(min(alpha, beta_shape)), float(max(alpha, beta_shape))
-    p = a - 1.0
-    lam = math.sqrt(1.0 + p * (2.0 / (1.0 + p / (b - 1.0))))
-    uniform = source.next_uniform_real
-    while True:
-        u1 = uniform()
-        z = u1 * u1 * uniform()
-        if z == 0.0:
-            continue  # the logs below need u1 > 0 and z > 0
-        v = math.log(u1 / (1.0 - u1)) / lam
-        d = -a * math.expm1(v)  # a - W, W = a e^v, to relative accuracy
-        w = a - d
-        r = (a + lam) * v - _LOG4
-        t = r + d
-        if t + _BB_SQUEEZE >= 5.0 * z:
-            break
-        log_z = math.log(z)
-        if t > log_z or r + (a + b) * math.log1p(d / (b + w)) >= log_z:
-            break
-    y = w / b  # below e^37
-    return 1.0 / (1.0 + y) if swap else y / (1.0 + y)
+        x = 1.0
+    elif alpha == 1.0:
+        x = _beta1_quantile(source, beta_shape)  # route: beta(1, b) quantile
+    elif beta_shape == 1.0:
+        x = (1.0 - source.next_uniform_real()) ** (1.0 / alpha)  # route: beta(a, 1) quantile
+    else:
+        # BB (Cheng 1978, "Generating beta variates with nonintegral shape
+        # parameters"), exact for min(alpha, b) > 1, its hat driven by the
+        # smaller shape a.  lam = 1/B = sqrt((2ab - s)/(s - 2)), s = a + b, is
+        # formed as sqrt(1 + 2p/(1 + p/q)), p = a - 1 <= q = b - 1, and the draw
+        # W/(b + W) from the odds W/b, so that neither overflows.
+        swap = alpha > beta_shape  # route: beta by Cheng's BB
+        a, b = float(min(alpha, beta_shape)), float(max(alpha, beta_shape))
+        p = a - 1.0
+        lam = math.sqrt(1.0 + p * (2.0 / (1.0 + p / (b - 1.0))))
+        uniform = source.next_uniform_real
+        while True:
+            u1 = uniform()
+            z = u1 * u1 * uniform()
+            if z == 0.0:
+                continue  # the logs below need u1 > 0 and z > 0
+            v = math.log(u1 / (1.0 - u1)) / lam
+            d = -a * math.expm1(v)  # a - W, W = a e^v, to relative accuracy
+            w = a - d
+            r = (a + lam) * v - _LOG4
+            t = r + d
+            if t + _BB_SQUEEZE >= 5.0 * z:
+                break
+            log_z = math.log(z)
+            if t > log_z or r + (a + b) * math.log1p(d / (b + w)) >= log_z:
+                break
+        y = w / b  # below e^37
+        x = 1.0 / (1.0 + y) if swap else y / (1.0 + y)
+    source.stats.beta += 1
+    return x
 
 
 def beta_binomial(source: RandomSource, alpha: int, beta_shape: int, n: int) -> int:
@@ -297,12 +298,13 @@ def beta_binomial(source: RandomSource, alpha: int, beta_shape: int, n: int) -> 
         raise ValueError(f"beta-binomial shapes must be >= 1, got ({alpha}, {beta_shape})")
     if n < 0:
         raise ValueError(f"beta-binomial trial count must be >= 0, got {n}")
-    source.stats.beta_binomial += 1
     if alpha == 1:
         p = _beta1_quantile(source, beta_shape)  # route: beta-binomial alpha 1
     else:
         p = beta(source, alpha, beta_shape)  # route: beta-binomial through beta
-    return binomial(source, n, p)
+    c = binomial(source, n, p)
+    source.stats.beta_binomial += 1
+    return c
 
 
 def hypergeometric(source: RandomSource, v: int, n: int, k: int) -> int:
@@ -315,9 +317,10 @@ def hypergeometric(source: RandomSource, v: int, n: int, k: int) -> int:
     and Schmeiser 1985) takes one uniform and about mean + 1 steps, with
     P(0) in O(1) from Stirling's series; above 30, HRUA (Stadlober 1989)
     takes about three uniforms in O(1) expected time, its proposals bounded
-    only by the true support.  Both hold at every n below 2^1024, and above
-    it any draw but a certain one (v or k in {0, n}) raises OverflowError.
-    Counts as one logical hypergeometric draw and draws no other family.
+    only by the true support.  Both hold at every n up to 2^1023.  Past it,
+    inversion raises OverflowError once n + 1 rounds past the largest float,
+    and from 2^1024 on any draw but a certain one (v or k in {0, n}) does.
+    Counts one hypergeometric draw once it returns, and draws no other family.
     """
     if n < 0:
         raise ValueError(f"population size must be >= 0, got {n}")
@@ -328,7 +331,6 @@ def hypergeometric(source: RandomSource, v: int, n: int, k: int) -> int:
     vs, ks = min(v, n - v), min(k, n - k)
     if n >> 1024 and vs and ks:
         raise OverflowError("hypergeometric population size must be below 2^1024")
-    source.stats.hypergeometric += 1
     if vs * ks <= _INVERSION_LIMIT * n:
         c = _hypergeometric_inversion(source, vs, n, ks)  # route: hypergeometric inversion
     else:
@@ -337,6 +339,7 @@ def hypergeometric(source: RandomSource, v: int, n: int, k: int) -> int:
         c = vs - c  # route: hypergeometric k -> n - k
     if vs != v:
         c = k - c  # route: hypergeometric v -> n - v
+    source.stats.hypergeometric += 1
     return c
 
 

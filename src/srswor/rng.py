@@ -128,10 +128,10 @@ class Record:
 class DrawStats(Record):
     """Counters of logical draws, one field per variate family.
 
-    A logical draw is one request made by calling code: internal rejection
-    retries inside a single request do not add to these counters.  The
-    counters live in the instance dict, so vars(stats) maps each family to
-    its count.
+    A logical draw is one request made by calling code, counted once, when
+    it returns: rejection retries inside it add nothing, and neither does a
+    draw that raises.  The counters live in the instance dict: vars(stats)
+    maps each family to its count, and copy, __sub__ and total read it.
     """
 
     _fields = ("uniform_int", "uniform_real", "bernoulli", "binomial", "beta",
@@ -149,13 +149,14 @@ class DrawStats(Record):
         self.hypergeometric = hypergeometric
 
     def copy(self) -> "DrawStats":
-        return DrawStats(*self._astuple())
+        return DrawStats(**vars(self))
 
     def __sub__(self, other: "DrawStats") -> "DrawStats":
-        return DrawStats(*(a - b for a, b in zip(self._astuple(), other._astuple())))
+        theirs = vars(other)
+        return DrawStats(**{name: count - theirs[name] for name, count in vars(self).items()})
 
     def total(self) -> int:
-        return sum(self._astuple())
+        return sum(vars(self).values())
 
 
 class RandomSource:

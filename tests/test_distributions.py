@@ -17,7 +17,10 @@ from srswor.distributions import (
     _fc,
     _log_fact_core,
 )
+from srswor.distributed import (MergeInput, downsample, merge_all_with_state,
+                                split_sample_counts)
 from srswor.rng import DrawStats, RandomSource, ScriptedSource
+from srswor.samplers import default_samplers, inorder_sample
 from srswor.statcheck import hypergeom_law
 
 
@@ -354,11 +357,11 @@ def test_hypergeometric_support_property(v, n, k, seed):
     assert max(0, k - (n - v)) <= c <= min(v, k)
 
 
-def _splitmix_script(seed: int, words: int) -> ScriptedSource:
-    """A ScriptedSource holding the first words of RandomSource(seed)'s stream:
+def _splitmix_words(seed: int, words: int) -> list[int]:
+    """The first words of RandomSource(seed)'s stream, for a ScriptedSource:
     a draw that never accepts ends in ScriptExhaustedError, not a hang."""
     src = RandomSource(seed)
-    return ScriptedSource([src.next_uniform_int(2**64) - 1 for _ in range(words)])
+    return [src.next_uniform_int(2**64) - 1 for _ in range(words)]
 
 
 def test_hrua_returns_at_n_past_2_to_1023():
@@ -367,7 +370,7 @@ def test_hrua_returns_at_n_past_2_to_1023():
     assert _log_fact_core(2**1023, 2**1023) == 0.0
     n = int(1.9 * 2.0**1023)
     for v, k in ((2**520, 2**520), (2**511, 2**530)):
-        src = _splitmix_script(1, 2000)
+        src = ScriptedSource(_splitmix_words(1, 2000))
         for _ in range(200):
             assert 0 <= hypergeometric(src, v, n, k) <= min(v, k)
 
@@ -376,14 +379,106 @@ def test_hypergeometric_refuses_n_from_2_to_1024():
     # as binomial does: a draw that is not certain raises OverflowError,
     # by HRUA's route and inversion's, and draws nothing
     for v, k in ((2**53, 2**1023), (5, 7)):
-        src = _splitmix_script(1, 2000)
+        src = ScriptedSource(_splitmix_words(1, 2000))
         with pytest.raises(OverflowError):
             hypergeometric(src, v, 2**1024, k)
         assert (src.stats, src.words_generated) == (DrawStats(), 0)
+    for draw in (lambda s: binomial(s, 2**1024, 0.5), lambda s: beta(s, 3.0, 2**1100)):
+        src = RandomSource(1)
+        with pytest.raises(OverflowError):
+            draw(src)
+        assert (src.stats, src.words_generated) == (DrawStats(), 0)
+    # a nested draw counts only if it returned: inorder's first gap draws
+    # its uniform, then its binomial refuses; merge's first beta returns,
+    # then the second shard's refuses
+    src = RandomSource(1)
     with pytest.raises(OverflowError):
-        binomial(RandomSource(1), 2**1024, 0.5)
+        inorder_sample(src, 2**1100, 3)
+    assert src.stats == DrawStats(uniform_real=1)
+    src = RandomSource(1)
+    with pytest.raises(OverflowError):
+        merge_all_with_state(src, [MergeInput([1, 2], 10), MergeInput([5], 2**1100)])
+    assert src.stats - DrawStats(src.stats.uniform_int, src.stats.uniform_real) == DrawStats(beta=1)
     assert hypergeometric(RandomSource(1), 0, 2**1024, 5) == 0
     assert hypergeometric(RandomSource(1), 3, 2**1030, 2**1030) == 3
+
+
+_COUNTS = (0, 1, 2, 2**53 - 1, 2**53 + 1, 2**64 - 1, 2**64 + 1, 2**1023, 2**1024 - 1,
+           2**1024, 10**400)
+_PROBS = (0.0, 5e-324, 2.0**-60, 1e-300, 0.5, 1.0 - 2.0**-53, 1.0)
+
+
+def _boundary_cases():
+    """(family, draw, args, in_support) for each public draw at the boundary
+    counts and probabilities; family names the counter of a direct family
+    call, and is None for a sampler, split, merge or downsample."""
+    for p in _PROBS:
+        yield "bernoulli", bernoulli, (p,), lambda x: x in (0, 1)
+    for n in _COUNTS:
+        def upto(x, n=n):
+            return 0 <= x <= n
+        for p in _PROBS:
+            yield "binomial", binomial, (n, p), upto
+        for b in _COUNTS:
+            yield "beta", beta, (n, b), lambda x: 0.0 < x <= 1.0
+            for alpha in (1, 2):
+                yield "beta_binomial", beta_binomial, (alpha, b, n), upto
+        # v = k = 2^(bits/2 + 3): a mean of 32 to 128, by HRUA, with v + k far below n
+        sides = sorted(s for s in {0, 1, 1 << (n.bit_length() // 2 + 3), n // 3, n // 2, n - 1, n}
+                       if 0 <= s <= n)
+        for v in sides:
+            for k in sides:
+                yield "hypergeometric", hypergeometric, (v, n, k), (
+                    lambda c, v=v, n=n, k=k: max(0, k - (n - v)) <= c <= min(v, k))
+        # the samplers that touch every position run at small n only
+        for name, sampler in default_samplers().items():
+            if n <= 64 or name in ("sparse", "member", "inorder"):
+                for k in range(min(n, 3) + 1):
+                    yield None, sampler, (n, k), (
+                        lambda r, n=n, k=k: len(set(r.indices)) == len(r.indices) == k
+                        and all(1 <= i <= n for i in r.indices))
+        if n:
+            for sizes in ((n,), (1, n), (n, n)):
+                for k in (0, 1, sum(sizes) // 2, sum(sizes)):
+                    yield None, split_sample_counts, (sizes, k), (
+                        lambda c, sizes=sizes, k=k: sum(c) == k
+                        and all(0 <= x <= size for x, size in zip(c, sizes)))
+            for inputs in ([MergeInput(range(1, min(n, 3) + 1), n)],
+                           [MergeInput([1, 2], 10), MergeInput([5], n)]):
+                ids = {x for inp in inputs for x in inp.sample}
+                yield None, merge_all_with_state, (inputs,), (
+                    lambda r, ids=ids: set(r[0]) <= ids
+                    and len(set(r[0])) == len(r[0]) == sum(r[1].kappas)
+                    and all(0.0 < t <= 1.0 for t in r[1].thresholds))
+        if n <= 64:
+            for target in (0, 1, n // 2, n, n + 1):
+                yield None, downsample, (list(range(n)), target), (
+                    lambda r, n=n, target=target: len(r) == target and r == sorted(set(r))
+                    and all(0 <= x < n for x in r))
+
+
+def test_every_draw_returns_or_refuses_at_the_boundaries():
+    # each case runs on a fixed script of words, so a draw that never
+    # returns ends in ScriptExhaustedError, which fails the case; a refusal
+    # is ValueError or OverflowError, and leaves the family's own counter
+    words = _splitmix_words(7, 2048)
+    failures, cases = [], 0
+    for family, draw, args, in_support in _boundary_cases():
+        cases += 1
+        src = ScriptedSource(words)
+        try:
+            value = draw(src, *args)
+        except (ValueError, OverflowError):
+            if family and getattr(src.stats, family):
+                failures.append((draw.__name__, args, "counted a draw that raised"))
+            continue
+        except Exception as error:  # ScriptExhaustedError among them
+            failures.append((draw.__name__, args, repr(error)))
+            continue
+        if not in_support(value):
+            failures.append((draw.__name__, args, value))
+    assert cases > 900
+    assert not failures, failures[:5]
 
 
 # u = 1 - 2^-53 lies above the float CDF's total at these shapes; the

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from srswor import MergeInput, MergeState, SampleOrder, SampleResult
+from srswor import (MergeInput, MergeState, SampleOrder, SampleResult, bernoulli, beta,
+                    beta_binomial, binomial, hypergeometric)
 from srswor.rng import DrawStats, RandomSource, ScriptedSource, ScriptExhaustedError
 
 int_word, real_word = ScriptedSource.int_word, ScriptedSource.real_word
@@ -169,8 +170,8 @@ def test_scripted_exhaustion():
 
 
 def test_exhausted_draw_counts_nothing():
-    # a draw is counted once its words are read, so one that runs out of
-    # script adds to no counter, whichever method makes it
+    # a draw is counted once it returns, so one that runs out of script
+    # adds to no counter, whichever method or family makes it
     draws = (lambda s: s.next_uniform_real(), lambda s: s.next_uniform_int(5),
              lambda s: s.next_uniform_int(2**65), lambda s: s.descending_ints(5, 2),
              lambda s: s.uniform_bytes(3))
@@ -193,6 +194,14 @@ def test_exhausted_draw_counts_nothing():
         with pytest.raises(ScriptExhaustedError):
             draw(src)
         assert (src.stats, src.words_generated) == (DrawStats(), words), case
+    families = (lambda s: bernoulli(s, 0.3), lambda s: binomial(s, 10, 0.3),
+                lambda s: beta(s, 2.0, 3.0), lambda s: beta_binomial(s, 2, 3, 10),
+                lambda s: hypergeometric(s, 5, 10, 3))
+    for case, draw in enumerate(families):
+        src = ScriptedSource([])
+        with pytest.raises(ScriptExhaustedError):
+            draw(src)
+        assert (src.stats, src.words_generated) == (DrawStats(), 0), case
 
 
 def test_scripted_type_mismatch():
