@@ -100,6 +100,8 @@ def merge_all_with_state(source: RandomSource,
     """
     if not inputs:
         raise ValueError("merge requires at least one input")
+    # a shape past the float range raises here, before the first beta
+    float(max(inp.population_size - len(inp.sample) for inp in inputs))
     thresholds = []
     for inp in inputs:
         k_c = len(inp.sample)

@@ -225,8 +225,9 @@ def _log_quotient(p: int, q: int) -> float:
 def _beta1_quantile(source: RandomSource, b: float) -> float:
     """A Beta(1, b) draw from one uniform U: 1 - U**(1/b), or
     -expm1(log(U)/b) below _BETA_EXPM1_BELOW."""
+    exponent = 1.0 / b  # a b past the float range raises here, before the draw
     u = source.next_uniform_real()
-    x = 1.0 - u ** (1.0 / b)
+    x = 1.0 - u ** exponent
     return x if x >= _BETA_EXPM1_BELOW else -math.expm1(math.log(u) / b)
 
 
@@ -243,7 +244,8 @@ def beta(source: RandomSource, alpha: float, beta_shape: float) -> float:
     draw; its log-scale test rounds to about 2^-53 sqrt(min(alpha, b)).
     alpha < 1, 0 < b < 1, and infinite or NaN shapes raise ValueError.
     The bounds are compared, not converted, so an integer shape past the
-    float range raises OverflowError only where a draw needs its float.
+    float range raises OverflowError only where a draw needs its float, and
+    then before its first uniform.
     """
     if not 1.0 <= alpha < math.inf:
         raise ValueError(f"beta sampling requires finite alpha >= 1, got {alpha}")
@@ -254,7 +256,8 @@ def beta(source: RandomSource, alpha: float, beta_shape: float) -> float:
     elif alpha == 1.0:
         x = _beta1_quantile(source, beta_shape)  # route: beta(1, b) quantile
     elif beta_shape == 1.0:
-        x = (1.0 - source.next_uniform_real()) ** (1.0 / alpha)  # route: beta(a, 1) quantile
+        exponent = 1.0 / alpha  # route: beta(a, 1) quantile
+        x = (1.0 - source.next_uniform_real()) ** exponent
     else:
         # BB (Cheng 1978, "Generating beta variates with nonintegral shape
         # parameters"), exact for min(alpha, b) > 1, its hat driven by the
@@ -293,11 +296,13 @@ def beta_binomial(source: RandomSource, alpha: int, beta_shape: int, n: int) -> 
     alpha == 1 takes the Beta(1, b) quantile that beta takes, without
     counting a beta draw, so the draw costs one uniform real plus one
     binomial, which is the budget the in-order sampler is accounted at.
+    An n past the float range raises OverflowError before the beta draw.
     """
     if alpha < 1 or beta_shape < 1:
         raise ValueError(f"beta-binomial shapes must be >= 1, got ({alpha}, {beta_shape})")
     if n < 0:
         raise ValueError(f"beta-binomial trial count must be >= 0, got {n}")
+    float(n)  # a count past the float range raises here, before the beta draw
     if alpha == 1:
         p = _beta1_quantile(source, beta_shape)  # route: beta-binomial alpha 1
     else:

@@ -213,37 +213,47 @@ class RandomSource:
             raise ValueError(f"uniform int bound must be >= 1, got {m}")
         shift = 64 - (m - 1).bit_length()
         if shift < 0:
-            r = self._next_wide_int(m)  # route: bounded int above 2^64
-        else:
-            words, pos = self._words, self._pos  # route: bounded int up to 2^64
-            r = m
-            while r >= m:
-                if pos == _BLOCK:
-                    words, pos = self._refill(), 0
-                r = words[pos] >> shift
-                pos += 1
-            self._pos = pos
-            r += 1
+            return self.descending_ints(m, 1)[0]  # route: bounded int above 2^64
+        words, pos = self._words, self._pos  # route: bounded int up to 2^64
+        r = m
+        while r >= m:
+            if pos == _BLOCK:
+                words, pos = self._refill(), 0
+            r = words[pos] >> shift
+            pos += 1
+        self._pos = pos
         self.stats.uniform_int += 1
-        return r
+        return r + 1
 
     def descending_ints(self, n: int, k: int) -> list[int]:
         """The draws of next_uniform_int(n), next_uniform_int(n - 1), ...,
         k of them, with the same words and counters, in one loop.
 
-        Bounds above 2^64 go through _next_wide_int one at a time.  The
-        others run in stretches of equal bit_length(m - 1), which share one
-        shift.
+        Bounds m above 2^64 are drawn one at a time, by rejection on
+        candidates of bit_length(m - 1) bits cut from ceil(bits / 64) joined
+        words.  The others run in stretches of equal bit_length(m - 1),
+        which share one shift.
         """
         if not 0 <= k <= n:
             raise ValueError(f"draw count {k} outside [0, {n}]")
         out: list[int] = []
         append = out.append
         top, stop = n, n - k
-        while top > stop and top > 1 << 64:
-            append(self._next_wide_int(top))  # route: descending bounds above 2^64
-            top -= 1
         words, pos, refill = self._words, self._pos, self._refill
+        while top > stop and top > 1 << 64:
+            bits = (top - 1).bit_length()  # route: descending bounds above 2^64
+            n_words = -(-bits // 64)
+            r = top
+            while r >= top:
+                r = 0
+                for _ in range(n_words):
+                    if pos == _BLOCK:
+                        words, pos = refill(), 0
+                    r = (r << 64) | words[pos]
+                    pos += 1
+                r >>= 64 * n_words - bits
+            append(r + 1)
+            top -= 1
         while top > stop:
             bits = (top - 1).bit_length()  # route: descending bounds up to 2^64
             shift = 64 - bits
@@ -283,25 +293,6 @@ class RandomSource:
         self._pos = pos
         self.stats.uniform_int += words_read
         return b"".join(parts)[:n]
-
-    def _next_wide_int(self, m: int) -> int:
-        """Uniform integer in [1, m] for m > 2^64, by rejection on candidates
-        of bit_length(m-1) bits cut from ceil(bits/64) joined words."""
-        bits = (m - 1).bit_length()
-        n_words = -(-bits // 64)
-        excess = 64 * n_words - bits
-        words, pos = self._words, self._pos
-        r = m
-        while r >= m:
-            r = 0
-            for _ in range(n_words):
-                if pos == _BLOCK:
-                    words, pos = self._refill(), 0
-                r = (r << 64) | words[pos]
-                pos += 1
-            r >>= excess
-        self._pos = pos
-        return r + 1
 
 
 class ScriptedSource(RandomSource):

@@ -25,6 +25,7 @@ from __future__ import annotations
 import enum
 import itertools
 import math
+import operator
 from typing import Any, Iterable
 
 from .distributions import bernoulli, beta_binomial
@@ -56,9 +57,10 @@ class SampleResult(Record):
 
 
 def _check_nk(n: int, k: int) -> None:
-    if n < 1:
+    # operator.index refuses a count that is not an integer, a float among them
+    if operator.index(n) < 1:
         raise ValueError(f"population size must be >= 1, got {n}")
-    if not 0 <= k <= n:
+    if not 0 <= operator.index(k) <= n:
         raise ValueError(f"sample size {k} outside [0, {n}]")
 
 
@@ -241,7 +243,7 @@ def reservoir_sample(source: RandomSource, stream: Iterable[Any], k: int) -> Sam
     items consumed.  A stream shorter than k yields all of its items and
     draws nothing; k = 0 reads nothing and draws nothing.
     """
-    if k < 0:
+    if operator.index(k) < 0:
         raise ValueError(f"reservoir capacity must be >= 0, got {k}")
     if k == 0:
         return SampleResult([], SampleOrder.SELECTION, 0, DrawStats())

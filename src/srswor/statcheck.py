@@ -4,12 +4,11 @@ This layer is what the test suite and the `verify` command trust, so it is
 kept independent of the sampling code paths: each discrete law (binomial,
 beta-binomial, hypergeometric) is one walk of its exact pmf ratio out from
 its integer mode, in O(support) and correctly rounded steps for any n;
-p-values come from a locally implemented regularized incomplete gamma
-function, and expectations from closed-form sums.  No third-party
-statistics dependency.  Its functions take counts, values and law
-parameters, never a source: the draws are made by their callers.  Each
-test returns its (statistic, p-value) and leaves the verdict to its caller,
-which holds the alpha.
+chi-square p-values come from the tail's finite closed-form sum, and
+expectations from closed-form sums.  No third-party statistics dependency.
+Its functions take counts, values and law parameters, never a source: the
+draws are made by their callers.  Each test returns its (statistic,
+p-value) and leaves the verdict to its caller, which holds the alpha.
 """
 
 from __future__ import annotations
@@ -22,63 +21,27 @@ import sys
 POOL_THRESHOLD = 5.0
 
 
-# --- regularized incomplete gamma, local implementation ---------------------
-#
-# P(s, x) by series for x < s+1, Q(s, x) by modified-Lentz continued fraction
-# otherwise; both with the exp(-x + s ln x - ln Gamma(s)) prefactor.
-
-_EPS = 1e-15
-_MAX_ITER = 800
-
-
-def _reg_gamma_q(s: float, x: float) -> float:
-    if s <= 0.0 or x < 0.0:
-        raise ValueError(f"invalid incomplete gamma arguments s={s}, x={x}")
-    if x == 0.0:
-        return 1.0
-    if x < s + 1.0:
-        ap = s
-        term = 1.0 / s
-        total = term
-        for _ in range(_MAX_ITER):
-            ap += 1.0
-            term *= x / ap
-            total += term
-            if abs(term) < abs(total) * _EPS:
-                break
-        p = total * math.exp(-x + s * math.log(x) - math.lgamma(s))
-        return max(0.0, 1.0 - p)
-    tiny = 1e-300
-    b = x + 1.0 - s
-    c = 1.0 / tiny
-    d = 1.0 / b
-    h = d
-    for i in range(1, _MAX_ITER):
-        an = -i * (i - s)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < tiny:
-            d = tiny
-        c = b + an / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < _EPS:
-            break
-    return min(1.0, math.exp(-x + s * math.log(x) - math.lgamma(s)) * h)
-
-
 def chi2_sf(statistic: float, dof: int) -> float:
-    """Upper tail of the chi-square distribution with dof degrees of freedom."""
+    """Upper tail of the chi-square distribution with dof degrees of freedom.
+
+    With x = statistic / 2, this is Q(dof / 2, x), a finite sum at every
+    integer or half-integer order (Abramowitz and Stegun 26.4.4-26.4.5):
+    the terms x^t e^-x / Gamma(t + 1) over t = dof/2 - 1, dof/2 - 2, ... >= 0, plus
+    erfc(sqrt(x)) when dof is odd.  O(dof) terms, with no iteration cap.
+    """
     if dof < 1:
         raise ValueError(f"dof must be >= 1, got {dof}")
-    if statistic < 0:
-        raise ValueError(f"chi-square statistic must be >= 0, got {statistic}")
+    if not 0 <= statistic < math.inf:  # a nan would otherwise read as p = 1
+        raise ValueError(f"chi-square statistic must be finite and >= 0, got {statistic}")
     if statistic == 0.0:
         return 1.0
-    return _reg_gamma_q(dof / 2.0, statistic / 2.0)
+    x = statistic / 2.0
+    log_x = math.log(x)
+    terms = [math.exp(t * log_x - x - math.lgamma(t + 1.0))
+             for t in (dof / 2.0 - j for j in range(1, dof // 2 + 1))]
+    if dof % 2:
+        terms.append(math.erfc(math.sqrt(x)))
+    return min(1.0, math.fsum(terms))
 
 
 def _pool_cells(observed, expected, threshold):

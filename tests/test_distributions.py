@@ -19,7 +19,7 @@ from srswor.distributions import (
 )
 from srswor.distributed import (MergeInput, downsample, merge_all_with_state,
                                 split_sample_counts)
-from srswor.rng import DrawStats, RandomSource, ScriptedSource
+from srswor.rng import DrawStats, RandomSource, ScriptExhaustedError, ScriptedSource
 from srswor.samplers import default_samplers, inorder_sample
 from srswor.statcheck import hypergeom_law
 
@@ -388,17 +388,25 @@ def test_hypergeometric_refuses_n_from_2_to_1024():
         with pytest.raises(OverflowError):
             draw(src)
         assert (src.stats, src.words_generated) == (DrawStats(), 0)
+    # a composite draw checks its counts before its first draw
+    for draw in (lambda s: inorder_sample(s, 2**1100, 3),
+                 lambda s: merge_all_with_state(s, [MergeInput([1, 2], 10),
+                                                    MergeInput([5], 2**1100)])):
+        src = RandomSource(1)
+        with pytest.raises(OverflowError):
+            draw(src)
+        assert (src.stats, src.words_generated) == (DrawStats(), 0)
     # a nested draw counts only if it returned: inorder's first gap draws
-    # its uniform, then its binomial refuses; merge's first beta returns,
-    # then the second shard's refuses
-    src = RandomSource(1)
-    with pytest.raises(OverflowError):
-        inorder_sample(src, 2**1100, 3)
+    # its uniform, then its binomial runs out; merge's first beta returns,
+    # then the second shard's runs out
+    src = ScriptedSource(_splitmix_words(1, 1))
+    with pytest.raises(ScriptExhaustedError):
+        inorder_sample(src, 10, 3)
     assert src.stats == DrawStats(uniform_real=1)
-    src = RandomSource(1)
-    with pytest.raises(OverflowError):
-        merge_all_with_state(src, [MergeInput([1, 2], 10), MergeInput([5], 2**1100)])
-    assert src.stats - DrawStats(src.stats.uniform_int, src.stats.uniform_real) == DrawStats(beta=1)
+    src = ScriptedSource(_splitmix_words(1, 2))
+    with pytest.raises(ScriptExhaustedError):
+        merge_all_with_state(src, [MergeInput([1, 2], 10), MergeInput([5], 10)])
+    assert src.stats == DrawStats(uniform_real=2, beta=1)
     assert hypergeometric(RandomSource(1), 0, 2**1024, 5) == 0
     assert hypergeometric(RandomSource(1), 3, 2**1030, 2**1030) == 3
 
@@ -460,7 +468,8 @@ def _boundary_cases():
 def test_every_draw_returns_or_refuses_at_the_boundaries():
     # each case runs on a fixed script of words, so a draw that never
     # returns ends in ScriptExhaustedError, which fails the case; a refusal
-    # is ValueError or OverflowError, and leaves the family's own counter
+    # is ValueError or OverflowError, reads no word, and leaves the family's
+    # own counter
     words = _splitmix_words(7, 2048)
     failures, cases = [], 0
     for family, draw, args, in_support in _boundary_cases():
@@ -471,6 +480,8 @@ def test_every_draw_returns_or_refuses_at_the_boundaries():
         except (ValueError, OverflowError):
             if family and getattr(src.stats, family):
                 failures.append((draw.__name__, args, "counted a draw that raised"))
+            if src.words_generated:
+                failures.append((draw.__name__, args, "read a word before it refused"))
             continue
         except Exception as error:  # ScriptExhaustedError among them
             failures.append((draw.__name__, args, repr(error)))

@@ -141,6 +141,19 @@ def test_bad_nk_rejected(sampler):
         sampler(src, 5, 6)
     with pytest.raises(ValueError):
         sampler(src, 5, -1)
+    # a float count is refused by its type, in n or in k, before any draw
+    for n, k in ((10.0, 2), (10, 2.0)):
+        with pytest.raises(TypeError):
+            sampler(src, n, k)
+    assert src.words_generated == 0
+
+
+def test_array_and_stream_samplers_refuse_a_float_k():
+    src = RandomSource(6)
+    for sampler in (preinit_fy_sample_with_undo, reservoir_sample):
+        with pytest.raises(TypeError):
+            sampler(src, [1, 2, 3], 2.0)
+    assert src.words_generated == 0
 
 
 @pytest.mark.parametrize("n", [2**53 - 1, 2**53, 2**53 + 1,

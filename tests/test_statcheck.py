@@ -37,6 +37,11 @@ CHI2_SF_CASES = [
     (123.4, 99, 0.048902311511807336),
     (0.5, 3, 0.9188914116546758),
     (7.779, 4, 0.10001751571024528),
+    # large dof, from mpmath at 50 digits; each term's exponent is near
+    # x = statistic / 2, whose rounding leaves about 1e-11 relative
+    (20000.0, 20000, 0.4986701916600448),
+    (30000.0, 30000, 0.4989142162381336),
+    (100000.0, 100000, 0.4994052918952067),
 ]
 
 # Kolmogorov distribution upper tails, same provenance
@@ -51,12 +56,15 @@ KOLMOGOROV_SF_CASES = [
 
 def test_chi2_sf_reference_values():
     for stat, dof, expected in CHI2_SF_CASES:
-        assert chi2_sf(stat, dof) == pytest.approx(expected, rel=1e-12)
+        assert chi2_sf(stat, dof) == pytest.approx(expected, rel=1e-12 if dof < 1000 else 1e-9)
 
 
 def test_chi2_sf_edges():
     assert chi2_sf(0.0, 5) == pytest.approx(1.0, abs=1e-12)
     assert chi2_sf(1e4, 2) < 1e-100
+    for statistic in (-1.0, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            chi2_sf(statistic, 4)
 
 
 def test_kolmogorov_sf_reference_values():
